@@ -5,6 +5,7 @@ expectations below are pinned to exact certificate sequences, exact
 rational orders, and exact trace snapshots.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -29,6 +30,16 @@ from subelliptic.kohn import (
     report_radical_orders,
     audit_trace,
 )
+
+
+# SHA-256 of serialize_trace for the cross-power grid under the default
+# arguments.  Any change to the event stream of these runs must show here.
+TRACE_DIGESTS = {
+    (3, 2, 4): "758c4937fbd5b977d11e53a222b8bdd9e292ec8e99bfe66516fc45dec9fdaa53",
+    (3, 2, 5): "dee80937a9d47f503facf0738741fb2a0acc75f6be7c4e08a18e5f79fcc1dfd0",
+    (3, 2, 6): "6665549fde72d38080a2f20b8640611515b9ffe3c2b2130c8c3706d90e5527f3",
+    (4, 3, 6): "aad2ad28d3157acb9586b405118c43b93ab617397ad6b4edcd37e3061e342e5b",
+}
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +224,14 @@ class TestCrossPowerFamily:
         floors = report_radical_orders(result)[-1]["algebraic_floor"]
         assert floors["z"] == k
         assert audit_trace(result) == []
+
+    @pytest.mark.parametrize(
+        "params", sorted(TRACE_DIGESTS), ids=lambda p: "".join(map(str, p))
+    )
+    def test_trace_is_byte_identical(self, family_runs, params):
+        """The serialized event stream of the contract grid never changes."""
+        text = serialize_trace(family_runs[params])
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRACE_DIGESTS[params]
 
     def test_ineffectiveness_divergence(self, family_runs):
         """Fixed type 6, yet the certified order degrades as k grows."""
