@@ -301,6 +301,89 @@ class TestJsonArtifacts:
             "effective": "1/16",
         }
 
+    @pytest.mark.parametrize(
+        "command,extra,fields",
+        [
+            (
+                "levi",
+                [],
+                {"config": {"command": "levi"}, "lambda": "1", "summary": "1"},
+            ),
+            (
+                "type",
+                [],
+                {
+                    "config": {"command": "type", "curve_degree_cap": 8},
+                    "type": {"value": "2", "witness": "(0, t)"},
+                    "summary": "type >= 2 (witness (0, t))",
+                },
+            ),
+            (
+                "check-hypo",
+                ["--samples", "20", "--seed", "7"],
+                {
+                    "config": {
+                        "command": "check-hypo",
+                        "radius": None,
+                        "samples": 20,
+                        "seed": 7,
+                    },
+                    "report": {
+                        "c_hat": None,
+                        "degenerate": 0,
+                        "delta_hat": 0.0,
+                        "min_lambda_on_boundary": None,
+                        "n_samples": 20,
+                        "radius": 0.1,
+                        "seed": 7,
+                        "violations": [],
+                    },
+                    "summary": "hypothesis holds",
+                },
+            ),
+            (
+                "verify",
+                ["--samples", "20", "--seed", "7"],
+                {
+                    "config": {
+                        "command": "verify",
+                        "radius": None,
+                        "samples": 20,
+                        "seed": 7,
+                    },
+                    "boundary": {
+                        "c_hat": None,
+                        "degenerate": 0,
+                        "delta_hat": None,
+                        "min_lambda_on_boundary": 1.0,
+                        "n_samples": 20,
+                        "radius": 0.1,
+                        "seed": 7,
+                        "violations": [],
+                    },
+                    "summary": "checks passed",
+                },
+            ),
+        ],
+    )
+    def test_flat_artifact_fields(self, tmp_path, command, extra, fields):
+        """Every artifact is {config, spec} plus its own fields, nothing else."""
+        out_path = tmp_path / "out.json"
+        code = main([command, write_spec(tmp_path, FLAT), *extra, "--json", str(out_path)])
+        assert code == EXIT_OK
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        assert payload.pop("spec") == {
+            "name": "flat",
+            "f": ["w"],
+            "g": [],
+            "params": None,
+            "sample_radius": 0.1,
+        }
+        if command == "verify":
+            # A floating-point residue; only its size is part of the contract.
+            assert 0 <= payload.pop("finite_diff_error") < 1e-5
+        assert payload == fields
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
