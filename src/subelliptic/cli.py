@@ -30,7 +30,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -188,12 +187,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return config
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _float_text(value) -> str:
     if value is None:
         return "n/a"
@@ -203,11 +196,7 @@ def _float_text(value) -> str:
 
 
 def _cell(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, Fraction):
-        return str(value)
-    return str(value)
+    return "-" if value is None else str(value)
 
 
 def _flatten_certificates(events) -> list[dict]:
@@ -238,86 +227,59 @@ def _hypothesis_status(spec: DomainSpec, args) -> tuple[HypoStatus, Optional[obj
     return (HypoStatus.VERIFIED if holds else HypoStatus.FAILED), report
 
 
-def cmd_levi(spec: DomainSpec, args) -> int:
+# Each cmd_* prints its report and returns (exit code, artifact fields); main
+# wraps the fields in the {config, spec, ...} envelope when --json is given.
+# A command that returns no fields writes no artifact.
+Artifact = Optional[dict]
+
+
+def cmd_levi(spec: DomainSpec, args) -> tuple[int, Artifact]:
     lam = canonical_str(expand_r(spec).lam)
     print(lam)
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "config": _config_echo(args),
-                "spec": spec_echo(spec),
-                "lambda": lam,
-                "summary": lam,
-            },
-        )
-    return EXIT_OK
+    return EXIT_OK, {"lambda": lam, "summary": lam}
 
 
-def cmd_type(spec: DomainSpec, args) -> int:
+def cmd_type(spec: DomainSpec, args) -> tuple[int, Artifact]:
     bound = type_lower_bound(spec, degree_cap=args.curve_degree_cap)
     value = "infinity" if math.isinf(bound.value) else str(bound.value)
     line = f"type >= {value} (witness {bound.witness})"
     print(line)
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "config": _config_echo(args),
-                "spec": spec_echo(spec),
-                "type": {"value": value, "witness": str(bound.witness)},
-                "summary": line,
-            },
-        )
-    return EXIT_OK
+    return EXIT_OK, {"type": {"value": value, "witness": str(bound.witness)}, "summary": line}
 
 
-def cmd_kohn(spec: DomainSpec, args) -> int:
+def cmd_kohn(spec: DomainSpec, args) -> tuple[int, Artifact]:
     result = run_kohn(spec, max_steps=args.max_steps, radical_cap=args.radical_cap)
     print(result.summary())
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "config": _config_echo(args),
-                "spec": spec_echo(spec),
-                "events": list(result.events),
-                "certificates": _flatten_certificates(result.events),
-                "summary": result.summary(),
-            },
-        )
-    return EXIT_OK if result.outcome is Outcome.SUCCESS else EXIT_UNDECIDED
+    code = EXIT_OK if result.outcome is Outcome.SUCCESS else EXIT_UNDECIDED
+    return code, {
+        "events": list(result.events),
+        "certificates": _flatten_certificates(result.events),
+        "summary": result.summary(),
+    }
 
 
-def cmd_effective(spec: DomainSpec, args) -> int:
+def cmd_effective(spec: DomainSpec, args) -> tuple[int, Artifact]:
     status, report = _hypothesis_status(spec, args)
     try:
         result = zeta_chain(spec, status, force=args.force)
     except HypothesisFailedError as exc:
         print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
+        return EXIT_REFUSED, None
     print(result.summary())
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "config": _config_echo(args),
-                "spec": spec_echo(spec),
-                "hypothesis": status.name.lower(),
-                "delta_hat": None if report is None else report.as_dict()["delta_hat"],
-                "chain": [
-                    {"index": step.index, "poly": canonical_str(step.poly), "order": str(step.order)}
-                    for step in result.chain
-                ],
-                "final_order": str(result.final_order),
-                "sound": result.sound,
-                "summary": result.summary(),
-            },
-        )
-    return EXIT_OK
+    return EXIT_OK, {
+        "hypothesis": status.name.lower(),
+        "delta_hat": None if report is None else report.as_dict()["delta_hat"],
+        "chain": [
+            {"index": step.index, "poly": canonical_str(step.poly), "order": str(step.order)}
+            for step in result.chain
+        ],
+        "final_order": str(result.final_order),
+        "sound": result.sound,
+        "summary": result.summary(),
+    }
 
 
-def cmd_check_hypo(spec: DomainSpec, args) -> int:
+def cmd_check_hypo(spec: DomainSpec, args) -> tuple[int, Artifact]:
     report = sample_hypo(spec, radius=args.radius, n=args.samples, seed=args.seed)
     holds = hypothesis_holds(report)
     print(
@@ -327,20 +289,14 @@ def cmd_check_hypo(spec: DomainSpec, args) -> int:
     if report.degenerate:
         print(f"degenerate points skipped: {report.degenerate}")
     print(f"hypothesis {'holds' if holds else 'fails'} (gate {HYPO_GATE})")
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "config": _config_echo(args),
-                "spec": spec_echo(spec),
-                "report": report.as_dict(),
-                "summary": f"hypothesis {'holds' if holds else 'fails'}",
-            },
-        )
-    return EXIT_OK if holds else EXIT_REFUSED
+    code = EXIT_OK if holds else EXIT_REFUSED
+    return code, {
+        "report": report.as_dict(),
+        "summary": f"hypothesis {'holds' if holds else 'fails'}",
+    }
 
 
-def cmd_verify(spec: DomainSpec, args) -> int:
+def cmd_verify(spec: DomainSpec, args) -> tuple[int, Artifact]:
     radius = args.radius if args.radius is not None else spec.sample_radius
     points = polydisc_points(radius, args.samples, args.seed)
     worst = finite_diff_levi(spec, points)
@@ -361,21 +317,15 @@ def cmd_verify(spec: DomainSpec, args) -> int:
         )
     for line in problems:
         print(f"undecided: {line}", file=sys.stderr)
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "config": _config_echo(args),
-                "spec": spec_echo(spec),
-                "finite_diff_error": worst,
-                "boundary": boundary.as_dict(),
-                "summary": "checks passed" if not problems else "; ".join(problems),
-            },
-        )
-    return EXIT_OK if not problems else EXIT_UNDECIDED
+    code = EXIT_OK if not problems else EXIT_UNDECIDED
+    return code, {
+        "finite_diff_error": worst,
+        "boundary": boundary.as_dict(),
+        "summary": "checks passed" if not problems else "; ".join(problems),
+    }
 
 
-def cmd_compare(spec: DomainSpec, args) -> int:
+def cmd_compare(spec: DomainSpec, args) -> tuple[int, Artifact]:
     classic = run_kohn(spec, max_steps=args.max_steps, radical_cap=args.radical_cap)
     status, _ = _hypothesis_status(spec, args)
     effective = None
@@ -394,18 +344,10 @@ def cmd_compare(spec: DomainSpec, args) -> int:
         print(f"{label:<16} {_cell(row[key])}")
     if note:
         print(note, file=sys.stderr)
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "config": _config_echo(args),
-                "spec": spec_echo(spec),
-                "table": {key: _cell(value) for key, value in row.items()},
-                "summary": f"classic {_cell(row['classic'])} vs "
-                f"effective {_cell(row['effective'])}",
-            },
-        )
-    return EXIT_OK
+    return EXIT_OK, {
+        "table": {key: _cell(value) for key, value in row.items()},
+        "summary": f"classic {_cell(row['classic'])} vs effective {_cell(row['effective'])}",
+    }
 
 
 def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
@@ -503,19 +445,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(spec, args)
-    except BoundarySolveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except KohnError as exc:
+        code, fields = args.func(spec, args)
+    except (KohnError, InfiniteTypeError) as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except InfiniteTypeError as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
-    except (DomainError, ParseError) as exc:
+    except (BoundarySolveError, DomainError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if args.json and fields is not None:
+        envelope = {"config": _config_echo(args), "spec": spec_echo(spec), **fields}
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(envelope, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -74,13 +74,6 @@ class KohnResult:
         return f"stalled after {self.steps_used} steps ({self.reason})"
 
 
-def _unit_generator(ideal: LocalIdeal) -> Optional[Poly]:
-    for g in ideal.generators:
-        if not g.constant_term().is_zero():
-            return g
-    return None
-
-
 class _Ledger:
     """Multiplier registry keyed by scalar-normalized canonical form."""
 
@@ -148,31 +141,40 @@ def run_kohn(
 
     current = LocalIdeal([data.r, data.lam], step_budget=step_budget)
 
-    def finish_success(step: int, witness: Poly) -> KohnResult:
-        order = ledger.min_order()
-        events.append(
-            {
-                "kind": "outcome",
-                "outcome": "success",
-                "step": step,
+    def finish(step: int, witness: Optional[Poly], stall: str = "") -> KohnResult:
+        """Record the outcome event and build the result.
+
+        A unit witness means success; without one the run stalled for the
+        given reason.
+        """
+        if witness is not None:
+            order, unit = ledger.min_order(), canonical_str(witness)
+            outcome, reason = Outcome.SUCCESS, "unit found"
+            detail = {
                 "order": str(order),
                 "max_radical_order": max_radical_order,
-                "witness": canonical_str(witness),
+                "witness": unit,
             }
-        )
+        else:
+            order = unit = None
+            outcome, reason = Outcome.STALLED, stall
+            if saw_undecided:
+                reason += "; some memberships were undecided under the budget"
+            detail = {"reason": reason}
+        events.append({"kind": "outcome", "outcome": outcome.value, "step": step, **detail})
         return KohnResult(
-            outcome=Outcome.SUCCESS,
+            outcome=outcome,
             steps_used=step,
             final_order=order,
             max_radical_order=max_radical_order,
             multipliers=dict(ledger.entries),
-            unit_witness=canonical_str(witness),
-            reason="unit found",
+            unit_witness=unit,
+            reason=reason,
             events=events,
         )
 
     def check_unit(step: int, stage: str, ideal: LocalIdeal) -> Optional[Poly]:
-        witness = _unit_generator(ideal)
+        witness = ideal.unit_witness()
         events.append(
             {
                 "kind": "unit-check",
@@ -186,7 +188,7 @@ def run_kohn(
 
     witness = check_unit(1, "pre-loop", current)
     if witness is not None:
-        return finish_success(1, witness)
+        return finish(1, witness)
 
     for step in range(1, max_steps + 1):
         # -- radical step: entry orders are frozen before any commit
@@ -230,7 +232,7 @@ def run_kohn(
 
         witness = check_unit(step, "after-radical", current)
         if witness is not None:
-            return finish_success(step, witness)
+            return finish(step, witness)
 
         # -- row step: L(h) for every known multiplier, plus the d/dw
         #    shortcut when r_w itself already lies inside.  Under the
@@ -296,47 +298,12 @@ def run_kohn(
 
         witness = check_unit(step, "after-row", current)
         if witness is not None:
-            return finish_success(step, witness)
+            return finish(step, witness)
 
         if not certificates and not kept:
-            reason = "ideal chain reached a fixpoint without a unit"
-            if saw_undecided:
-                reason += "; some memberships were undecided under the budget"
-            events.append(
-                {
-                    "kind": "outcome",
-                    "outcome": "stalled",
-                    "step": step,
-                    "reason": reason,
-                }
-            )
-            return KohnResult(
-                outcome=Outcome.STALLED,
-                steps_used=step,
-                final_order=None,
-                max_radical_order=max_radical_order,
-                multipliers=dict(ledger.entries),
-                unit_witness=None,
-                reason=reason,
-                events=events,
-            )
+            return finish(step, None, "ideal chain reached a fixpoint without a unit")
 
-    reason = f"no unit within {max_steps} steps"
-    if saw_undecided:
-        reason += "; some memberships were undecided under the budget"
-    events.append(
-        {"kind": "outcome", "outcome": "stalled", "step": max_steps, "reason": reason}
-    )
-    return KohnResult(
-        outcome=Outcome.STALLED,
-        steps_used=max_steps,
-        final_order=None,
-        max_radical_order=max_radical_order,
-        multipliers=dict(ledger.entries),
-        unit_witness=None,
-        reason=reason,
-        events=events,
-    )
+    return finish(max_steps, None, f"no unit within {max_steps} steps")
 
 
 def serialize_trace(result: KohnResult) -> str:

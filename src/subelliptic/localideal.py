@@ -16,14 +16,13 @@ ideal snapshots, membership logs) for traces to be replayed and audited.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .polyring import (
     GaussRational,
     Mono,
-    MONO_ONE,
     Poly,
     canonical_str,
     display_key,
@@ -278,8 +277,10 @@ class LocalIdeal:
             return Membership.UNDECIDED
         if p.is_zero():
             return Membership.YES
+        if step_budget is None:
+            step_budget = self.step_budget
         try:
-            nf = nf_mora(p, basis, _Budget(step_budget or self.step_budget))
+            nf = nf_mora(p, basis, _Budget(step_budget))
         except BudgetExhausted:
             return Membership.UNDECIDED
         return Membership.YES if nf.is_zero() else Membership.NO
@@ -295,8 +296,10 @@ class LocalIdeal:
         basis = self.basis
         if basis is None or p.is_zero():
             return p
+        if step_budget is None:
+            step_budget = self.step_budget
         try:
-            h = nf_mora(p, basis, _Budget(step_budget or self.step_budget))
+            h = nf_mora(p, basis, _Budget(step_budget))
         except BudgetExhausted:
             h = p
         if h.is_zero():
@@ -306,14 +309,15 @@ class LocalIdeal:
             h = _strip_by_monomials(h, monos, False)
         return h
 
-    def is_unit(self) -> Membership:
+    def unit_witness(self) -> Optional[Poly]:
+        """The first generator that is a unit, or None for a proper ideal."""
         # The local ring has a unique maximal ideal, so the ideal is the
         # whole ring exactly when some generator has a nonzero constant term
         # (otherwise every element vanishes at the origin).
         for g in self.generators:
             if not g.constant_term().is_zero():
-                return Membership.YES
-        return Membership.NO
+                return g
+        return None
 
     def with_extra(self, more: Iterable[Poly]) -> "LocalIdeal":
         """Extend by new generators, reusing the computed basis as a seed.
@@ -336,35 +340,35 @@ class LocalIdeal:
         return f"LocalIdeal({inner})"
 
 
-def standard_basis(gens: Sequence[Poly], step_budget: int = DEFAULT_STEP_BUDGET) -> LocalIdeal:
-    ideal = LocalIdeal(gens, step_budget)
-    ideal.basis  # force computation so failures surface immediately
-    return ideal
+def _power_sweep(
+    g: Poly,
+    ideal: LocalIdeal,
+    first: int,
+    cap: int,
+    step_budget: Optional[int] = None,
+) -> tuple[Optional[int], list[tuple[int, str]]]:
+    """Probe g^first, g^(first+1), ..., g^cap: the smallest power in the ideal.
 
-
-def membership(p: Poly, ideal: LocalIdeal) -> Membership:
-    return ideal.membership(p)
-
-
-def is_unit_ideal(ideal: LocalIdeal) -> Membership:
-    return ideal.is_unit()
+    Returns that power (or None) and the membership log.  An undecided
+    membership stops the sweep (no certificate is issued on uncertain
+    evidence).
+    """
+    log: list[tuple[int, str]] = []
+    power = g ** (first - 1)
+    for m in range(first, cap + 1):
+        power = power * g
+        answer = ideal.membership(power, step_budget=step_budget)
+        log.append((m, answer.value))
+        if answer is Membership.YES:
+            return m, log
+        if answer is Membership.UNDECIDED:
+            break
+    return None, log
 
 
 def min_algebraic_radical_order(g: Poly, ideal: LocalIdeal, cap: int) -> Optional[int]:
-    """Smallest m <= cap with g**m in the ideal, or None.
-
-    An undecided membership at some power stops the search for that and all
-    larger powers (no certificate is issued on uncertain evidence).
-    """
-    power = Poly.one()
-    for m in range(1, cap + 1):
-        power = power * g
-        answer = ideal.membership(power)
-        if answer is Membership.YES:
-            return m
-        if answer is Membership.UNDECIDED:
-            return None
-    return None
+    """Smallest m <= cap with g**m in the ideal, or None."""
+    return _power_sweep(g, ideal, 1, cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -638,22 +642,10 @@ def radical_extend(
                 continue
             if current.membership(g, step_budget=step_budget) is Membership.YES:
                 continue
-            log: list[tuple[int, str]] = []
-            found = None
-            power = g
-            for m in range(2, order_cap + 1):
-                power = power * g
-                answer = current.membership(power, step_budget=step_budget)
-                log.append((m, answer.value))
-                if answer is Membership.YES:
-                    found = m
-                    break
-                if answer is Membership.UNDECIDED:
-                    break
-            if found is None:
-                used_candidates.add(gkey)
-                continue
+            found, log = _power_sweep(g, current, 2, order_cap, step_budget)
             used_candidates.add(gkey)
+            if found is None:
+                continue
             snapshot = current.generator_strings()
             commit(RadicalCertificate(
                 element=g,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Mapping, Union
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +109,6 @@ class GaussRational:
 _GR_ZERO = GaussRational(Fraction(0), Fraction(0))
 _GR_ONE = GaussRational(Fraction(1), Fraction(0))
 _GR_I = GaussRational(Fraction(0), Fraction(1))
-
-
-def GR(re: Union[int, Fraction], im: Union[int, Fraction] = 0) -> GaussRational:
-    """Shorthand constructor used pervasively in tests."""
-    return GaussRational(Fraction(re), Fraction(im))
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +341,6 @@ class Poly:
             total = total + c * z0 ** m[0] * zb0 ** m[1] * w0 ** m[2] * wb0 ** m[3]
         return total
 
-    def eval_complex(self, z0: complex, w0: complex) -> complex:
-        zb0, wb0 = z0.conjugate(), w0.conjugate()
-        total = 0j
-        for m, c in self.terms.items():
-            total += c.to_complex() * z0 ** m[0] * zb0 ** m[1] * w0 ** m[2] * wb0 ** m[3]
-        return total
-
     def compiled(self) -> Callable[[complex, complex], complex]:
         """Precompute float coefficients for repeated numeric evaluation."""
         data = [(c.to_complex(), m) for m, c in self.terms.items()]
@@ -374,13 +362,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({canonical_str(self)})"
-
-
-def eval_poly(p: Poly, z0, w0):
-    """Evaluate at a point; exact when both coordinates are GaussRational."""
-    if isinstance(z0, GaussRational) and isinstance(w0, GaussRational):
-        return p.eval_exact(z0, w0)
-    return p.eval_complex(complex(z0), complex(w0))
 
 
 def require_holomorphic(p: Poly, what: str = "polynomial") -> Poly:
@@ -630,11 +611,6 @@ class Curve:
                 raise ValueError("curve exponents must be sorted")
         if not self.z_of_t and not self.w_of_t:
             raise ValueError("curve must not be identically zero")
-
-    @staticmethod
-    def from_parts(z_part: Iterable[tuple[int, GaussRational]],
-                   w_part: Iterable[tuple[int, GaussRational]]) -> "Curve":
-        return Curve(tuple(sorted(z_part)), tuple(sorted(w_part)))
 
     @staticmethod
     def monomial(coeff: GaussRational, s: int) -> "Curve":

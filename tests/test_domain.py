@@ -147,21 +147,19 @@ class TestContactOrder:
 
     def test_reparametrization_invariance(self):
         r = defining_function(cross_power_domain(3, 2, 5))
-        doubled = Curve.from_parts((), ((2, GaussRational.one()),))
+        doubled = Curve((), ((2, GaussRational.one()),))
         assert contact_order(r, doubled) == contact_order(r, Curve.vertical())
 
     def test_curve_inside_zero_set(self):
         r = parse_poly("w*wb")
-        horizontal = Curve.from_parts(((1, GaussRational.one()),), ())
+        horizontal = Curve(((1, GaussRational.one()),), ())
         assert contact_order(r, horizontal) == math.inf
 
     def test_fractional_contact(self):
         # z*w pulled back along (t^2, t^3) vanishes to order 5 on a
         # multiplicity-2 curve, so the normalized contact is 5/2.
         p = parse_poly("z*w")
-        squeezed = Curve.from_parts(
-            ((2, GaussRational.one()),), ((3, GaussRational.one()),)
-        )
+        squeezed = Curve(((2, GaussRational.one()),), ((3, GaussRational.one()),))
         assert contact_order(p, squeezed) == Fraction(5, 2)
 
     def test_integral_contact_collapses_to_int(self):

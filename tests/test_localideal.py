@@ -12,14 +12,11 @@ from subelliptic.localideal import (
     RadicalCertificate,
     ecart,
     hermitian_square_rows,
-    is_unit_ideal,
     leading_monomial,
-    membership,
     min_algebraic_radical_order,
     monic,
     monic_key,
     radical_extend,
-    standard_basis,
 )
 from linear_oracle import certify_membership
 
@@ -50,7 +47,7 @@ class TestLocalOrder:
 
 class TestStandardBasis:
     def setup_method(self):
-        self.ideal = standard_basis(
+        self.ideal = LocalIdeal(
             [parse_poly("3*w^2 + 2*z^5*w"), parse_poly("6*w + 2*z^5")]
         )
 
@@ -77,10 +74,6 @@ class TestStandardBasis:
     def test_zero_is_always_a_member(self):
         assert self.ideal.membership(Poly.zero()) is Membership.YES
 
-    def test_module_level_wrappers(self):
-        assert membership(parse_poly("w^2"), self.ideal) is Membership.YES
-        assert is_unit_ideal(self.ideal) is Membership.NO
-
     def test_duplicate_generators_collapse(self):
         ideal = LocalIdeal([parse_poly("w"), parse_poly("w"), Poly.zero()])
         assert len(ideal.generators) == 1
@@ -90,7 +83,7 @@ class TestLocalVersusGlobal:
     def test_membership_may_need_a_local_unit(self):
         # w^3*(1+z) lies in the ideal, so w^3 does too once 1+z is inverted;
         # no polynomial cofactor identity exists without the unit.
-        ideal = standard_basis([parse_poly("z*w + w^3"), parse_poly("z^2 - w^2")])
+        ideal = LocalIdeal([parse_poly("z*w + w^3"), parse_poly("z^2 - w^2")])
         assert ideal.membership(parse_poly("w^3")) is Membership.YES
         gens = list(ideal.generators)
         assert certify_membership(parse_poly("w^3"), gens, 4)
@@ -130,7 +123,7 @@ class TestMembershipProperties:
             checked += 1
 
     def test_members_are_closed_under_sum_and_scaling(self):
-        ideal = standard_basis([parse_poly("w^2 + z*w"), parse_poly("z^3")])
+        ideal = LocalIdeal([parse_poly("w^2 + z*w"), parse_poly("z^3")])
         p = parse_poly("z*w^2 + z^2*w")
         q = parse_poly("z^4 + z^3*w")
         assert ideal.membership(p) is Membership.YES
@@ -141,18 +134,18 @@ class TestMembershipProperties:
 
 class TestUnitDetection:
     def test_unit_from_constant_term(self):
-        assert LocalIdeal([parse_poly("1 + w")]).is_unit() is Membership.YES
+        assert LocalIdeal([parse_poly("1 + w")]).unit_witness() == parse_poly("1 + w")
         assert LocalIdeal(
             [parse_poly("w + w^2"), parse_poly("1 - w")]
-        ).is_unit() is Membership.YES
+        ).unit_witness() == parse_poly("1 - w")
 
     def test_vanishing_generators_never_span_a_unit(self):
         # Every combination sum a_i*g_i vanishes at 0 when all g_i do, so
         # scanning generator constant terms is a complete test.
-        assert LocalIdeal([parse_poly("z"), parse_poly("w")]).is_unit() is Membership.NO
+        assert LocalIdeal([parse_poly("z"), parse_poly("w")]).unit_witness() is None
         assert LocalIdeal(
             [parse_poly("z + w^5"), parse_poly("zb"), parse_poly("wb")]
-        ).is_unit() is Membership.NO
+        ).unit_witness() is None
 
 
 class TestBudgets:
@@ -165,13 +158,19 @@ class TestBudgets:
 
     def test_budget_only_delays_never_flips_answers(self):
         gens = [parse_poly("z*w + w^3"), parse_poly("z^2 - w^2")]
-        full = standard_basis(gens)
+        full = LocalIdeal(gens)
         assert full.membership(parse_poly("w^3")) is Membership.YES
         starved = full.membership(parse_poly("w^3"), step_budget=1)
         assert starved in (Membership.YES, Membership.UNDECIDED)
 
+    def test_zero_step_budget_means_zero(self):
+        """An explicit 0 allows no reduction step; it is not the default."""
+        ideal = LocalIdeal([parse_poly("w^2")])
+        assert ideal.membership(parse_poly("w^3")) is Membership.YES
+        assert ideal.membership(parse_poly("w^3"), step_budget=0) is Membership.UNDECIDED
+
     def test_with_extra_reuses_the_computed_basis(self):
-        base = standard_basis([parse_poly("w^2"), parse_poly("z^3")])
+        base = LocalIdeal([parse_poly("w^2"), parse_poly("z^3")])
         bigger = base.with_extra([parse_poly("z*w")])
         assert bigger.membership(parse_poly("z^2*w^2")) is Membership.YES
         assert set(base.generator_strings()) < set(bigger.generator_strings())
@@ -265,14 +264,14 @@ class TestHermitianSquares:
 class TestRadicalExtend:
     def test_hermitian_square_generator(self):
         h = parse_poly("w") * parse_poly("w + z^2")
-        certs = radical_extend(standard_basis([h * h.conj()]))
+        certs = radical_extend(LocalIdeal([h * h.conj()]))
         assert certs_view(certs) == [
             ("hermitian-square", 2, "w^2 + z^2*w"),
             ("conjugation", 1, "wb^2 + zb^2*wb"),
         ]
 
     def test_pure_power_probe(self):
-        certs = radical_extend(standard_basis([parse_poly("z^5")]))
+        certs = radical_extend(LocalIdeal([parse_poly("z^5")]))
         assert certs_view(certs) == [
             ("monomial-root", 5, "z"),
             ("conjugation", 1, "zb^5"),
@@ -289,17 +288,17 @@ class TestRadicalExtend:
         assert probe.probe_ideal == ("z^5",)
 
     def test_variable_generator_needs_no_probe(self):
-        certs = radical_extend(standard_basis([parse_poly("w")]))
+        certs = radical_extend(LocalIdeal([parse_poly("w")]))
         assert certs_view(certs) == [("conjugation", 1, "wb")]
 
     def test_cohort_commits_together(self):
-        certs = radical_extend(standard_basis([parse_poly("z^2"), parse_poly("w^2")]))
+        certs = radical_extend(LocalIdeal([parse_poly("z^2"), parse_poly("w^2")]))
         roots = [(c.order, canonical_str(c.element)) for c in certs if c.rule == "monomial-root"]
         assert roots == [(2, "z"), (2, "w")]
 
     def test_rebalanced_row(self):
         g = parse_poly("z^3*w")
-        certs = radical_extend(standard_basis([g * g.conj()]))
+        certs = radical_extend(LocalIdeal([g * g.conj()]))
         assert certs_view(certs) == [
             ("hermitian-square", 2, "z^3*w"),
             ("hermitian-square", 6, "z*w"),
@@ -307,15 +306,20 @@ class TestRadicalExtend:
             ("conjugation", 1, "zb*wb"),
         ]
 
+    def test_zero_probe_budget_certifies_no_root(self):
+        """z^5 needs one reduction step, which a zero probe budget forbids."""
+        certs = radical_extend(LocalIdeal([parse_poly("z^5")]), probe_budget=0)
+        assert all(c.rule != "monomial-root" for c in certs)
+
     def test_order_cap_bounds_the_probe(self):
-        shallow = radical_extend(standard_basis([parse_poly("z^5")]), order_cap=3)
+        shallow = radical_extend(LocalIdeal([parse_poly("z^5")]), order_cap=3)
         assert all(c.rule != "monomial-root" for c in shallow)
-        deep = radical_extend(standard_basis([parse_poly("z^5")]), order_cap=5)
+        deep = radical_extend(LocalIdeal([parse_poly("z^5")]), order_cap=5)
         assert any(c.rule == "monomial-root" for c in deep)
 
     def test_algebraic_power_candidate(self):
         g = parse_poly("z + w")
-        ideal = standard_basis([g * g * g])
+        ideal = LocalIdeal([g * g * g])
         assert ideal.membership(g * g * g) is Membership.YES
         assert ideal.membership(g * g) is Membership.NO
         certs = radical_extend(ideal, power_candidates=[g])
@@ -327,11 +331,11 @@ class TestRadicalExtend:
 
     def test_candidates_already_inside_are_skipped(self):
         g = parse_poly("z + w")
-        certs = radical_extend(standard_basis([g]), power_candidates=[g])
+        certs = radical_extend(LocalIdeal([g]), power_candidates=[g])
         assert all(c.rule != "algebraic-power" for c in certs)
 
     def test_conjugation_closure(self):
-        ideal = standard_basis([parse_poly("z^5"), parse_poly("w^2 + z*w")])
+        ideal = LocalIdeal([parse_poly("z^5"), parse_poly("w^2 + z*w")])
         certs = radical_extend(ideal)
         known = {monic_key(p) for p in ideal.generators}
         known |= {monic_key(c.element) for c in certs}
@@ -340,14 +344,14 @@ class TestRadicalExtend:
 
     def test_deterministic(self):
         gens = [parse_poly("z^5"), parse_poly("w^2 + z*w")]
-        first = certs_view(radical_extend(standard_basis(gens)))
-        second = certs_view(radical_extend(standard_basis(gens)))
+        first = certs_view(radical_extend(LocalIdeal(gens)))
+        second = certs_view(radical_extend(LocalIdeal(gens)))
         assert first == second
 
     def test_conjugate_values_match_pointwise(self):
         # |conj(q)(p)| = |q(p)| exactly at every point, the inequality behind
         # order-1 conjugation certificates.
-        certs = radical_extend(standard_basis([parse_poly("z^5"), parse_poly("w^2 + z*w")]))
+        certs = radical_extend(LocalIdeal([parse_poly("z^5"), parse_poly("w^2 + z*w")]))
         rng = random.Random(3)
         for cert in certs:
             if cert.rule != "conjugation":
@@ -362,12 +366,12 @@ class TestRadicalExtend:
 
 class TestMinAlgebraicRadicalOrder:
     def test_basic_orders(self):
-        ideal = standard_basis([parse_poly("z^5")])
+        ideal = LocalIdeal([parse_poly("z^5")])
         assert min_algebraic_radical_order(parse_poly("z"), ideal, 8) == 5
         assert min_algebraic_radical_order(parse_poly("w"), ideal, 8) is None
 
     def test_cap_is_respected(self):
-        ideal = standard_basis([parse_poly("z^5")])
+        ideal = LocalIdeal([parse_poly("z^5")])
         assert min_algebraic_radical_order(parse_poly("z"), ideal, 4) is None
 
     def test_undecided_stops_the_search(self):
@@ -380,7 +384,7 @@ class TestMinAlgebraicRadicalOrder:
 class TestOracleCrossChecks:
     def setup_method(self):
         self.gens = [parse_poly("3*w^2 + 2*z^5*w"), parse_poly("6*w + 2*z^5")]
-        self.ideal = standard_basis(self.gens)
+        self.ideal = LocalIdeal(self.gens)
 
     @pytest.mark.parametrize(
         "text,cap", [("w + 1/3*z^5", 2), ("w^2", 4), ("z^10", 8)]
@@ -399,7 +403,7 @@ class TestOracleCrossChecks:
     def test_random_combinations_agree(self):
         rng = random.Random(11)
         g1, g2 = parse_poly("w^2 + z^3"), parse_poly("z*w")
-        ideal = standard_basis([g1, g2])
+        ideal = LocalIdeal([g1, g2])
         for _ in range(15):
             a = Poly.monomial(
                 GaussRational.of(rng.randint(1, 3)),
