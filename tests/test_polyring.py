@@ -193,7 +193,7 @@ class TestEvaluation:
         # |1+2i|^2 + i = 5 + i
         assert v == GR(5, 1)
 
-    def test_compiled_matches_exact(self):
+    def test_exact_matches_complex_random(self):
         """The float evaluator agrees with the exact one at Gaussian-rational points."""
         rng = random.Random(107)
         for _ in range(60):
@@ -202,6 +202,22 @@ class TestEvaluation:
             exact = p.eval_exact(z0, w0).to_complex()
             approx = p.compiled()(z0.to_complex(), w0.to_complex())
             assert abs(exact - approx) < 1e-9 * (1 + abs(exact))
+
+    def test_compiled_matches_eval(self):
+        """The compiled evaluator agrees with a term-by-term sum at float points."""
+        rng = random.Random(108)
+        p = random_poly(rng, 8, 4)
+        f = p.compiled()
+
+        def term_sum(z0: complex, w0: complex) -> complex:
+            zb0, wb0 = z0.conjugate(), w0.conjugate()
+            return sum((c.to_complex() * z0 ** m[0] * zb0 ** m[1] * w0 ** m[2] * wb0 ** m[3]
+                        for m, c in p.terms.items()), 0j)
+
+        for _ in range(20):
+            z0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            w0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            assert abs(f(z0, w0) - term_sum(z0, w0)) < 1e-12
 
     def test_real_poly_evals_real(self):
         rng = random.Random(109)
