@@ -35,8 +35,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .polyring import ParseError, canonical_str, parse_poly
-from .domain import DomainError, DomainSpec, expand_r, type_lower_bound
-from .kohn import KohnError, Outcome, run_kohn
+from .domain import DEFAULT_DEGREE_CAP, DomainError, DomainSpec, expand_r, type_lower_bound
+from .kohn import DEFAULT_MAX_STEPS, KohnError, Outcome, run_kohn
+from .localideal import DEFAULT_ORDER_CAP
 from .effective import (
     HypoStatus,
     HypothesisFailedError,
@@ -171,20 +172,8 @@ def trace_schema() -> dict:
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    config = {"command": args.command}
-    for key in (
-        "max_steps",
-        "radical_cap",
-        "curve_degree_cap",
-        "samples",
-        "seed",
-        "radius",
-        "assert_hypo",
-        "force",
-    ):
-        if hasattr(args, key):
-            config[key] = getattr(args, key)
-    return config
+    """The subcommand and its flags, as parsed."""
+    return {k: v for k, v in vars(args).items() if k not in ("spec", "json", "func")}
 
 
 def _float_text(value) -> str:
@@ -365,10 +354,10 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--max-steps", type=int, default=16, help="step budget for the chain"
+        "--max-steps", type=int, default=DEFAULT_MAX_STEPS, help="step budget for the chain"
     )
     parser.add_argument(
-        "--radical-cap", type=int, default=32, help="largest root power probed"
+        "--radical-cap", type=int, default=DEFAULT_ORDER_CAP, help="largest root power probed"
     )
 
 
@@ -408,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_type = add("type", "lower bound for the type at the origin", cmd_type)
     p_type.add_argument(
-        "--curve-degree-cap", type=int, default=8, help="largest test curve degree"
+        "--curve-degree-cap", type=int, default=DEFAULT_DEGREE_CAP, help="largest test curve degree"
     )
 
     p_kohn = add("kohn", "run the multiplier ideal chain to a unit", cmd_kohn)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .polyring import (
     Curve,
@@ -43,6 +43,7 @@ DEFAULT_COEFFS: tuple[GaussRational, ...] = (
     GaussRational.of(2),
     GaussRational.of(-2),
 )
+DEFAULT_DEGREE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,6 @@ class LeviData:
     lam: Poly
     r_z: Poly
     r_w: Poly
-    r_zb: Poly
-    r_wb: Poly
 
 
 def levi_form(r: Poly) -> Poly:
@@ -151,8 +150,6 @@ def expand_r(spec: DomainSpec) -> LeviData:
         lam=levi_form(r),
         r_z=r_z,
         r_w=r.wirtinger("w"),
-        r_zb=r.wirtinger("zb"),
-        r_wb=r.wirtinger("wb"),
     )
 
 
@@ -187,14 +184,10 @@ class TypeBound:
     witness: Curve
 
 
-def type_lower_bound(
-    spec: DomainSpec,
-    degree_cap: int = 8,
-    coeffs: Sequence[GaussRational] = DEFAULT_COEFFS,
-) -> TypeBound:
+def type_lower_bound(spec: DomainSpec, degree_cap: int = DEFAULT_DEGREE_CAP) -> TypeBound:
     """Maximum contact order over the vertical and monomial test curves.
 
-    The family consists of (0, t) and (c*t^s, t) for c in coeffs and
+    The family consists of (0, t) and (c*t^s, t) for c in DEFAULT_COEFFS and
     1 <= s <= degree_cap.  On the model domains the vertical curve is
     extremal, but the search does not assume that.
     """
@@ -203,7 +196,7 @@ def type_lower_bound(
     best_curve = None
     candidates = [Curve.vertical()]
     for s in range(1, degree_cap + 1):
-        for c in coeffs:
+        for c in DEFAULT_COEFFS:
             candidates.append(Curve.monomial(c, s))
     for curve in candidates:
         value = contact_order(r, curve)

@@ -27,13 +27,14 @@ from typing import Optional, Sequence
 from .polyring import Poly, canonical_str
 from .localideal import (
     DEFAULT_ORDER_CAP,
-    DEFAULT_STEP_BUDGET,
     LocalIdeal,
     Membership,
     monic_key,
     radical_extend,
 )
 from .domain import DomainSpec, expand_r, apply_L
+
+DEFAULT_MAX_STEPS = 16
 
 
 class KohnError(RuntimeError):
@@ -116,11 +117,9 @@ def _cert_event(cert, multiplier_order: Fraction) -> dict:
 
 def run_kohn(
     spec: DomainSpec,
-    max_steps: int = 16,
+    max_steps: int = DEFAULT_MAX_STEPS,
     radical_cap: int = DEFAULT_ORDER_CAP,
     power_candidates: Sequence[Poly] = (),
-    step_budget: int = DEFAULT_STEP_BUDGET,
-    probe_budget: int = 20_000,
 ) -> KohnResult:
     """Run the multiplier chain on spec until a unit appears or it stalls."""
     data = expand_r(spec)
@@ -139,7 +138,7 @@ def run_kohn(
     max_radical_order = 0
     saw_undecided = False
 
-    current = LocalIdeal([data.r, data.lam], step_budget=step_budget)
+    current = LocalIdeal([data.r, data.lam])
 
     def finish(step: int, witness: Optional[Poly], stall: str = "") -> KohnResult:
         """Record the outcome event and build the result.
@@ -194,11 +193,7 @@ def run_kohn(
         # -- radical step: entry orders are frozen before any commit
         epsilon = min(ledger.order_of(g) for g in current.generators)
         certificates = radical_extend(
-            current,
-            order_cap=radical_cap,
-            power_candidates=power_candidates,
-            step_budget=step_budget,
-            probe_budget=probe_budget,
+            current, order_cap=radical_cap, power_candidates=power_candidates
         )
         cert_events = []
         for cert in certificates:

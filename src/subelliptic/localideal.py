@@ -34,6 +34,7 @@ from .polyring import (
 )
 
 DEFAULT_STEP_BUDGET = 100_000
+PROBE_BUDGET = 20_000
 DEFAULT_ORDER_CAP = 32
 
 VARIABLES = ("z", "w")
@@ -285,7 +286,7 @@ class LocalIdeal:
             return Membership.UNDECIDED
         return Membership.YES if nf.is_zero() else Membership.NO
 
-    def reduce_modulo(self, p: Poly, step_budget: Optional[int] = None) -> Poly:
+    def reduce_modulo(self, p: Poly) -> Poly:
         """Best-effort reduction: returns p minus ideal elements, never None.
 
         The leading term is normalized with Mora's form and the tail is
@@ -296,10 +297,8 @@ class LocalIdeal:
         basis = self.basis
         if basis is None or p.is_zero():
             return p
-        if step_budget is None:
-            step_budget = self.step_budget
         try:
-            h = nf_mora(p, basis, _Budget(step_budget))
+            h = nf_mora(p, basis, _Budget(self.step_budget))
         except BudgetExhausted:
             h = p
         if h.is_zero():
@@ -341,11 +340,7 @@ class LocalIdeal:
 
 
 def _power_sweep(
-    g: Poly,
-    ideal: LocalIdeal,
-    first: int,
-    cap: int,
-    step_budget: Optional[int] = None,
+    g: Poly, ideal: LocalIdeal, first: int, cap: int
 ) -> tuple[Optional[int], list[tuple[int, str]]]:
     """Probe g^first, g^(first+1), ..., g^cap: the smallest power in the ideal.
 
@@ -357,7 +352,7 @@ def _power_sweep(
     power = g ** (first - 1)
     for m in range(first, cap + 1):
         power = power * g
-        answer = ideal.membership(power, step_budget=step_budget)
+        answer = ideal.membership(power)
         log.append((m, answer.value))
         if answer is Membership.YES:
             return m, log
@@ -522,8 +517,7 @@ def radical_extend(
     ideal: LocalIdeal,
     order_cap: int = DEFAULT_ORDER_CAP,
     power_candidates: Sequence[Poly] = (),
-    step_budget: int = DEFAULT_STEP_BUDGET,
-    probe_budget: int = 20_000,
+    probe_budget: int = PROBE_BUDGET,
 ) -> list[RadicalCertificate]:
     """Certified elements of the restricted real radical of the ideal.
 
@@ -640,9 +634,9 @@ def radical_extend(
                 continue
             if not g.constant_term().is_zero():
                 continue
-            if current.membership(g, step_budget=step_budget) is Membership.YES:
+            if current.membership(g) is Membership.YES:
                 continue
-            found, log = _power_sweep(g, current, 2, order_cap, step_budget)
+            found, log = _power_sweep(g, current, 2, order_cap)
             used_candidates.add(gkey)
             if found is None:
                 continue

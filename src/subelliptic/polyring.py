@@ -50,9 +50,6 @@ class GaussRational:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_real(self) -> bool:
-        return not self.im
-
     def conj(self) -> "GaussRational":
         return GaussRational(self.re, -self.im)
 
@@ -118,8 +115,6 @@ Mono = tuple  # (a, b, c, d) exponents of z, zb, w, wb
 
 VAR_NAMES = ("z", "zb", "w", "wb")
 Z, ZB, W, WB = 0, 1, 2, 3
-# Conjugation swaps the holomorphic slots with their antiholomorphic partners.
-_CONJ_PERM = (ZB, Z, WB, W)
 
 MONO_ONE: Mono = (0, 0, 0, 0)
 
@@ -202,10 +197,9 @@ class Poly:
         return Poly({MONO_ONE: c})
 
     @staticmethod
-    def variable(var: Union[int, str]) -> "Poly":
-        idx = VAR_NAMES.index(var) if isinstance(var, str) else var
+    def variable(var: str) -> "Poly":
         e = [0, 0, 0, 0]
-        e[idx] = 1
+        e[VAR_NAMES.index(var)] = 1
         return Poly({tuple(e): _GR_ONE})
 
     @staticmethod
@@ -292,9 +286,9 @@ class Poly:
 
     # -- calculus
 
-    def wirtinger(self, var: Union[int, str]) -> "Poly":
+    def wirtinger(self, var: str) -> "Poly":
         """Formal partial derivative in one of z, zb, w, wb."""
-        idx = VAR_NAMES.index(var) if isinstance(var, str) else var
+        idx = VAR_NAMES.index(var)
         out: dict[Mono, GaussRational] = {}
         for m, c in self.terms.items():
             e = m[idx]
@@ -447,9 +441,8 @@ class ParseError(ValueError):
 
 
 class _Tokens:
-    def __init__(self, text: str, holomorphic_only: bool):
+    def __init__(self, text: str):
         self.text = text
-        self.holomorphic_only = holomorphic_only
         self.toks: list[tuple[str, str, int]] = []
         self._scan()
         self.pos = 0
@@ -476,12 +469,6 @@ class _Tokens:
                 name = text[i:j]
                 if name not in ("z", "zb", "w", "wb", "i"):
                     raise ParseError(f"unknown symbol '{name}'", text, i)
-                if self.holomorphic_only and name in ("zb", "wb"):
-                    raise ParseError(
-                        f"variable '{name}' not allowed here (holomorphic data only)",
-                        text,
-                        i,
-                    )
                 self.toks.append(("name", name, i))
                 i = j
                 continue
@@ -508,15 +495,15 @@ class _Tokens:
         return t
 
 
-def parse_poly(text: str, holomorphic_only: bool = False) -> Poly:
+def parse_poly(text: str) -> Poly:
     """Parse polynomial text.
 
     Grammar: sums of terms; a term is '*'-separated factors; factors are
     variables with optional '^' powers, rational or imaginary coefficients
     ("3", "3/4", "i", "2i", "2*i", "3/4*i"), or parenthesized subexpressions
-    such as "(1 + 2*i)".  With holomorphic_only, zb and wb are rejected.
+    such as "(1 + 2*i)".
     """
-    tk = _Tokens(text, holomorphic_only)
+    tk = _Tokens(text)
     p = _parse_expr(tk)
     t = tk.peek()
     if t[0] != "end":

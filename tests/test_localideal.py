@@ -255,7 +255,7 @@ class TestHermitianSquares:
             z0 = GaussRational(Fraction(rng.randint(-4, 4), 8), Fraction(rng.randint(-4, 4), 8))
             w0 = GaussRational(Fraction(rng.randint(-4, 4), 8), Fraction(rng.randint(-4, 4), 8))
             total = lam.eval_exact(z0, w0)
-            assert total.is_real() and total.re >= 0
+            assert total.im == 0 and total.re >= 0
             for weight, row in rows:
                 val = row.eval_exact(z0, w0)
                 assert weight * val.abs_sq() <= total.re

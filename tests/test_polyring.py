@@ -225,7 +225,7 @@ class TestEvaluation:
             p = random_poly(rng, 4, 3)
             q = two_re(p) + (p * p.conj())
             z0, w0 = random_gauss(rng), random_gauss(rng)
-            assert q.eval_exact(z0, w0).is_real()
+            assert q.eval_exact(z0, w0).im == 0
 
 
 class TestPrinting:
@@ -280,13 +280,6 @@ class TestParsing:
 
     def test_conjugate_variables(self):
         assert parse_poly("z*zb + w*wb") == Z * ZB + W * WB
-
-    def test_holomorphic_only_flag(self):
-        parse_poly("z^2*w", holomorphic_only=True)
-        with pytest.raises(ParseError, match="holomorphic"):
-            parse_poly("z + zb", holomorphic_only=True)
-        with pytest.raises(ParseError, match="holomorphic"):
-            parse_poly("wb^2", holomorphic_only=True)
 
     def test_error_positions(self):
         with pytest.raises(ParseError, match="column 5"):
