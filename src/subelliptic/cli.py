@@ -19,9 +19,10 @@ tau > 2 are accepted for experimentation but draw a warning, since the
 order comparisons are only certified inside it.
 
 Certified orders are printed as exact fractions, never as decimals.  Exit
-status is the machine interface: 0 for success, 1 for malformed input,
-2 when a run stalls or a check remains undecided, and 3 when the requested
-computation is refused because its hypothesis failed on samples.
+status is the machine interface: 0 for success, 1 for malformed input
+(usage errors included), 2 when a run stalls or a check remains undecided,
+and 3 when the requested computation is refused because its hypothesis
+failed on samples.
 """
 
 from __future__ import annotations
@@ -213,6 +214,8 @@ def _hypothesis_status(spec: DomainSpec, args) -> tuple[HypoStatus, Optional[obj
         f"hypothesis {verdict} on {report.n_samples} samples: "
         f"delta_hat = {_float_text(report.delta_hat)} (gate {HYPO_GATE})"
     )
+    if report.degenerate == report.n_samples:
+        print(f"no informative sample: all {report.degenerate} points were degenerate")
     return (HypoStatus.VERIFIED if holds else HypoStatus.FAILED), report
 
 
@@ -339,14 +342,39 @@ def cmd_compare(spec: DomainSpec, args) -> tuple[int, Artifact]:
     }
 
 
+def _checked(kind, ok, rule: str):
+    """An argparse type: convert with kind, then reject values failing ok."""
+
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse reports "invalid int value"
+    return convert
+
+
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "at least 1")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a positive number")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with the malformed-input exit status."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--samples", type=int, default=1000, help="number of sample points"
+        "--samples", type=_AT_LEAST_ONE, default=1000, help="number of sample points"
     )
     parser.add_argument("--seed", type=int, default=42, help="sampling seed")
     parser.add_argument(
         "--radius",
-        type=float,
+        type=_POSITIVE,
         default=None,
         help="polydisc radius (defaults to the spec's sample_radius)",
     )
@@ -354,10 +382,16 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--max-steps", type=int, default=DEFAULT_MAX_STEPS, help="step budget for the chain"
+        "--max-steps",
+        type=_AT_LEAST_ONE,
+        default=DEFAULT_MAX_STEPS,
+        help="step budget for the chain",
     )
     parser.add_argument(
-        "--radical-cap", type=int, default=DEFAULT_ORDER_CAP, help="largest root power probed"
+        "--radical-cap",
+        type=_AT_LEAST_ONE,
+        default=DEFAULT_ORDER_CAP,
+        help="largest root power probed",
     )
 
 
@@ -375,7 +409,7 @@ def _add_hypo_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="subelliptic",
         description="Exact subellipticity certificates for model domains in C^2.",
     )

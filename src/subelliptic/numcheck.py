@@ -119,8 +119,13 @@ def sample_hypo(
 
 
 def hypothesis_holds(report: SampleReport) -> bool:
-    """Gate used by the effective chain: the sampled delta stays below 0.99."""
-    return report.delta_hat is not None and report.delta_hat < HYPO_GATE
+    """Gate used by the effective chain: the sampled delta stays below 0.99.
+
+    Degenerate points say nothing about the ratio, so at least one sample
+    must be non-degenerate.
+    """
+    informative = report.n_samples > report.degenerate
+    return informative and report.delta_hat is not None and report.delta_hat < HYPO_GATE
 
 
 def verify_levi_bound(

@@ -150,6 +150,15 @@ class TestExitCodes:
         assert "hypothesis failed" in captured.out
         assert "refused" in captured.err
 
+    def test_effective_refuses_when_no_sample_is_informative(self, tmp_path, capsys):
+        spec = {"f": ["w^3"], "g": ["w^2"], "sample_radius": 1e-9}
+        code = main(["effective", write_spec(tmp_path, spec)])
+        captured = capsys.readouterr()
+        assert code == EXIT_REFUSED
+        assert "hypothesis failed on 1000 samples" in captured.out
+        assert "no informative sample: all 1000 points were degenerate" in captured.out
+        assert "refused" in captured.err
+
     def test_effective_force_runs_but_marks_unsound(self, tmp_path, capsys):
         code = main(
             [
@@ -209,6 +218,43 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "1/32" in out
         assert "0.03" not in out and "0.031" not in out
+
+
+class TestUsageErrors:
+    """Bad flags and missing arguments exit 1 (malformed input), never 2."""
+
+    @pytest.mark.parametrize(
+        "command,extra,message",
+        [
+            ("kohn", ["--max-steps", "0"], "--max-steps: must be at least 1, got 0"),
+            ("kohn", ["--max-steps", "-1"], "--max-steps: must be at least 1, got -1"),
+            ("kohn", ["--max-steps", "x"], "--max-steps: invalid int value: 'x'"),
+            ("kohn", ["--radical-cap", "0"], "--radical-cap: must be at least 1, got 0"),
+            ("compare", ["--radical-cap", "0"], "--radical-cap: must be at least 1"),
+            ("effective", ["--samples", "0"], "--samples: must be at least 1, got 0"),
+            ("effective", ["--samples", "-3"], "--samples: must be at least 1, got -3"),
+            ("check-hypo", ["--radius", "0"], "--radius: must be a positive number"),
+            ("verify", ["--radius", "-0.1"], "--radius: must be a positive number"),
+            ("verify", ["--radius", "nan"], "--radius: must be a positive number"),
+        ],
+    )
+    def test_out_of_range_flags_exit_one(self, tmp_path, capsys, command, extra, message):
+        out_path = tmp_path / "out.json"
+        argv = [command, write_spec(tmp_path, BORDERLINE), *extra, "--json", str(out_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_INPUT
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [[], ["kohn"], ["bogus", "spec.json"]])
+    def test_missing_or_unknown_arguments_exit_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -89,35 +89,36 @@ class TestLocalVersusGlobal:
         assert certify_membership(parse_poly("w^3"), gens, 4)
 
 
-class TestMembershipProperties:
-    def _random_poly(self, rng, degree, allow_conj=True):
-        terms = {}
-        n_vars = 4 if allow_conj else 2
-        for _ in range(rng.randint(1, 3)):
-            exps = [0, 0, 0, 0]
-            for _ in range(rng.randint(0, degree)):
-                slot = rng.randrange(n_vars)
-                exps[slot if allow_conj else 2 * slot] += 1
-            coeff = GaussRational(
-                Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-1, 1))
-            )
-            if not coeff.is_zero():
-                terms[tuple(exps)] = coeff
-        return Poly(terms) if terms else Poly.one()
+def random_poly(rng, degree, allow_conj=True):
+    terms = {}
+    n_vars = 4 if allow_conj else 2
+    for _ in range(rng.randint(1, 3)):
+        exps = [0, 0, 0, 0]
+        for _ in range(rng.randint(0, degree)):
+            slot = rng.randrange(n_vars)
+            exps[slot if allow_conj else 2 * slot] += 1
+        coeff = GaussRational(
+            Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-1, 1))
+        )
+        if not coeff.is_zero():
+            terms[tuple(exps)] = coeff
+    return Poly(terms) if terms else Poly.one()
 
+
+class TestMembershipProperties:
     def test_combinations_of_generators_are_members(self):
         rng = random.Random(20240814)
         checked = 0
         while checked < 40:
-            g1 = self._random_poly(rng, 3)
-            g2 = self._random_poly(rng, 3)
+            g1 = random_poly(rng, 3)
+            g2 = random_poly(rng, 3)
             if g1.is_zero() or g2.is_zero():
                 continue
             ideal = LocalIdeal([g1, g2])
             if ideal.basis is None:
                 continue
-            a = self._random_poly(rng, 2)
-            b = self._random_poly(rng, 2)
+            a = random_poly(rng, 2)
+            b = random_poly(rng, 2)
             combo = a * g1 + b * g2
             assert ideal.membership(combo) is Membership.YES
             checked += 1
@@ -174,6 +175,40 @@ class TestBudgets:
         bigger = base.with_extra([parse_poly("z*w")])
         assert bigger.membership(parse_poly("z^2*w^2")) is Membership.YES
         assert set(base.generator_strings()) < set(bigger.generator_strings())
+
+
+class TestReduceModulo:
+    GENS = ("w^2 + z*w", "z^3")
+
+    def setup_method(self):
+        self.gens = [parse_poly(text) for text in self.GENS]
+        self.ideal = LocalIdeal(self.gens)
+
+    def test_difference_is_a_member(self):
+        rng = random.Random(20261018)
+        outcomes = set()
+        for _ in range(30):
+            p = random_poly(rng, 4)
+            reduced = self.ideal.reduce_modulo(p)
+            assert self.ideal.membership(p - reduced) is Membership.YES
+            outcomes.add(reduced.is_zero())
+            if self.ideal.membership(p) is Membership.NO:
+                assert not reduced.is_zero()
+        assert outcomes == {True, False}
+
+    def test_members_reduce_to_zero(self):
+        rng = random.Random(20261019)
+        for _ in range(20):
+            member = random_poly(rng, 2) * self.gens[0] + random_poly(rng, 2) * self.gens[1]
+            assert self.ideal.reduce_modulo(member).is_zero()
+
+    def test_failed_basis_returns_the_input(self):
+        starving = LocalIdeal(
+            [parse_poly("z*w + w^3"), parse_poly("z^2 - w^2")], step_budget=0
+        )
+        assert starving.basis is None
+        p = parse_poly("w^3 + z*w")
+        assert starving.reduce_modulo(p) is p
 
 
 class TestHermitianSquares:

@@ -74,6 +74,21 @@ class TestSampleHypo:
         assert report.degenerate == 50
         assert report.violations
 
+    def test_no_informative_sample_fails_the_gate(self):
+        """f_w = 3w^2 and g_w = 2w both fall below the degeneracy threshold
+        on the radius-1e-9 polydisc, so no sample bounds the ratio (at
+        radius 0.1 the same spec samples delta_hat > 1e5)."""
+        spec = spec_of(["w^3"], g=["w^2"])
+        report = sample_hypo(spec, radius=1e-9, n=1000)
+        assert report.degenerate == report.n_samples == 1000
+        assert report.delta_hat == 0.0
+        assert not hypothesis_holds(report)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_samples_fail_the_gate(self, n):
+        report = sample_hypo(borderline_domain(), radius=0.01, n=n)
+        assert not hypothesis_holds(report)
+
     def test_monotone_in_n(self):
         spec = borderline_domain()
         small = sample_hypo(spec, radius=0.01, n=200, seed=42)
