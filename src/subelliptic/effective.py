@@ -11,12 +11,13 @@ f and g to hold near the origin.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .polyring import Curve, Poly, canonical_str, substitute_curve
-from .domain import DomainSpec
+from .polyring import Curve, Poly, canonical_str
+from .domain import DomainSpec, contact_order
 from .kohn import KohnResult, Outcome
 
 
@@ -49,10 +50,8 @@ class ZetaStep:
 class EffectiveResult:
     component_index: int
     tau: int
-    multiple_minima: bool
     chain: tuple[ZetaStep, ...]
     final_order: Fraction
-    hypothesis: HypoStatus
     sound: bool
 
     def summary(self) -> str:
@@ -63,29 +62,21 @@ class EffectiveResult:
         )
 
 
-def select_component(spec: DomainSpec) -> tuple[int, int, bool]:
-    """Index and vanishing order of the best component, with a tie flag.
+def select_component(spec: DomainSpec) -> tuple[int, int]:
+    """Index and vanishing order tau of the best component.
 
     The vanishing order of f_j(0, t) at t = 0 is computed for every
     component; the smallest order tau wins and ties go to the smallest
-    index.  A flag reports whether the minimum was attained more than once,
-    since then the selection is a genuine choice.
+    index.
     """
-    vertical = Curve.vertical()
-    orders = []
-    for component in spec.f:
-        pullback = substitute_curve(component, vertical)
-        orders.append(None if pullback.is_zero() else pullback.vanishing_order())
-    finite = [o for o in orders if o is not None]
-    if not finite:
+    orders = [contact_order(component, Curve.vertical()) for component in spec.f]
+    tau = min(orders, default=math.inf)
+    if tau == math.inf:
         raise InfiniteTypeError(
             "every component of f vanishes identically along (0, t); "
             "the origin has infinite type in the vertical direction"
         )
-    tau = min(finite)
-    index = orders.index(tau)
-    multiple = sum(1 for o in orders if o == tau) > 1
-    return index, int(tau), multiple
+    return orders.index(tau), tau
 
 
 def zeta_chain(
@@ -106,7 +97,7 @@ def zeta_chain(
             "comparison hypothesis failed on samples; pass force to run anyway "
             "(the certified order would be unsound)"
         )
-    index, tau, multiple = select_component(spec)
+    index, tau = select_component(spec)
     component = spec.f[index]
     chain: list[ZetaStep] = []
     zeta = component
@@ -122,10 +113,8 @@ def zeta_chain(
     return EffectiveResult(
         component_index=index,
         tau=tau,
-        multiple_minima=multiple,
         chain=tuple(chain),
         final_order=Fraction(1, 2 ** (tau + 1)),
-        hypothesis=hypothesis,
         sound=hypothesis is not HypoStatus.FAILED,
     )
 
@@ -136,7 +125,7 @@ def compare_orders(
     effective: Optional[EffectiveResult],
 ) -> dict:
     """Side-by-side orders: type, the optimal bound 1/type, both runs."""
-    _, tau, _ = select_component(spec)
+    _, tau = select_component(spec)
     row = {
         "type": 2 * tau,
         "optimal": Fraction(1, 2 * tau),

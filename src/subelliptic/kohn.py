@@ -46,22 +46,13 @@ class Outcome(enum.Enum):
     STALLED = "stalled"
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """A subelliptic multiplier with its certified order and derivation."""
-
-    poly: Poly
-    order: Fraction
-    provenance: str
-
-
 @dataclass
 class KohnResult:
     outcome: Outcome
     steps_used: int
     final_order: Optional[Fraction]
     max_radical_order: int
-    multipliers: dict[str, Multiplier]
+    multipliers: dict[str, Fraction]
     unit_witness: Optional[str]
     reason: str
     events: list[dict]
@@ -76,28 +67,24 @@ class KohnResult:
 
 
 class _Ledger:
-    """Multiplier registry keyed by scalar-normalized canonical form."""
+    """Certified multiplier orders keyed by scalar-normalized canonical form."""
 
     def __init__(self):
-        self.entries: dict[str, Multiplier] = {}
+        self.entries: dict[str, Fraction] = {}
 
-    def add(self, poly: Poly, order: Fraction, provenance: str) -> Multiplier:
+    def add(self, poly: Poly, order: Fraction) -> None:
+        """Record order for poly unless a larger one is already known."""
         key = monic_key(poly)
-        existing = self.entries.get(key)
-        if existing is not None and existing.order >= order:
-            return existing
-        entry = Multiplier(poly=poly, order=Fraction(order), provenance=provenance)
-        self.entries[key] = entry
-        return entry
+        self.entries[key] = max(self.entries.get(key, order), order)
 
     def order_of(self, poly: Poly) -> Fraction:
         key = monic_key(poly)
         if key not in self.entries:
             raise KohnError(f"no ledger entry for {canonical_str(poly)}")
-        return self.entries[key].order
+        return self.entries[key]
 
     def min_order(self) -> Fraction:
-        return min(entry.order for entry in self.entries.values())
+        return min(self.entries.values())
 
 
 def _cert_event(cert, multiplier_order: Fraction) -> dict:
@@ -124,8 +111,8 @@ def run_kohn(
     """Run the multiplier chain on spec until a unit appears or it stalls."""
     data = expand_r(spec)
     ledger = _Ledger()
-    ledger.add(data.r, Fraction(1), "defining function")
-    ledger.add(data.lam, Fraction(1, 2), "Levi determinant")
+    ledger.add(data.r, Fraction(1))
+    ledger.add(data.lam, Fraction(1, 2))
     events: list[dict] = [
         {
             "kind": "init",
@@ -201,11 +188,7 @@ def run_kohn(
                 multiplier_order = ledger.order_of(cert.source) / cert.order
             else:
                 multiplier_order = epsilon / cert.order
-            ledger.add(
-                cert.element,
-                multiplier_order,
-                f"{cert.rule} certificate of order {cert.order} at step {step}",
-            )
+            ledger.add(cert.element, multiplier_order)
             max_radical_order = max(max_radical_order, cert.order)
             if cert.probe_log is not None and any(
                 status == "undecided" for _, status in cert.probe_log
@@ -267,11 +250,7 @@ def run_kohn(
                         if answer is Membership.UNDECIDED:
                             saw_undecided = True
                         key = monic_key(child)
-                        ledger.add(
-                            child,
-                            child_order,
-                            f"row child via {via} of {canonical_str(parent)} at step {step}",
-                        )
+                        ledger.add(child, child_order)
                         record["status"] = (
                             "kept" if answer is Membership.NO else "kept-unverified"
                         )

@@ -340,30 +340,45 @@ class LocalIdeal:
 
 
 def _power_sweep(
-    g: Poly, ideal: LocalIdeal, first: int, cap: int
-) -> tuple[Optional[int], list[tuple[int, str]]]:
-    """Probe g^first, g^(first+1), ..., g^cap: the smallest power in the ideal.
+    bases: dict[str, Poly],
+    ideal: LocalIdeal,
+    first: int,
+    cap: int,
+    step_budget: Optional[int] = None,
+) -> tuple[Optional[int], list[str], dict[str, list[tuple[int, str]]]]:
+    """Probe b^first, b^(first+1), ..., b^cap for every base b in lockstep.
 
-    Returns that power (or None) and the membership log.  An undecided
-    membership stops the sweep (no certificate is issued on uncertain
-    evidence).
+    The first power at which any base lies in the ideal wins; it is returned
+    with the cohort of bases that lie in the ideal at that power and the
+    membership log of every base.  Probing cheapest-first keeps certificate
+    orders (and hence the order ledger) as strong as the ideal allows.  An
+    undecided membership retires its base: no certificate is ever issued on
+    uncertain evidence.  step_budget bounds each membership query and
+    defaults to the ideal's own budget.
     """
-    log: list[tuple[int, str]] = []
-    power = g ** (first - 1)
+    logs: dict[str, list[tuple[int, str]]] = {name: [] for name in bases}
+    powers = {name: b ** (first - 1) for name, b in bases.items()}
+    alive = list(bases)
     for m in range(first, cap + 1):
-        power = power * g
-        answer = ideal.membership(power)
-        log.append((m, answer.value))
-        if answer is Membership.YES:
-            return m, log
-        if answer is Membership.UNDECIDED:
+        cohort = []
+        for name in list(alive):
+            powers[name] = powers[name] * bases[name]
+            answer = ideal.membership(powers[name], step_budget=step_budget)
+            logs[name].append((m, answer.value))
+            if answer is Membership.YES:
+                cohort.append(name)
+            elif answer is Membership.UNDECIDED:
+                alive.remove(name)
+        if cohort:
+            return m, cohort, logs
+        if not alive:
             break
-    return None, log
+    return None, [], logs
 
 
 def min_algebraic_radical_order(g: Poly, ideal: LocalIdeal, cap: int) -> Optional[int]:
     """Smallest m <= cap with g**m in the ideal, or None."""
-    return _power_sweep(g, ideal, 1, cap)[0]
+    return _power_sweep({"g": g}, ideal, 1, cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -461,42 +476,6 @@ class RadicalCertificate:
     probe_log: Optional[tuple[tuple[int, str], ...]] = None
 
 
-def _variable_probe(
-    work: LocalIdeal,
-    variables: Sequence[str],
-    order_cap: int,
-    probe_budget: int,
-) -> tuple[Optional[int], list[str], dict[str, list[tuple[int, str]]]]:
-    """Ascending-power sweep: find the smallest m with v^m in the ideal.
-
-    All variables still uncertified are probed together, power by power, and
-    the first power at which any of them succeeds wins; the cohort of
-    variables succeeding at that power is returned along with the complete
-    membership logs.  Probing cheapest-first keeps certificate orders (and
-    hence the order ledger) as strong as the ideal allows.  An undecided
-    membership (probe budget exhausted) retires the variable for this sweep;
-    no certificate is ever issued on uncertain evidence.
-    """
-    logs: dict[str, list[tuple[int, str]]] = {v: [] for v in variables}
-    powers = {v: Poly.one() for v in variables}
-    alive = list(variables)
-    for m in range(1, order_cap + 1):
-        cohort = []
-        for v in list(alive):
-            powers[v] = powers[v] * Poly.variable(v)
-            answer = work.membership(powers[v], step_budget=probe_budget)
-            logs[v].append((m, answer.value))
-            if answer is Membership.YES:
-                cohort.append(v)
-            elif answer is Membership.UNDECIDED:
-                alive.remove(v)
-        if cohort:
-            return m, cohort, logs
-        if not alive:
-            break
-    return None, [], logs
-
-
 def _rebalance(row: Poly) -> list[tuple[str, Poly, int]]:
     """Factor a hermitian-square row as v^e * q with e >= 2, per variable.
 
@@ -560,12 +539,12 @@ def radical_extend(
     for _ in range(4 * (len(work) + len(VARIABLES) + len(power_candidates)) + 8):
         changed = False
 
-        pending = [
-            v for v in VARIABLES
+        pending = {
+            v: Poly.variable(v) for v in VARIABLES
             if v not in certified_vars and monic_key(Poly.variable(v)) not in keys
-        ]
+        }
         if pending:
-            m, cohort, logs = _variable_probe(current, pending, order_cap, probe_budget)
+            m, cohort, logs = _power_sweep(pending, current, 1, order_cap, probe_budget)
             if m is not None:
                 snapshot = current.generator_strings()
                 for v in cohort:
@@ -636,7 +615,7 @@ def radical_extend(
                 continue
             if current.membership(g) is Membership.YES:
                 continue
-            found, log = _power_sweep(g, current, 2, order_cap)
+            found, _, logs = _power_sweep({gkey: g}, current, 2, order_cap)
             used_candidates.add(gkey)
             if found is None:
                 continue
@@ -648,7 +627,7 @@ def radical_extend(
                 witness=f"g^{found} = sum a_i*f_i in the ideal; Cauchy-Schwarz gives "
                         f"|g|^{2*found} <= (sum|a_i|^2)(sum|f_i|^2)",
                 probe_ideal=snapshot,
-                probe_log=tuple(log),
+                probe_log=tuple(logs[gkey]),
             ))
             changed = True
 

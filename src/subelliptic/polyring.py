@@ -20,6 +20,19 @@ from fractions import Fraction
 from typing import Callable, Mapping, Union
 
 
+def _power(base, n: int, one):
+    """base**n by repeated squaring, for any type with an exact __mul__."""
+    if n < 0:
+        raise ValueError(f"negative power of {type(base).__name__}")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 
@@ -84,17 +97,7 @@ class GaussRational:
         return GaussRational(self.re * q, self.im * q)
 
     def __pow__(self, n: int) -> "GaussRational":
-        if n < 0:
-            raise ValueError("negative power of GaussRational")
-        out = _GR_ONE
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, n, _GR_ONE)
 
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
@@ -269,17 +272,7 @@ class Poly:
         return Poly({m: k * c for m, k in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly.one()
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, n, Poly.one())
 
     def conj(self) -> "Poly":
         return Poly({mono_conj(m): c.conj() for m, c in self.terms.items()})

@@ -23,22 +23,21 @@ def spec_of(*components, name="test"):
 
 class TestSelectComponent:
     def test_flat(self):
-        assert select_component(flat_domain()) == (0, 1, False)
+        assert select_component(flat_domain()) == (0, 1)
 
     def test_cross_power_picks_tau(self):
-        assert select_component(cross_power_domain(3, 2, 5)) == (0, 3, False)
+        assert select_component(cross_power_domain(3, 2, 5)) == (0, 3)
 
     def test_smallest_order_wins(self):
-        assert select_component(spec_of("w^3", "w^2")) == (1, 2, False)
+        assert select_component(spec_of("w^3", "w^2")) == (1, 2)
 
-    def test_tie_flags_multiple_minima(self):
-        index, tau, multiple = select_component(spec_of("w^3", "w^3 + z^2"))
-        assert (index, tau) == (0, 3)
-        assert multiple is True
+    def test_tie_goes_to_the_smallest_index(self):
+        assert select_component(spec_of("w^3", "w^3 + z^2")) == (0, 3)
+        assert select_component(spec_of("w^3 + z^2", "w^3")) == (0, 3)
 
     def test_component_blind_to_vertical_curve_is_skipped(self):
         """z*w vanishes identically on (0, t); the other component decides."""
-        assert select_component(spec_of("z*w", "w^2")) == (1, 2, False)
+        assert select_component(spec_of("z*w", "w^2")) == (1, 2)
 
     def test_infinite_type_rejected(self):
         with pytest.raises(InfiniteTypeError):

@@ -172,7 +172,7 @@ class TestCrossPower325:
         assert min_algebraic_radical_order(parse_poly("z"), ideal, 8) == 5
 
     def test_ledger_orders(self, run_325):
-        orders = {key: m.order for key, m in run_325.multipliers.items()}
+        orders = run_325.multipliers
         assert orders["w^2 + 2/3*z^5*w"] == Fraction(1, 4)
         assert orders["w + 1/3*z^5"] == Fraction(1, 8)
         assert orders["w"] == Fraction(1, 16)
