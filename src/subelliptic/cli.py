@@ -90,10 +90,10 @@ def _expand_family(params) -> tuple[str, dict]:
     extra = set(params) - {"tau", "l", "k"}
     if extra:
         raise SpecFileError(f"unknown family parameters: {', '.join(sorted(extra))}")
-    try:
-        tau, l, k = (int(params[key]) for key in ("tau", "l", "k"))
-    except (KeyError, TypeError, ValueError):
-        raise SpecFileError("'params' needs integer entries tau, l and k") from None
+    values = [params.get(key) for key in ("tau", "l", "k")]
+    if not all(type(v) is int for v in values):
+        raise SpecFileError("'params' needs integer entries tau, l and k")
+    tau, l, k = values
     if tau < 1 or k < 1 or l < 0:
         raise SpecFileError(
             f"family exponents out of range: tau={tau}, l={l}, k={k} "

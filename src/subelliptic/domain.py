@@ -65,8 +65,8 @@ class DomainSpec:
                         f"component {label}[{idx}] must vanish at the origin, "
                         f"got {canonical_str(p)}"
                     )
-        if not self.sample_radius > 0:
-            raise DomainError("sample_radius must be positive")
+        if not 0 < self.sample_radius < math.inf:
+            raise DomainError("sample_radius must be positive and finite")
 
 
 def flat_domain() -> DomainSpec:

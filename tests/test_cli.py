@@ -88,6 +88,23 @@ class TestSpecLoading:
         with pytest.raises(SpecFileError, match="line 1"):
             spec_from_dict({"f": ["w^"]})
 
+    def test_digits_int_rejects_cite_the_component(self):
+        with pytest.raises(SpecFileError, match=r"f\[0\]: unexpected character '²'"):
+            spec_from_dict({"f": ["w^²"]})
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"tau": 3.7, "l": 2, "k": 5},
+            {"tau": 3.0, "l": 2, "k": 5},
+            {"tau": "3", "l": 2, "k": 5},
+            {"tau": 3, "l": True, "k": 5},
+        ],
+    )
+    def test_family_params_must_be_json_integers(self, params):
+        with pytest.raises(SpecFileError, match="needs integer entries"):
+            spec_from_dict({"params": params})
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(SpecFileError, match="unknown spec keys"):
             spec_from_dict({"f": ["w"], "radius": 0.2})
@@ -140,6 +157,18 @@ class TestExitCodes:
         code = main(["levi", str(path)])
         assert code == EXIT_INPUT
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["Infinity", "1e400"])
+    def test_infinite_sample_radius_exits_one(self, tmp_path, capsys, radius):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            f'{{"f": ["w"], "g": ["1/2*w"], "sample_radius": {radius}}}', encoding="utf-8"
+        )
+        code = main(["check-hypo", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.startswith("error: sample_radius")
+        assert captured.out == ""
 
     def test_effective_refuses_failed_hypothesis(self, tmp_path, capsys):
         code = main(

@@ -35,6 +35,10 @@ class TestValidation:
         with pytest.raises(DomainError):
             DomainSpec(name="bad", f=(parse_poly("w"),), sample_radius=0.0)
 
+    def test_sample_radius_must_be_finite(self):
+        with pytest.raises(DomainError, match="finite"):
+            DomainSpec(name="bad", f=(parse_poly("w"),), sample_radius=math.inf)
+
     def test_cross_power_parameter_ordering(self):
         with pytest.raises(DomainError):
             cross_power_domain(3, 2, 2)

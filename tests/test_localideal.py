@@ -10,6 +10,7 @@ from subelliptic.localideal import (
     LocalIdeal,
     Membership,
     RadicalCertificate,
+    _power_sweep,
     ecart,
     hermitian_square_rows,
     leading_monomial,
@@ -414,6 +415,24 @@ class TestMinAlgebraicRadicalOrder:
             [parse_poly("z*w + w^3"), parse_poly("z^2 - w^2")], step_budget=0
         )
         assert min_algebraic_radical_order(parse_poly("w"), starving, 8) is None
+
+
+class TestPowerSweep:
+    def test_bases_in_the_ideal_at_one_power_share_the_cohort(self):
+        ideal = LocalIdeal([parse_poly("z^3"), parse_poly("w^3")])
+        bases = {"z": parse_poly("z"), "w": parse_poly("w")}
+        power, cohort, logs = _power_sweep(bases, ideal, 1, 8)
+        assert (power, cohort) == (3, ["z", "w"])
+        assert logs["z"] == logs["w"] == [(1, "no"), (2, "no"), (3, "yes")]
+
+    def test_undecided_base_retires_while_the_others_go_on(self):
+        """w^4 needs three reduction steps, z^1..z^5 at most one each."""
+        ideal = LocalIdeal([parse_poly("z^5"), parse_poly("w^2 - z^3")])
+        bases = {"w": parse_poly("w"), "z": parse_poly("z")}
+        power, cohort, logs = _power_sweep(bases, ideal, 1, 8, step_budget=1)
+        assert (power, cohort) == (5, ["z"])
+        assert logs["w"] == [(1, "no"), (2, "no"), (3, "no"), (4, "undecided")]
+        assert logs["z"] == [(m, "no") for m in range(1, 5)] + [(5, "yes")]
 
 
 class TestOracleCrossChecks:

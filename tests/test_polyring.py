@@ -108,6 +108,11 @@ class TestPolyArithmetic:
             q = q * p
         assert p ** 5 == q
 
+    @pytest.mark.parametrize("base", [GR(2, 1), Z + WB])
+    def test_negative_power_raises(self, base):
+        with pytest.raises(ValueError, match="negative power"):
+            base ** -1
+
     def test_immutability(self):
         p = Z + W
         with pytest.raises(AttributeError):
@@ -292,6 +297,11 @@ class TestParsing:
             parse_poly("(z + w")
         with pytest.raises(ParseError):
             parse_poly("1/0")
+
+    def test_digits_that_int_rejects_are_unexpected(self):
+        """'²'.isdigit() is True, yet int('²') fails."""
+        with pytest.raises(ParseError, match=r"unexpected character '²' \(line 1, column 3\)"):
+            parse_poly("w^²")
 
     def test_round_trip_random(self):
         rng = random.Random(110)
