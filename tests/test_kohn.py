@@ -23,7 +23,9 @@ from subelliptic.domain import (
     type_lower_bound,
 )
 from subelliptic.kohn import (
+    KohnError,
     Outcome,
+    _Ledger,
     run_kohn,
     serialize_trace,
     replay_matches,
@@ -249,6 +251,20 @@ class TestBorderlineDomain:
         result = run_kohn(borderline_domain())
         assert result.summary() == "unit found, step 2, order 1/32, max radical order 4"
         assert audit_trace(result) == []
+
+
+class TestLedger:
+    def test_scalar_multiples_share_the_larger_order(self):
+        ledger = _Ledger()
+        ledger.add(parse_poly("2*w"), Fraction(1, 4))
+        ledger.add(parse_poly("w"), Fraction(1, 8))
+        assert ledger.order_of(parse_poly("3*w")) == Fraction(1, 4)
+        ledger.add(parse_poly("w"), Fraction(1, 2))
+        assert ledger.entries == {"w": Fraction(1, 2)}
+
+    def test_missing_entry_raises(self):
+        with pytest.raises(KohnError, match="no ledger entry for z"):
+            _Ledger().order_of(parse_poly("z"))
 
 
 class TestStalling:
