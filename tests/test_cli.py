@@ -88,10 +88,6 @@ class TestSpecLoading:
         with pytest.raises(SpecFileError, match="line 1"):
             spec_from_dict({"f": ["w^"]})
 
-    def test_digits_int_rejects_cite_the_component(self):
-        with pytest.raises(SpecFileError, match=r"f\[0\]: unexpected character '²'"):
-            spec_from_dict({"f": ["w^²"]})
-
     @pytest.mark.parametrize(
         "params",
         [
