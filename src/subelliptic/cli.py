@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .polyring import ParseError, canonical_str, parse_poly
-from .domain import DEFAULT_DEGREE_CAP, DomainError, DomainSpec, expand_r, type_lower_bound
+from .domain import DomainError, DomainSpec, expand_r, type_lower_bound
 from .kohn import DEFAULT_MAX_STEPS, KohnError, Outcome, run_kohn
 from .localideal import DEFAULT_ORDER_CAP
 from .effective import (
@@ -232,11 +232,11 @@ def cmd_levi(spec: DomainSpec, args) -> tuple[int, Artifact]:
 
 
 def cmd_type(spec: DomainSpec, args) -> tuple[int, Artifact]:
-    bound = type_lower_bound(spec, degree_cap=args.curve_degree_cap)
+    bound = type_lower_bound(spec)
     value = "infinity" if math.isinf(bound.value) else str(bound.value)
     line = f"type >= {value} (witness {bound.witness})"
     print(line)
-    return EXIT_OK, {"type": {"value": value, "witness": str(bound.witness)}, "summary": line}
+    return EXIT_OK, {"type": {"value": value, "witness": bound.witness}, "summary": line}
 
 
 def cmd_kohn(spec: DomainSpec, args) -> tuple[int, Artifact]:
@@ -429,10 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("levi", "print the Levi determinant along the complex tangent", cmd_levi)
 
-    p_type = add("type", "lower bound for the type at the origin", cmd_type)
-    p_type.add_argument(
-        "--curve-degree-cap", type=int, default=DEFAULT_DEGREE_CAP, help="largest test curve degree"
-    )
+    add("type", "lower bound for the type at the origin", cmd_type)
 
     p_kohn = add("kohn", "run the multiplier ideal chain to a unit", cmd_kohn)
     _add_run_flags(p_kohn)

@@ -9,41 +9,27 @@ function
 The module computes r and its Wirtinger derivatives, the determinant of the
 Levi form restricted to the complex tangential direction, the tangential
 vector field L applied to test functions, and a lower bound for the D'Angelo
-type at the origin obtained from an explicit family of monomial curves.
+type at the origin: the contact order of the vertical curve (0, t).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from .polyring import (
-    Curve,
     GaussRational,
     Poly,
     canonical_str,
     parse_poly,
     require_holomorphic,
-    substitute_curve,
     two_re,
 )
 
 
 class DomainError(ValueError):
     """Raised when a domain description violates the model assumptions."""
-
-
-DEFAULT_COEFFS: tuple[GaussRational, ...] = (
-    GaussRational.of(1),
-    GaussRational.of(-1),
-    GaussRational.i_unit(),
-    GaussRational.i_unit().scale(-1),
-    GaussRational.of(2),
-    GaussRational.of(-2),
-)
-DEFAULT_DEGREE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -158,49 +144,37 @@ def apply_L(h: Poly, data: LeviData) -> Poly:
     return data.r_z * h.wirtinger("w") - data.r_w * h.wirtinger("z")
 
 
-ContactValue = Union[int, Fraction, float]
+def vertical_order(p: Poly) -> Union[int, float]:
+    """Vanishing order of p along the vertical curve (0, t); math.inf if none.
 
-
-def contact_order(r: Poly, curve: Curve) -> ContactValue:
-    """Normalized vanishing order of r along the curve.
-
-    Returns the vanishing order of the pullback divided by the curve
-    multiplicity (so reparametrizations t -> t^c change nothing), as an int
-    when integral, a Fraction otherwise, and math.inf for curves inside the
-    zero set.
+    Setting z = 0 and w = t keeps exactly the terms w^c wb^d, which become
+    t^c tb^d; distinct monomials stay distinct, so nothing cancels and the
+    order is the least c + d.
     """
-    pullback = substitute_curve(r, curve)
-    if pullback.is_zero():
-        return math.inf
-    value = Fraction(pullback.vanishing_order(), curve.multiplicity())
-    return int(value) if value.denominator == 1 else value
+    return min(
+        (m[2] + m[3] for m in p.terms if m[0] == 0 and m[1] == 0),
+        default=math.inf,
+    )
 
 
 @dataclass(frozen=True)
 class TypeBound:
-    """Best contact order found and the curve achieving it."""
+    """Contact order of r along the witness curve, a lower bound for the type."""
 
-    value: ContactValue
-    witness: Curve
+    value: Union[int, float]
+    witness: str = "(0, t)"
 
 
-def type_lower_bound(spec: DomainSpec, degree_cap: int = DEFAULT_DEGREE_CAP) -> TypeBound:
-    """Maximum contact order over the vertical and monomial test curves.
+def type_lower_bound(spec: DomainSpec) -> TypeBound:
+    """Contact order of r along (0, t), which no monomial curve exceeds.
 
-    The family consists of (0, t) and (c*t^s, t) for c in DEFAULT_COEFFS and
-    1 <= s <= degree_cap.  On the model domains the vertical curve is
-    extremal, but the search does not assume that.
+    Let V be the vertical order of r = 2*Re(z) + sum |f_j|^2 - sum |g_m|^2.
+    Along (c*t^s, t) with c != 0, the term 2*Re(c*t^s) has bidegrees (s, 0)
+    and (0, s) in (t, tb), while every term of |f_j|^2 or |g_m|^2 has
+    bidegree (p, q) with p, q >= 1, so nothing cancels it and the contact
+    is at most s.  The curve changes r(0, t) only by products that hold a
+    factor c*t^s against a factor of degree >= 1, all of degree > s; when
+    s > V they cannot touch the degree-V part, so the contact is exactly V.
+    Hence the vertical curve is extremal among all monomial test curves.
     """
-    r = defining_function(spec)
-    best_value: ContactValue = -1
-    best_curve = None
-    candidates = [Curve.vertical()]
-    for s in range(1, degree_cap + 1):
-        for c in DEFAULT_COEFFS:
-            candidates.append(Curve.monomial(c, s))
-    for curve in candidates:
-        value = contact_order(r, curve)
-        if value > best_value:
-            best_value = value
-            best_curve = curve
-    return TypeBound(value=best_value, witness=best_curve)
+    return TypeBound(value=vertical_order(defining_function(spec)))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .polyring import Curve, Poly, canonical_str
-from .domain import DomainSpec, contact_order
+from .polyring import Poly, canonical_str
+from .domain import DomainSpec, vertical_order
 from .kohn import KohnResult, Outcome
 
 
@@ -69,7 +69,7 @@ def select_component(spec: DomainSpec) -> tuple[int, int]:
     component; the smallest order tau wins and ties go to the smallest
     index.
     """
-    orders = [contact_order(component, Curve.vertical()) for component in spec.f]
+    orders = [vertical_order(component) for component in spec.f]
     tau = min(orders, default=math.inf)
     if tau == math.inf:
         raise InfiniteTypeError(

@@ -514,7 +514,6 @@ def radical_extend(
     work: list[Poly] = list(ideal.generators)
     keys: set[str] = {monic_key(p) for p in work}
     certificates: list[RadicalCertificate] = []
-    certified_vars: set[str] = set()
     decomposed: set[str] = set()
     used_candidates: set[str] = set()
     current = ideal  # reuse its cached standard basis across commits
@@ -541,14 +540,13 @@ def radical_extend(
 
         pending = {
             v: Poly.variable(v) for v in VARIABLES
-            if v not in certified_vars and monic_key(Poly.variable(v)) not in keys
+            if monic_key(Poly.variable(v)) not in keys
         }
         if pending:
             m, cohort, logs = _power_sweep(pending, current, 1, order_cap, probe_budget)
             if m is not None:
                 snapshot = current.generator_strings()
                 for v in cohort:
-                    certified_vars.add(v)
                     commit(RadicalCertificate(
                         element=Poly.variable(v),
                         order=m,

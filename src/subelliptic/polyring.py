@@ -14,7 +14,6 @@ canonical form of 3w^2 + 2z^5w.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
@@ -24,13 +23,14 @@ def _power(base, n: int, one):
     """base**n by repeated squaring, for any type with an exact __mul__."""
     if n < 0:
         raise ValueError(f"negative power of {type(base).__name__}")
-    out = one
+    out = None
     while n:
         if n & 1:
-            out = out * base
-        base = base * base
+            out = base if out is None else out * base
         n >>= 1
-    return out
+        if n:
+            base = base * base
+    return one if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +55,6 @@ class GaussRational:
     @staticmethod
     def one() -> "GaussRational":
         return _GR_ONE
-
-    @staticmethod
-    def i_unit() -> "GaussRational":
-        return _GR_I
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -297,12 +293,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(mono_degree(m) for m in self.terms)
-
-    def vanishing_order(self):
-        """Minimal total degree of a term; math.inf for the zero polynomial."""
-        if not self.terms:
-            return math.inf
-        return min(mono_degree(m) for m in self.terms)
 
     def monomial_content(self) -> Mono:
         """Componentwise gcd of the exponent tuples; requires a nonzero poly."""
@@ -563,105 +553,3 @@ def _maybe_power(tk: _Tokens, p: Poly) -> Poly:
         _, ev, ep = tk.expect("num")
         return p ** int(ev)
     return p
-
-
-# ---------------------------------------------------------------------------
-# Holomorphic curves t -> (a(t), b(t)) through the origin
-
-
-@dataclass(frozen=True)
-class Curve:
-    """Pair of univariate holomorphic polynomials with a(0) = b(0) = 0.
-
-    Components are stored as tuples of (exponent, coefficient) with positive
-    exponents, sorted by exponent.
-    """
-
-    z_of_t: tuple
-    w_of_t: tuple
-
-    def __post_init__(self):
-        for comp in (self.z_of_t, self.w_of_t):
-            for e, c in comp:
-                if e < 1:
-                    raise ValueError("curve components must vanish at t = 0")
-                if not isinstance(c, GaussRational) or c.is_zero():
-                    raise ValueError("curve coefficients must be nonzero GaussRationals")
-            if list(comp) != sorted(comp, key=lambda t: t[0]):
-                raise ValueError("curve exponents must be sorted")
-        if not self.z_of_t and not self.w_of_t:
-            raise ValueError("curve must not be identically zero")
-
-    @staticmethod
-    def monomial(coeff: GaussRational, s: int) -> "Curve":
-        """The curve t -> (coeff * t^s, t)."""
-        z_part = () if coeff.is_zero() else ((s, coeff),)
-        return Curve(z_part, ((1, _GR_ONE),))
-
-    @staticmethod
-    def vertical() -> "Curve":
-        """The curve t -> (0, t)."""
-        return Curve((), ((1, _GR_ONE),))
-
-    def multiplicity(self) -> int:
-        orders = [comp[0][0] for comp in (self.z_of_t, self.w_of_t) if comp]
-        return min(orders)
-
-    def __str__(self) -> str:
-        def comp_str(comp) -> str:
-            if not comp:
-                return "0"
-            parts = []
-            for e, c in comp:
-                te = "t" if e == 1 else f"t^{e}"
-                if c == _GR_ONE:
-                    parts.append(te)
-                else:
-                    parts.append(f"{coeff_str(c)}*{te}")
-            return " + ".join(parts)
-
-        return f"({comp_str(self.z_of_t)}, {comp_str(self.w_of_t)})"
-
-
-def _curve_component_poly(comp, conjugated: bool) -> Poly:
-    """Embed a(t) (or its conjugate) as a Poly in the t slot (z / zb)."""
-    terms: dict[Mono, GaussRational] = {}
-    for e, c in comp:
-        m = (0, e, 0, 0) if conjugated else (e, 0, 0, 0)
-        terms[m] = c.conj() if conjugated else c
-    return Poly(terms)
-
-
-def substitute_curve(p: Poly, curve: Curve) -> Poly:
-    """Substitute z <- a(t), w <- b(t) and their conjugates.
-
-    The result is a polynomial in t and its conjugate, returned as a Poly
-    whose z slot holds t and whose zb slot holds the conjugate of t.
-    """
-    a = _curve_component_poly(curve.z_of_t, conjugated=False)
-    ab = _curve_component_poly(curve.z_of_t, conjugated=True)
-    b = _curve_component_poly(curve.w_of_t, conjugated=False)
-    bb = _curve_component_poly(curve.w_of_t, conjugated=True)
-    cache: dict[tuple[int, int], Poly] = {}
-
-    def powers(base: Poly, tag: int, e: int) -> Poly:
-        key = (tag, e)
-        got = cache.get(key)
-        if got is None:
-            got = base ** e
-            cache[key] = got
-        return got
-
-    total = Poly.zero()
-    for m, c in p.terms.items():
-        piece = Poly.constant(c)
-        if m[0]:
-            piece = piece * powers(a, 0, m[0])
-        if m[1]:
-            piece = piece * powers(ab, 1, m[1])
-        if m[2]:
-            piece = piece * powers(b, 2, m[2])
-        if m[3]:
-            piece = piece * powers(bb, 3, m[3])
-        total = total + piece
-    return total

@@ -199,10 +199,10 @@ def test_criterion_5_type_computation(capsys):
     problems = []
     start = time.perf_counter()
     for tau, l, k in PROP1:
-        bound = type_lower_bound(cross_power_domain(tau, l, k), degree_cap=8)
+        bound = type_lower_bound(cross_power_domain(tau, l, k))
         if bound.value != 2 * tau:
             problems.append(f"({tau},{l},{k}): type {bound.value} != {2 * tau}")
-    flat_bound = type_lower_bound(flat_domain(), degree_cap=8)
+    flat_bound = type_lower_bound(flat_domain())
     if flat_bound.value != 2:
         problems.append(f"flat: type {flat_bound.value} != 2")
     elapsed = time.perf_counter() - start

@@ -6,8 +6,6 @@ import sys
 
 import pytest
 
-jsonschema = pytest.importorskip("jsonschema")
-
 from subelliptic.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -281,6 +279,13 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    def test_type_takes_no_curve_degree_cap(self, tmp_path, capsys):
+        """The type bound is the vertical contact; there is no curve search to cap."""
+        with pytest.raises(SystemExit) as exc:
+            main(["type", write_spec(tmp_path, FLAT), "--curve-degree-cap", "3"])
+        assert exc.value.code == EXIT_INPUT
+        assert "unrecognized arguments: --curve-degree-cap 3" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def trace(tmp_path_factory):
@@ -294,9 +299,11 @@ def trace(tmp_path_factory):
 
 class TestJsonArtifacts:
     def test_schema_file_is_itself_valid(self):
+        jsonschema = pytest.importorskip("jsonschema")
         jsonschema.Draft202012Validator.check_schema(trace_schema())
 
     def test_kohn_trace_validates_against_schema(self, trace):
+        jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validate(trace, trace_schema())
 
     def test_trace_brackets_and_config_echo(self, trace):
@@ -384,7 +391,7 @@ class TestJsonArtifacts:
                 "type",
                 [],
                 {
-                    "config": {"command": "type", "curve_degree_cap": 8},
+                    "config": {"command": "type"},
                     "type": {"value": "2", "witness": "(0, t)"},
                     "summary": "type >= 2 (witness (0, t))",
                 },

@@ -6,19 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from subelliptic.polyring import Curve, GaussRational, Poly, canonical_str, parse_poly
+from subelliptic.polyring import GaussRational, Poly, canonical_str, parse_poly
 from subelliptic.domain import (
     DomainError,
     DomainSpec,
     apply_L,
     borderline_domain,
-    contact_order,
     cross_power_domain,
     defining_function,
     expand_r,
     flat_domain,
     levi_form,
     type_lower_bound,
+    vertical_order,
 )
 
 
@@ -147,29 +147,37 @@ class TestTangentialField:
 class TestContactOrder:
     def test_vertical_curve_on_the_family(self):
         r = defining_function(cross_power_domain(3, 2, 5))
-        assert contact_order(r, Curve.vertical()) == 6
-
-    def test_reparametrization_invariance(self):
-        r = defining_function(cross_power_domain(3, 2, 5))
-        doubled = Curve((), ((2, GaussRational.one()),))
-        assert contact_order(r, doubled) == contact_order(r, Curve.vertical())
+        assert vertical_order(r) == 6
 
     def test_curve_inside_zero_set(self):
-        r = parse_poly("w*wb")
-        horizontal = Curve(((1, GaussRational.one()),), ())
-        assert contact_order(r, horizontal) == math.inf
-
-    def test_fractional_contact(self):
-        # z*w pulled back along (t^2, t^3) vanishes to order 5 on a
-        # multiplicity-2 curve, so the normalized contact is 5/2.
-        p = parse_poly("z*w")
-        squeezed = Curve(((2, GaussRational.one()),), ((3, GaussRational.one()),))
-        assert contact_order(p, squeezed) == Fraction(5, 2)
+        r = parse_poly("z*zb + z*w*wb")
+        assert vertical_order(r) == math.inf
 
     def test_integral_contact_collapses_to_int(self):
         r = defining_function(cross_power_domain(3, 2, 5))
-        value = contact_order(r, Curve.vertical())
+        value = vertical_order(r)
         assert isinstance(value, int)
+
+
+def monomial_curve_contact(r: Poly, c: GaussRational, s: int):
+    """Vanishing order of r along t -> (c*t^s, t); t sits in the z slot."""
+    pullback = Poly.zero()
+    for (a, b, e, d), coeff in r.terms.items():
+        coeff = coeff * c ** a * c.conj() ** b
+        pullback = pullback + Poly.monomial(coeff, (s * a + e, s * b + d, 0, 0))
+    if pullback.is_zero():
+        return math.inf
+    return min(sum(m) for m in pullback.terms)
+
+
+def random_component(rng: random.Random) -> Poly:
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        m = (rng.randint(0, 3), 0, rng.randint(0, 4), 0)
+        terms[m if m != (0, 0, 0, 0) else (0, 0, 1, 0)] = GaussRational(
+            Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-2, 2))
+        )
+    return Poly(terms) or parse_poly("w")
 
 
 class TestTypeLowerBound:
@@ -191,8 +199,19 @@ class TestTypeLowerBound:
         bound = type_lower_bound(cross_power_domain(3, 2, 5))
         assert str(bound.witness) == "(0, t)"
 
-    def test_degree_cap_never_inflates_the_family_type(self):
-        # Monomial curves (c*t^s, t) meet the 2*Re(z) term at order s, so
-        # deeper curves stay capped by the vertical contact 2*tau.
-        bound = type_lower_bound(cross_power_domain(3, 2, 5), degree_cap=12)
-        assert bound.value == 6
+    def test_no_monomial_curve_beats_the_vertical(self):
+        coeffs = [GaussRational.of(*c) for c in
+                  [(1,), (-1,), (0, 1), (0, -1), (2,), (1, 1), (Fraction(1, 2), -3)]]
+        rng = random.Random(20261018)
+        specs = [flat_domain(), borderline_domain(5), cross_power_domain(3, 2, 5)]
+        for _ in range(60):
+            f = tuple(random_component(rng) for _ in range(rng.randint(1, 2)))
+            g = tuple(random_component(rng) for _ in range(rng.randint(0, 2)))
+            specs.append(DomainSpec(name="random", f=f, g=g + f[:rng.randint(0, 1)]))
+        for spec in specs:
+            r = defining_function(spec)
+            bound = type_lower_bound(spec).value
+            assert monomial_curve_contact(r, GaussRational.zero(), 1) == bound
+            for c in coeffs:
+                for s in range(1, 9):
+                    assert monomial_curve_contact(r, c, s) <= bound, (spec, c, s)
