@@ -35,6 +35,7 @@ from .polyring import (
 
 DEFAULT_STEP_BUDGET = 100_000
 PROBE_BUDGET = 20_000
+PRUNE_BUDGET = 1_000
 DEFAULT_ORDER_CAP = 32
 
 VARIABLES = ("z", "w")
@@ -66,24 +67,37 @@ class _Budget:
 # Local term order: lower total degree wins, ties by lex on exponents.
 
 
-def local_key(m: Mono):
-    """Sort key under which the leading monomial is the maximum."""
-    return (-mono_degree(m), m)
+def _lead_ecart(terms) -> tuple[Mono, int]:
+    """(leading monomial, ecart) of a nonempty term map, in one pass.
+
+    The leading monomial has the least degree, ties going to the larger
+    exponent tuple; the ecart is the total degree minus that least degree.
+    """
+    if not terms:
+        raise ValueError("the zero polynomial has no leading monomial")
+    lm = next(iter(terms))
+    low = high = lm[0] + lm[1] + lm[2] + lm[3]
+    for m in terms:
+        d = m[0] + m[1] + m[2] + m[3]
+        if d < low or (d == low and m > lm):
+            lm, low = m, d
+        elif d > high:
+            high = d
+    return lm, high - low
 
 
 def leading_term(p: Poly) -> tuple[Mono, GaussRational]:
-    m = max(p.terms, key=local_key)
+    m = _lead_ecart(p.terms)[0]
     return m, p.terms[m]
 
 
 def leading_monomial(p: Poly) -> Mono:
-    return max(p.terms, key=local_key)
+    return _lead_ecart(p.terms)[0]
 
 
 def ecart(p: Poly) -> int:
     """Total degree minus the degree of the leading monomial."""
-    lm = leading_monomial(p)
-    return p.total_degree() - mono_degree(lm)
+    return _lead_ecart(p.terms)[1]
 
 
 def monic(p: Poly) -> Poly:
@@ -103,37 +117,55 @@ def monic_key(p: Poly) -> str:
 # Mora weak normal form
 
 
-def _reduce_once(h: Poly, g: Poly) -> Poly:
-    """Cancel the leading term of h against g (LM(g) divides LM(h))."""
-    mh, ch = leading_term(h)
-    mg, cg = leading_term(g)
-    quot = Poly.monomial(ch / cg, mono_div(mh, mg))
-    return h - quot * g
-
-
 def nf_mora(f: Poly, basis: Sequence[Poly], budget: _Budget) -> Poly:
     """Weak normal form of f against basis under the local order.
 
     There is a local unit u with u*f = (combination of basis) + result; the
     result is 0 exactly when f lies in the ideal generated by basis in the
     localized ring.  Intermediate remainders join the reducer set (Mora's
-    trick), which guarantees termination despite the local order.
+    trick), which guarantees termination despite the local order.  Among the
+    reducers whose leading monomial divides that of the remainder, the first
+    of least ecart is used.
+
+    Each reducer carries its (leading monomial, ecart) pair, and the
+    remainder is one term map updated in place, so a step scans the
+    remainder once and never rescans a reducer.
     """
     if f.is_zero():
         return f
-    reducers = list(basis)
-    h = f
-    while not h.is_zero():
-        lm_h = leading_monomial(h)
-        candidates = [g for g in reducers if mono_divides(leading_monomial(g), lm_h)]
-        if not candidates:
-            return h
+    reducers = [(*_lead_ecart(g.terms), g.terms) for g in basis]
+    h = dict(f.terms)
+    while h:
+        lm_h, ecart_h = _lead_ecart(h)
+        best = None
+        for reducer in reducers:
+            lm_g = reducer[0]
+            if (lm_g[0] <= lm_h[0] and lm_g[1] <= lm_h[1]
+                    and lm_g[2] <= lm_h[2] and lm_g[3] <= lm_h[3]
+                    and (best is None or reducer[1] < best[1])):
+                best = reducer
+        if best is None:
+            break
         budget.spend()
-        g = min(candidates, key=ecart)
-        if ecart(g) > ecart(h):
-            reducers.append(h)
-        h = _reduce_once(h, g)
-    return h
+        lm_g, ecart_g, g = best
+        if ecart_g > ecart_h:
+            reducers.append((lm_h, ecart_h, dict(h)))
+        quot = h.pop(lm_h) / g[lm_g]
+        s0, s1, s2, s3 = mono_div(lm_h, lm_g)
+        for m, c in g.items():
+            if m == lm_g:
+                continue  # cancels the leading term of h exactly
+            m = (m[0] + s0, m[1] + s1, m[2] + s2, m[3] + s3)
+            old = h.get(m)
+            if old is None:
+                h[m] = -(quot * c)
+            else:
+                new = old - quot * c
+                if new.is_zero():
+                    del h[m]
+                else:
+                    h[m] = new
+    return Poly(h)
 
 
 def _spoly(f: Poly, g: Poly) -> Poly:
@@ -273,11 +305,11 @@ class LocalIdeal:
         return self._basis
 
     def membership(self, p: Poly, step_budget: Optional[int] = None) -> Membership:
+        if p.is_zero():
+            return Membership.YES
         basis = self.basis
         if basis is None:
             return Membership.UNDECIDED
-        if p.is_zero():
-            return Membership.YES
         if step_budget is None:
             step_budget = self.step_budget
         try:
@@ -294,9 +326,9 @@ class LocalIdeal:
         an exhausted budget the input (or a partial reduction) comes back
         unchanged, which is always a sound answer.
         """
-        basis = self.basis
-        if basis is None or p.is_zero():
+        if p.is_zero() or self.basis is None:
             return p
+        basis = self.basis
         try:
             h = nf_mora(p, basis, _Budget(self.step_budget))
         except BudgetExhausted:
@@ -355,10 +387,23 @@ def _power_sweep(
     undecided membership retires its base: no certificate is ever issued on
     uncertain evidence.  step_budget bounds each membership query and
     defaults to the ideal's own budget.
+
+    Before the sweep each base is probed once at b^cap, under at most
+    PRUNE_BUDGET steps.  Since b^m in the ideal implies b^cap in it, a NO
+    there is exact for every power and drops the base with the log
+    [(cap, "no")]; a YES or an undecided answer leaves the sweep as it was.
+    The bound keeps a costly YES at the cap from outweighing the sweep.
     """
     logs: dict[str, list[tuple[int, str]]] = {name: [] for name in bases}
-    powers = {name: b ** (first - 1) for name, b in bases.items()}
     alive = list(bases)
+    if first <= cap:
+        budget = ideal.step_budget if step_budget is None else step_budget
+        prune = min(PRUNE_BUDGET, budget)
+        for name in bases:
+            if ideal.membership(bases[name] ** cap, step_budget=prune) is Membership.NO:
+                logs[name].append((cap, Membership.NO.value))
+                alive.remove(name)
+    powers = {name: bases[name] ** (first - 1) for name in alive}
     for m in range(first, cap + 1):
         cohort = []
         for name in list(alive):

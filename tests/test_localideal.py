@@ -7,9 +7,11 @@ import pytest
 
 from subelliptic.polyring import GaussRational, Poly, canonical_str, parse_poly
 from subelliptic.localideal import (
+    BudgetExhausted,
     LocalIdeal,
     Membership,
     RadicalCertificate,
+    _Budget,
     _power_sweep,
     ecart,
     hermitian_square_rows,
@@ -17,6 +19,7 @@ from subelliptic.localideal import (
     min_algebraic_radical_order,
     monic,
     monic_key,
+    nf_mora,
     radical_extend,
 )
 from linear_oracle import certify_membership
@@ -164,6 +167,15 @@ class TestBudgets:
         assert full.membership(parse_poly("w^3")) is Membership.YES
         starved = full.membership(parse_poly("w^3"), step_budget=1)
         assert starved in (Membership.YES, Membership.UNDECIDED)
+
+    def test_zero_is_a_member_without_a_basis(self):
+        """0 lies in every ideal, so no standard basis is needed to say so."""
+        starving = LocalIdeal(
+            [parse_poly("z*w + w^3"), parse_poly("z^2 - w^2")], step_budget=0
+        )
+        assert starving.membership(Poly.zero()) is Membership.YES
+        assert starving.reduce_modulo(Poly.zero()).is_zero()
+        assert starving.basis is None
 
     def test_zero_step_budget_means_zero(self):
         """An explicit 0 allows no reduction step; it is not the default."""
@@ -433,6 +445,132 @@ class TestPowerSweep:
         assert (power, cohort) == (5, ["z"])
         assert logs["w"] == [(1, "no"), (2, "no"), (3, "no"), (4, "undecided")]
         assert logs["z"] == [(m, "no") for m in range(1, 5)] + [(5, "yes")]
+
+    def test_base_outside_at_the_cap_costs_one_membership(self):
+        ideal = LocalIdeal([parse_poly("z^3")])
+        calls = []
+        membership = ideal.membership
+
+        def counted(p, step_budget=None):
+            calls.append(canonical_str(p))
+            return membership(p, step_budget=step_budget)
+
+        ideal.membership = counted
+        result = _power_sweep({"w": parse_poly("w")}, ideal, 1, 8)
+        assert result == (None, [], {"w": [(8, "no")]})
+        assert calls == ["w^8"]
+
+    def test_undecided_prune_probe_leaves_the_sweep_as_it_was(self):
+        """(z + w)^8 needs more than one step, (z + w)^2 exactly one."""
+        b = parse_poly("z + w")
+        ideal = LocalIdeal([b * b])
+        assert ideal.membership(b ** 8, step_budget=1) is Membership.UNDECIDED
+        power, cohort, logs = _power_sweep({"b": b}, ideal, 1, 8, step_budget=1)
+        assert (power, cohort) == (2, ["b"])
+        assert logs["b"] == [(1, "no"), (2, "yes")]
+
+    def test_agrees_with_the_ascending_sweep_on_random_ideals(self):
+        rng = random.Random(20261018)
+        bases = {"z": parse_poly("z"), "w": parse_poly("w")}
+        outcomes = set()
+        for _ in range(40):
+            ideal = LocalIdeal(
+                random_poly(rng, 4, allow_conj=False) for _ in range(rng.randint(1, 3))
+            )
+            step_budget = rng.choice([None, 0, 1, 3])
+            cap = rng.randint(1, 8)
+            want = _ascending_sweep(bases, ideal, cap, step_budget)
+            power, cohort, logs = _power_sweep(bases, ideal, 1, cap, step_budget)
+            assert (power, cohort) == want[:2]
+            assert {v: logs[v] for v in cohort} == {v: want[2][v] for v in cohort}
+            outcomes.add(power is None)
+        assert outcomes == {True, False}
+
+
+def _ascending_sweep(bases, ideal, cap, step_budget):
+    """The sweep without the prune probe: b^1, b^2, ... up to b^cap."""
+    logs = {name: [] for name in bases}
+    alive = list(bases)
+    for m in range(1, cap + 1):
+        cohort = []
+        for name in list(alive):
+            answer = ideal.membership(bases[name] ** m, step_budget=step_budget)
+            logs[name].append((m, answer.value))
+            if answer is Membership.YES:
+                cohort.append(name)
+            elif answer is Membership.UNDECIDED:
+                alive.remove(name)
+        if cohort:
+            return m, cohort, logs
+        if not alive:
+            break
+    return None, [], logs
+
+
+def _reference_nf(f, basis, budget):
+    """Mora's loop as written before reducers carried their leading data."""
+
+    def lead(p):
+        return max(p.terms, key=lambda m: (-sum(m), m))
+
+    def spread(p):
+        return p.total_degree() - sum(lead(p))
+
+    if f.is_zero():
+        return f
+    reducers = list(basis)
+    h = f
+    while not h.is_zero():
+        lm_h = lead(h)
+        candidates = [
+            g for g in reducers if all(a <= b for a, b in zip(lead(g), lm_h))
+        ]
+        if not candidates:
+            return h
+        budget.spend()
+        g = min(candidates, key=spread)
+        if spread(g) > spread(h):
+            reducers.append(h)
+        lm_g = lead(g)
+        shift = tuple(a - b for a, b in zip(lm_h, lm_g))
+        h = h - Poly.monomial(h.terms[lm_h] / g.terms[lm_g], shift) * g
+    return h
+
+
+def _run_nf(nf, f, basis, steps):
+    budget = _Budget(steps)
+    try:
+        return nf(f, basis, budget), budget.remaining
+    except BudgetExhausted:
+        return "exhausted", budget.remaining
+
+
+class TestMoraNormalForm:
+    def test_agrees_with_the_reference_loop(self):
+        """Same remainder, same steps left, and exhaustion at the same budget."""
+        rng = random.Random(20261019)
+        cap = 200
+        outcomes = set()
+        for _ in range(60):
+            basis = [random_poly(rng, 3) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                basis = list(LocalIdeal(basis, step_budget=cap).basis or basis)
+            f = random_poly(rng, 5) * random_poly(rng, 2)
+            if rng.random() < 0.5:
+                f = f + random_poly(rng, 2) * basis[0]
+            nf, remaining = _run_nf(_reference_nf, f, basis, cap)
+            if nf == "exhausted":
+                budgets = {0, cap // 2, cap}
+                outcomes.add("exhausted")
+            else:
+                steps = cap - remaining
+                budgets = {0, max(steps - 1, 0), steps}
+                outcomes.add("zero" if nf.is_zero() else "remainder")
+            for budget in sorted(budgets):
+                assert _run_nf(nf_mora, f, basis, budget) == _run_nf(
+                    _reference_nf, f, basis, budget
+                )
+        assert outcomes >= {"zero", "remainder"}
 
 
 class TestOracleCrossChecks:
