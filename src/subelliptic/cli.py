@@ -136,9 +136,11 @@ def spec_from_dict(data, default_name: str = "spec") -> DomainSpec:
     if isinstance(radius, bool) or not isinstance(radius, (int, float)):
         raise SpecFileError("'sample_radius' must be a positive number")
     try:
-        return DomainSpec(
-            name=name, f=f, g=g, params=params, sample_radius=float(radius)
-        )
+        radius = float(radius)
+    except OverflowError:  # an integer beyond the float range
+        radius = math.inf
+    try:
+        return DomainSpec(name=name, f=f, g=g, params=params, sample_radius=radius)
     except (DomainError, ValueError) as exc:
         raise SpecFileError(str(exc)) from None
 
@@ -186,7 +188,9 @@ def _float_text(value) -> str:
 
 
 def _cell(value) -> str:
-    return "-" if value is None else str(value)
+    if value is None:
+        return "-"
+    return "infinity" if value == math.inf else str(value)
 
 
 def _flatten_certificates(events) -> list[dict]:
@@ -233,7 +237,7 @@ def cmd_levi(spec: DomainSpec, args) -> tuple[int, Artifact]:
 
 def cmd_type(spec: DomainSpec, args) -> tuple[int, Artifact]:
     bound = type_lower_bound(spec)
-    value = "infinity" if math.isinf(bound.value) else str(bound.value)
+    value = _cell(bound.value)
     line = f"type >= {value} (witness {bound.witness})"
     print(line)
     return EXIT_OK, {"type": {"value": value, "witness": bound.witness}, "summary": line}

@@ -6,10 +6,10 @@ function
 
     r = 2*Re(z) + sum_j |f_j|^2 - sum_m |g_m|^2.
 
-The module computes r and its Wirtinger derivatives, the determinant of the
-Levi form restricted to the complex tangential direction, the tangential
-vector field L applied to test functions, and a lower bound for the D'Angelo
-type at the origin: the contact order of the vertical curve (0, t).
+The module computes r and its first Wirtinger derivatives, the tangential
+vector field L applied to test functions, the determinant of the Levi form
+along L, and a lower bound for the D'Angelo type at the origin: the contact
+order of the vertical curve (0, t).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .polyring import (
-    GaussRational,
     Poly,
     canonical_str,
     parse_poly,
@@ -104,44 +103,35 @@ class LeviData:
     r_w: Poly
 
 
-def levi_form(r: Poly) -> Poly:
-    """Determinant of the Levi form against the complex tangent of {r = 0}.
-
-    The tangential (1,0) vector is L = r_z d/dw - r_w d/dz up to scale, and
-    pairing the complex Hessian of r with L and its conjugate gives
-
-        lam = r_ww* |r_z|^2 + r_zz* |r_w|^2 - 2 Re(r_zw* r_w r_z*).
-    """
-    r_z, r_w = r.wirtinger("z"), r.wirtinger("w")
-    r_zb, r_wb = r.wirtinger("zb"), r.wirtinger("wb")
-    r_zzb = r_z.wirtinger("zb")
-    r_wwb = r_w.wirtinger("wb")
-    r_zwb = r_z.wirtinger("wb")
-    return (
-        r_wwb * r_z * r_zb
-        + r_zzb * r_w * r_wb
-        - two_re(r_zwb * r_w * r_zb)
-    )
+def _tangential(h: Poly, r_z: Poly, r_w: Poly) -> Poly:
+    return r_z * h.wirtinger("w") - r_w * h.wirtinger("z")
 
 
 def expand_r(spec: DomainSpec) -> LeviData:
+    """r, r_z, r_w and the Levi determinant lam along L = r_z d/dw - r_w d/dz.
+
+    2*Re(z) is pluriharmonic and f, g are holomorphic, so the complex
+    Hessian of r is sum_j df_j (x) conj(df_j) - sum_m dg_m (x) conj(dg_m),
+    and pairing it with L and its conjugate gives
+
+        lam = sum_j |L f_j|^2 - sum_m |L g_m|^2.
+
+    Every component vanishes at the origin, so r(0) = 0 and r_z(0) = 1.
+    """
     r = defining_function(spec)
-    if not r.constant_term().is_zero():
-        raise DomainError("defining function does not vanish at the origin")
-    r_z = r.wirtinger("z")
-    if r_z.constant_term() != GaussRational.one():
-        raise DomainError("normalization r_z(0) = 1 failed")
-    return LeviData(
-        r=r,
-        lam=levi_form(r),
-        r_z=r_z,
-        r_w=r.wirtinger("w"),
-    )
+    r_z, r_w = r.wirtinger("z"), r.wirtinger("w")
+
+    def norm_sq(components) -> Poly:
+        images = (_tangential(p, r_z, r_w) for p in components)
+        return sum((h * h.conj() for h in images), Poly.zero())
+
+    lam = norm_sq(spec.f) - norm_sq(spec.g)
+    return LeviData(r=r, lam=lam, r_z=r_z, r_w=r_w)
 
 
 def apply_L(h: Poly, data: LeviData) -> Poly:
     """The tangential holomorphic derivative L(h) = r_z*h_w - r_w*h_z."""
-    return data.r_z * h.wirtinger("w") - data.r_w * h.wirtinger("z")
+    return _tangential(h, data.r_z, data.r_w)
 
 
 def vertical_order(p: Poly) -> Union[int, float]:

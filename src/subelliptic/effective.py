@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .polyring import Poly, canonical_str
-from .domain import DomainSpec, vertical_order
+from .domain import DomainSpec, type_lower_bound, vertical_order
 from .kohn import KohnResult, Outcome
 
 
@@ -124,11 +124,15 @@ def compare_orders(
     classic: Optional[KohnResult],
     effective: Optional[EffectiveResult],
 ) -> dict:
-    """Side-by-side orders: type, the optimal bound 1/type, both runs."""
-    _, tau = select_component(spec)
+    """Side-by-side orders: the type bound, the optimal order 1/type (None
+    when the type is infinite) and both runs.  Like the effective run, it
+    raises InfiniteTypeError when no component of f has finite vertical order.
+    """
+    select_component(spec)
+    bound = type_lower_bound(spec).value
     row = {
-        "type": 2 * tau,
-        "optimal": Fraction(1, 2 * tau),
+        "type": bound,
+        "optimal": None if bound == math.inf else Fraction(1, bound),
         "classic": classic.final_order
         if classic is not None and classic.outcome is Outcome.SUCCESS
         else None,

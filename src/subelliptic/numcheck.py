@@ -2,12 +2,12 @@
 
 The symbolic chain certifies orders exactly; what it cannot certify is the
 pointwise inequalities its hypotheses assert near the origin (domination of
-the g-derivatives by the f-derivatives, pseudoconvexity of the boundary,
-the Levi lower bound).  This module samples those inequalities on seeded
-polydiscs and cross-validates the symbolic Levi determinant against finite
-differences.  Reports are deterministic for a fixed seed and never override
-a symbolic result; at most they gate whether the effective chain may call
-its hypothesis verified.
+the g-derivatives by the f-derivatives, pseudoconvexity of the boundary).
+This module samples those inequalities on seeded polydiscs and
+cross-validates the symbolic Levi determinant against finite differences.
+Reports are deterministic for a fixed seed and never override a symbolic
+result; at most they gate whether the effective chain may call its
+hypothesis verified.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class SampleReport:
     n_samples: int
     seed: int
     delta_hat: Optional[float] = None
-    c_hat: Optional[float] = None
     min_lambda_on_boundary: Optional[float] = None
     degenerate: int = 0
     violations: list = field(default_factory=list)
@@ -53,7 +52,6 @@ class SampleReport:
             "n_samples": self.n_samples,
             "seed": self.seed,
             "delta_hat": encode(self.delta_hat),
-            "c_hat": encode(self.c_hat),
             "min_lambda_on_boundary": encode(self.min_lambda_on_boundary),
             "degenerate": self.degenerate,
             "violations": self.violations,
@@ -128,36 +126,6 @@ def hypothesis_holds(report: SampleReport) -> bool:
     return informative and report.delta_hat is not None and report.delta_hat < HYPO_GATE
 
 
-def verify_levi_bound(
-    spec: DomainSpec,
-    radius: Optional[float] = None,
-    n: int = 1000,
-    seed: int = 42,
-) -> SampleReport:
-    """Sample the constant in lambda >= c*||f_w||^2 near the origin.
-
-    c_hat is the smallest ratio over non-degenerate samples; any
-    non-positive ratio is a violation.  For a single pure-square component
-    the ratio is identically 1, which makes this a sharp cross-check of the
-    symbolic Levi determinant.
-    """
-    radius = spec.sample_radius if radius is None else radius
-    data = expand_r(spec)
-    lam = data.lam.compiled()
-    f_w = [c.wirtinger("w").compiled() for c in spec.f]
-    report = SampleReport(radius=radius, n_samples=n, seed=seed, c_hat=math.inf)
-    for z, w in polydisc_points(radius, n, seed):
-        fw2 = _squared_norm(f_w, z, w)
-        if fw2 < DEGENERATE_TOL:
-            report.degenerate += 1
-            continue
-        ratio = lam(z, w).real / fw2
-        report.c_hat = min(report.c_hat, ratio)
-        if ratio <= 0.0:
-            report.violations.append(_point_record(z, w, ratio))
-    return report
-
-
 def boundary_pseudoconvexity(
     spec: DomainSpec,
     radius: Optional[float] = None,
@@ -221,9 +189,10 @@ def finite_diff_levi(
     """Maximum relative gap between symbolic and finite-difference lambda.
 
     All second-order Wirtinger derivatives of r are rebuilt from central
-    differences in the four real coordinates and assembled into the same
-    tangential Hessian pairing the symbolic side uses.  The result is
-    max |lam_num - lam_sym| / (1 + |lam_sym|) over the points.
+    differences in the four real coordinates and assembled into the general
+    tangential Hessian pairing, a route to lambda independent of the sum of
+    squares the symbolic side uses.  The result is max |lam_num - lam_sym| /
+    (1 + |lam_sym|) over the points.
     """
     if not (1e-6 <= h <= 1e-3):
         raise ValueError(f"step h={h} outside the supported range [1e-6, 1e-3]")

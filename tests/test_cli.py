@@ -152,7 +152,9 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert "invalid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("radius", ["Infinity", "1e400"])
+    @pytest.mark.parametrize(
+        "radius", ["Infinity", "1e400", pytest.param("1" + "0" * 400, id="int-1e400")]
+    )
     def test_infinite_sample_radius_exits_one(self, tmp_path, capsys, radius):
         path = tmp_path / "spec.json"
         path.write_text(
@@ -235,6 +237,43 @@ class TestExitCodes:
         assert rows["optimal"] == "1/6"
         assert rows["classic"] == "1/40"
         assert rows["effective"] == "1/16"
+
+    @pytest.mark.parametrize(
+        "spec,kind,optimal,classic",
+        [
+            (BORDERLINE, "4", "1/4", "1/32"),
+            ({"name": "levi-flat", "f": ["w"], "g": ["w"]}, "infinity", "-", "-"),
+        ],
+        ids=["borderline", "levi-flat"],
+    )
+    def test_compare_type_is_the_type_bound(
+        self, tmp_path, capsys, spec, kind, optimal, classic
+    ):
+        """The type row agrees with the type subcommand, g included."""
+        path = write_spec(tmp_path, spec)
+        out_path = tmp_path / "cmp.json"
+        main(["type", path])
+        assert capsys.readouterr().out.startswith(f"type >= {kind} ")
+        code = main(["compare", path, "--samples", "50", "--json", str(out_path)])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert f"type             {kind}\noptimal order    {optimal}\n" in out
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        assert payload["table"] == {
+            "type": kind,
+            "optimal": optimal,
+            "classic": classic,
+            "effective": "-",
+        }
+
+    def test_compare_without_a_finite_component_is_undecided(self, tmp_path, capsys):
+        """f = (z*w) vanishes along (0, t), so the effective column has no
+        component even though the refused run never selects one."""
+        code = main(["compare", write_spec(tmp_path, {"f": ["z*w"], "g": ["w"]})])
+        captured = capsys.readouterr()
+        assert code == EXIT_UNDECIDED
+        assert "hypothesis failed" in captured.out
+        assert captured.err.startswith("undecided: every component of f vanishes")
 
     def test_orders_never_printed_as_decimals(self, tmp_path, capsys):
         main(["kohn", write_spec(tmp_path, CP324)])
@@ -407,7 +446,6 @@ class TestJsonArtifacts:
                         "seed": 7,
                     },
                     "report": {
-                        "c_hat": None,
                         "degenerate": 0,
                         "delta_hat": 0.0,
                         "min_lambda_on_boundary": None,
@@ -430,7 +468,6 @@ class TestJsonArtifacts:
                         "seed": 7,
                     },
                     "boundary": {
-                        "c_hat": None,
                         "degenerate": 0,
                         "delta_hat": None,
                         "min_lambda_on_boundary": 1.0,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from subelliptic.polyring import GaussRational, Poly, canonical_str, parse_poly
+from subelliptic.polyring import GaussRational, Poly, canonical_str, parse_poly, two_re
 from subelliptic.domain import (
     DomainError,
     DomainSpec,
@@ -16,7 +16,6 @@ from subelliptic.domain import (
     defining_function,
     expand_r,
     flat_domain,
-    levi_form,
     type_lower_bound,
     vertical_order,
 )
@@ -119,9 +118,40 @@ class TestLeviForm:
         for spec in (cross_power_domain(3, 2, 4), borderline_domain(3)):
             assert expand_r(spec).lam.is_conj_symmetric()
 
-    def test_levi_form_of_raw_polynomial(self):
-        r = defining_function(flat_domain())
-        assert levi_form(r) == Poly.one()
+    def test_sum_of_squares_matches_the_hessian_pairing(self):
+        rng = random.Random(20261019)
+        with_g = 0
+        for _ in range(100):
+            f = tuple(small_component(rng) for _ in range(rng.randint(1, 2)))
+            g = tuple(small_component(rng) for _ in range(rng.randint(0, 1)))
+            with_g += bool(g)
+            spec = DomainSpec(name="random", f=f, g=g)
+            assert expand_r(spec).lam == hessian_levi(defining_function(spec)), spec
+        assert with_g >= 40
+
+
+def small_component(rng: random.Random) -> Poly:
+    """Like random_component, smaller, so the Hessian reference stays cheap."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        m = (rng.randint(0, 2), 0, rng.randint(0, 3), 0)
+        terms[m if m != (0, 0, 0, 0) else (0, 0, 1, 0)] = GaussRational(
+            Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-1, 1))
+        )
+    return Poly(terms) or parse_poly("w")
+
+
+def hessian_levi(r: Poly) -> Poly:
+    """The Levi determinant of any real r from its complex Hessian:
+
+        r_wwb |r_z|^2 + r_zzb |r_w|^2 - 2 Re(r_zwb r_w r_zb).
+    """
+    r_z, r_w = r.wirtinger("z"), r.wirtinger("w")
+    r_zb, r_wb = r.wirtinger("zb"), r.wirtinger("wb")
+    r_zzb = r_z.wirtinger("zb")
+    r_wwb = r_w.wirtinger("wb")
+    r_zwb = r_z.wirtinger("wb")
+    return r_wwb * r_z * r_zb + r_zzb * r_w * r_wb - two_re(r_zwb * r_w * r_zb)
 
 
 class TestTangentialField:

@@ -19,7 +19,6 @@ from subelliptic.numcheck import (
     hypothesis_holds,
     polydisc_points,
     sample_hypo,
-    verify_levi_bound,
 )
 
 
@@ -101,24 +100,6 @@ class TestSampleHypo:
         assert a == b
 
 
-class TestVerifyLeviBound:
-    def test_flat_ratio_is_exactly_one(self):
-        report = verify_levi_bound(flat_domain(), radius=0.5, n=500)
-        assert report.c_hat == 1.0
-        assert report.violations == []
-
-    def test_single_component_identity(self):
-        """For one pure square lambda equals ||f_w||^2 as polynomials, so
-        the sampled ratio can differ from 1 only by rounding."""
-        report = verify_levi_bound(cross_power_domain(3, 2, 5), radius=0.05, n=500)
-        assert abs(report.c_hat - 1.0) <= 1e-12
-
-    def test_borderline_stays_nonnegative(self):
-        report = verify_levi_bound(borderline_domain(), radius=0.05, n=500)
-        assert report.c_hat >= 0.0
-        assert report.violations == []
-
-
 class TestBoundaryPseudoconvexity:
     def test_flat_boundary(self):
         report = boundary_pseudoconvexity(flat_domain(), radius=0.3, n=100)
@@ -182,7 +163,7 @@ class TestReportSerialization:
         report = SampleReport(radius=0.1, n_samples=5, seed=1, delta_hat=math.inf)
         encoded = report.as_dict()
         assert encoded["delta_hat"] == "infinity"
-        assert encoded["c_hat"] is None
+        assert encoded["min_lambda_on_boundary"] is None
 
     def test_plain_fields_pass_through(self):
         report = sample_hypo(flat_domain(), radius=0.2, n=10)
