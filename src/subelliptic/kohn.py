@@ -29,7 +29,7 @@ from .localideal import (
     DEFAULT_ORDER_CAP,
     LocalIdeal,
     Membership,
-    monic_key,
+    monic,
     radical_extend,
 )
 from .domain import DomainSpec, expand_r, apply_L
@@ -67,18 +67,18 @@ class KohnResult:
 
 
 class _Ledger:
-    """Certified multiplier orders keyed by scalar-normalized canonical form."""
+    """Certified multiplier orders keyed by monic form."""
 
     def __init__(self):
-        self.entries: dict[str, Fraction] = {}
+        self.entries: dict[Poly, Fraction] = {}
 
     def add(self, poly: Poly, order: Fraction) -> None:
         """Record order for poly unless a larger one is already known."""
-        key = monic_key(poly)
+        key = monic(poly)
         self.entries[key] = max(self.entries.get(key, order), order)
 
     def order_of(self, poly: Poly) -> Fraction:
-        key = monic_key(poly)
+        key = monic(poly)
         if key not in self.entries:
             raise KohnError(f"no ledger entry for {canonical_str(poly)}")
         return self.entries[key]
@@ -153,7 +153,7 @@ def run_kohn(
             steps_used=step,
             final_order=order,
             max_radical_order=max_radical_order,
-            multipliers=dict(ledger.entries),
+            multipliers={canonical_str(p): o for p, o in ledger.entries.items()},
             unit_witness=unit,
             reason=reason,
             events=events,
@@ -171,6 +171,12 @@ def run_kohn(
             }
         )
         return witness
+
+    if data.lam.constant_term().re < 0:
+        # Kohn's chain presumes a pseudoconvex boundary; lambda(0) < 0 means
+        # the origin is not a pseudoconvex point, so no order is certified.
+        return finish(0, None, "Levi determinant is negative at the origin "
+                               f"(lambda(0) = {data.lam.constant_term()})")
 
     witness = check_unit(1, "pre-loop", current)
     if witness is not None:
@@ -220,8 +226,7 @@ def run_kohn(
         #    ledger entry.
         shortcut = current.membership(data.r_w) is Membership.YES
         child_events = []
-        kept: list[Poly] = []
-        kept_keys: set[str] = set()
+        kept: dict[Poly, Poly] = {}  # monic form -> first child with it
         for parent in current.generators:
             parent_order = ledger.order_of(parent)
             child_order = parent_order / 2
@@ -249,15 +254,12 @@ def run_kohn(
                     else:
                         if answer is Membership.UNDECIDED:
                             saw_undecided = True
-                        key = monic_key(child)
                         ledger.add(child, child_order)
                         record["status"] = (
                             "kept" if answer is Membership.NO else "kept-unverified"
                         )
                         record["order"] = str(ledger.order_of(child))
-                        if key not in kept_keys:
-                            kept_keys.add(key)
-                            kept.append(child)
+                        kept.setdefault(monic(child), child)
                 child_events.append(record)
         events.append(
             {
@@ -268,7 +270,7 @@ def run_kohn(
             }
         )
         if kept:
-            current = current.with_extra(kept)
+            current = current.with_extra(kept.values())
 
         witness = check_unit(step, "after-row", current)
         if witness is not None:

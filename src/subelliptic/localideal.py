@@ -86,31 +86,21 @@ def _lead_ecart(terms) -> tuple[Mono, int]:
     return lm, high - low
 
 
-def leading_term(p: Poly) -> tuple[Mono, GaussRational]:
-    m = _lead_ecart(p.terms)[0]
-    return m, p.terms[m]
-
-
 def leading_monomial(p: Poly) -> Mono:
     return _lead_ecart(p.terms)[0]
 
 
-def ecart(p: Poly) -> int:
-    """Total degree minus the degree of the leading monomial."""
-    return _lead_ecart(p.terms)[1]
-
-
 def monic(p: Poly) -> Poly:
-    """Scale so the display-leading coefficient is 1 (for keys and bases)."""
+    """Scale so the display-leading coefficient is 1.
+
+    Two polynomials are equal up to a nonzero scalar exactly when their
+    monic forms are equal, so monic(p) is the key wherever that identity
+    matters (radical closure, the multiplier ledger, kept row children).
+    """
     if p.is_zero():
         return p
     lead = min(p.terms, key=display_key)
     return p.scale(GaussRational.one() / p.terms[lead])
-
-
-def monic_key(p: Poly) -> str:
-    """Canonical identifier that ignores nonzero scalar multiples."""
-    return canonical_str(monic(p))
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +159,10 @@ def nf_mora(f: Poly, basis: Sequence[Poly], budget: _Budget) -> Poly:
 
 
 def _spoly(f: Poly, g: Poly) -> Poly:
-    mf, cf = leading_term(f)
-    mg, cg = leading_term(g)
+    mf, mg = leading_monomial(f), leading_monomial(g)
     gamma = mono_lcm(mf, mg)
-    left = Poly.monomial(GaussRational.one() / cf, mono_div(gamma, mf)) * f
-    right = Poly.monomial(GaussRational.one() / cg, mono_div(gamma, mg)) * g
+    left = Poly.monomial(GaussRational.one() / f.terms[mf], mono_div(gamma, mf)) * f
+    right = Poly.monomial(GaussRational.one() / g.terms[mg], mono_div(gamma, mg)) * g
     return left - right
 
 
@@ -277,17 +266,11 @@ class LocalIdeal:
         step_budget: int = DEFAULT_STEP_BUDGET,
         _seed: Optional[tuple[Poly, ...]] = None,
     ):
-        gens: list[Poly] = []
-        seen: set[str] = set()
-        for p in generators:
-            if p.is_zero():
-                continue
-            key = canonical_str(p)
-            if key in seen:
-                continue
-            seen.add(key)
-            gens.append(p)
-        self.generators: tuple[Poly, ...] = tuple(gens)
+        # Exact duplicates collapse, keeping the first occurrence; scalar
+        # multiples stay distinct generators.
+        self.generators: tuple[Poly, ...] = tuple(
+            dict.fromkeys(p for p in generators if not p.is_zero())
+        )
         self.step_budget = step_budget
         self._seed = _seed
         self._basis: Optional[tuple[Poly, ...]] = None
@@ -545,29 +528,41 @@ def radical_extend(
 ) -> list[RadicalCertificate]:
     """Certified elements of the restricted real radical of the ideal.
 
-    Repeats four rules until nothing new appears: (1) monomial-root probes
-    commit the cheapest available variable powers first; (2) conjugates of
-    every known element join at order 1 (a conjugate of an ideal element is
-    always in the real radical, so no membership pre-check is needed); (3)
-    real generators that decompose into hermitian squares contribute their
-    rows at order 2 (2e after rebalancing a pure power v^e); (4) explicit
-    power candidates g with g(0) = 0 whose smallest power m <= order_cap
-    lies in the ideal join at order 2m via Cauchy-Schwarz.  Each variable is
-    certified at most once.  Probes run under their own smaller budget so a
-    hopeless high-power sweep degrades to an honest "undecided" quickly.
+    Passes over four rules until a pass commits nothing: (1) monomial-root
+    probes commit the cheapest available variable powers first; (2)
+    conjugates of known elements join at order 1 (a conjugate of an ideal
+    element is always in the real radical, so no membership pre-check is
+    needed); (3) real elements that decompose into hermitian squares
+    contribute their rows at order 2 (2e after rebalancing a pure power
+    v^e); (4) explicit power candidates g with g(0) = 0 whose smallest power
+    m <= order_cap lies in the ideal join at order 2m via Cauchy-Schwarz.
+    An element is new when its monic form is not yet known.  Probes run
+    under their own smaller budget so a hopeless high-power sweep degrades
+    to an honest "undecided" quickly.
+
+    The known set only grows, so revisiting an element could never commit
+    anything: rules (2) and (3) visit each element once, in order, through
+    one cursor each.  The loop ends because every pass but the last commits
+    something and only finitely many commits are possible.  Monomial roots
+    commit at most the two variables; each power candidate is swept once;
+    each element has one conjugate; and only conj-symmetric elements
+    decompose, into finitely many rows.  Beyond the generators and the
+    candidates no committed element is conj-symmetric unless it is a
+    constant, whose only row 1 is already known: a conjugate q' of q with
+    q' != q is not, and rows, rebalanced rows and roots are holomorphic.
     """
     work: list[Poly] = list(ideal.generators)
-    keys: set[str] = {monic_key(p) for p in work}
+    keys: set[Poly] = {monic(p) for p in work}
     certificates: list[RadicalCertificate] = []
-    decomposed: set[str] = set()
-    used_candidates: set[str] = set()
+    used_candidates: set[Poly] = set()
+    conj_cursor = square_cursor = 0
     current = ideal  # reuse its cached standard basis across commits
 
     def commit(cert: RadicalCertificate) -> None:
         nonlocal current
         certificates.append(cert)
         work.append(cert.element)
-        keys.add(monic_key(cert.element))
+        keys.add(monic(cert.element))
         # The element and its reduction differ by members of the current
         # ideal, so either may stand in for the other as a new generator.
         # Committing the smaller of the two keeps standard bases from
@@ -580,13 +575,12 @@ def radical_extend(
         chosen = reduced if size(reduced) < size(cert.element) else cert.element
         current = current.with_extra([monic(chosen)])
 
-    for _ in range(4 * (len(work) + len(VARIABLES) + len(power_candidates)) + 8):
+    changed = True
+    while changed:
         changed = False
 
-        pending = {
-            v: Poly.variable(v) for v in VARIABLES
-            if monic_key(Poly.variable(v)) not in keys
-        }
+        # Variables are monic, so each is its own key.
+        pending = {v: Poly.variable(v) for v in VARIABLES if Poly.variable(v) not in keys}
         if pending:
             m, cohort, logs = _power_sweep(pending, current, 1, order_cap, probe_budget)
             if m is not None:
@@ -603,11 +597,11 @@ def radical_extend(
                     ))
                 changed = True
 
-        for q in list(work):
+        while conj_cursor < len(work):
+            q = work[conj_cursor]
+            conj_cursor += 1
             qc = q.conj()
-            if qc == q:
-                continue
-            if monic_key(qc) in keys:
+            if qc == q or monic(qc) in keys:
                 continue
             commit(RadicalCertificate(
                 element=qc,
@@ -618,16 +612,13 @@ def radical_extend(
             ))
             changed = True
 
-        for q in list(work):
-            qkey = monic_key(q)
-            if qkey in decomposed or not q.is_conj_symmetric():
+        while square_cursor < len(work):
+            q = work[square_cursor]
+            square_cursor += 1
+            if not q.is_conj_symmetric():
                 continue
-            decomposed.add(qkey)
-            rows = hermitian_square_rows(q)
-            if not rows:
-                continue
-            for _weight, row in rows:
-                if monic_key(row) not in keys:
+            for _weight, row in hermitian_square_rows(q) or ():
+                if monic(row) not in keys:
                     commit(RadicalCertificate(
                         element=row,
                         order=2,
@@ -638,7 +629,7 @@ def radical_extend(
                     ))
                     changed = True
                 for v, reduced, e in _rebalance(row):
-                    if monic_key(reduced) in keys:
+                    if monic(reduced) in keys:
                         continue
                     commit(RadicalCertificate(
                         element=reduced,
@@ -651,14 +642,14 @@ def radical_extend(
                     changed = True
 
         for g in power_candidates:
-            gkey = monic_key(g)
+            gkey = monic(g)
             if gkey in keys or gkey in used_candidates:
                 continue
             if not g.constant_term().is_zero():
                 continue
             if current.membership(g) is Membership.YES:
                 continue
-            found, _, logs = _power_sweep({gkey: g}, current, 2, order_cap)
+            found, _, logs = _power_sweep({"g": g}, current, 2, order_cap)
             used_candidates.add(gkey)
             if found is None:
                 continue
@@ -670,11 +661,8 @@ def radical_extend(
                 witness=f"g^{found} = sum a_i*f_i in the ideal; Cauchy-Schwarz gives "
                         f"|g|^{2*found} <= (sum|a_i|^2)(sum|f_i|^2)",
                 probe_ideal=snapshot,
-                probe_log=tuple(logs[gkey]),
+                probe_log=tuple(logs["g"]),
             ))
             changed = True
-
-        if not changed:
-            break
 
     return certificates

@@ -376,22 +376,12 @@ def coeff_str(c: GaussRational) -> str:
 
 def _term_str(c: GaussRational, m: Mono) -> tuple[int, str]:
     """Return (sign, body) where sign applies only to pure re/im coefficients."""
-    ms = mono_str(m)
-    if not c.im:
-        sign = 1 if c.re > 0 else -1
-        mag = abs(c.re)
-        if not ms:
-            return sign, _frac_str(mag)
-        if mag == 1:
-            return sign, ms
-        return sign, _frac_str(mag) + "*" + ms
-    if not c.re:
-        sign = 1 if c.im > 0 else -1
-        mag = abs(c.im)
-        body = "i" if mag == 1 else _frac_str(mag) + "*i"
-        return sign, body + ("*" + ms if ms else "")
-    body = coeff_str(c)
-    return 1, body + ("*" + ms if ms else "")
+    body, ms = coeff_str(c), mono_str(m)
+    sign = -1 if body.startswith("-") else 1
+    body = body.lstrip("-")
+    if not ms:
+        return sign, body
+    return sign, ms if body == "1" else body + "*" + ms
 
 
 def canonical_str(p: Poly) -> str:

@@ -140,6 +140,14 @@ class TestExitCodes:
         assert code == EXIT_UNDECIDED
         assert "stalled after 1 steps" in capsys.readouterr().out
 
+    def test_kohn_negative_levi_determinant_exits_two(self, tmp_path, capsys):
+        code = main(["kohn", write_spec(tmp_path, {"f": ["z*w"], "g": ["w"]})])
+        assert code == EXIT_UNDECIDED
+        assert capsys.readouterr().out.strip() == (
+            "stalled after 0 steps (Levi determinant is negative at the origin "
+            "(lambda(0) = -1))"
+        )
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["levi", str(tmp_path / "absent.json")])
         assert code == EXIT_INPUT
@@ -243,8 +251,10 @@ class TestExitCodes:
         [
             (BORDERLINE, "4", "1/4", "1/32"),
             ({"name": "levi-flat", "f": ["w"], "g": ["w"]}, "infinity", "-", "-"),
+            # lambda = -3*|r_z|^2: the classic chain refuses the origin
+            ({"name": "concave", "f": ["w"], "g": ["2*w"]}, "2", "1/2", "-"),
         ],
-        ids=["borderline", "levi-flat"],
+        ids=["borderline", "levi-flat", "negative-levi"],
     )
     def test_compare_type_is_the_type_bound(
         self, tmp_path, capsys, spec, kind, optimal, classic

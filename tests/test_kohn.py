@@ -260,7 +260,7 @@ class TestLedger:
         ledger.add(parse_poly("w"), Fraction(1, 8))
         assert ledger.order_of(parse_poly("3*w")) == Fraction(1, 4)
         ledger.add(parse_poly("w"), Fraction(1, 2))
-        assert ledger.entries == {"w": Fraction(1, 2)}
+        assert ledger.entries == {parse_poly("w"): Fraction(1, 2)}
 
     def test_missing_entry_raises(self):
         with pytest.raises(KohnError, match="no ledger entry for z"):
@@ -268,6 +268,19 @@ class TestLedger:
 
 
 class TestStalling:
+    def test_negative_levi_determinant_at_the_origin_stalls(self):
+        """lambda = -1 + ... on f = (z*w), g = (w): the origin is not a
+        pseudoconvex boundary point, so no order may be certified there."""
+        spec = DomainSpec(name="concave", f=(parse_poly("z*w"),), g=(parse_poly("w"),))
+        result = run_kohn(spec)
+        assert result.outcome is Outcome.STALLED
+        assert result.final_order is None
+        assert result.summary() == (
+            "stalled after 0 steps (Levi determinant is negative at the origin "
+            "(lambda(0) = -1))"
+        )
+        assert [e["kind"] for e in result.events] == ["init", "outcome"]
+
     def test_step_cap_reports_stalled(self):
         result = run_kohn(cross_power_domain(3, 2, 5), max_steps=1)
         assert result.outcome is Outcome.STALLED

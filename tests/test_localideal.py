@@ -12,13 +12,12 @@ from subelliptic.localideal import (
     Membership,
     RadicalCertificate,
     _Budget,
+    _lead_ecart,
     _power_sweep,
-    ecart,
     hermitian_square_rows,
     leading_monomial,
     min_algebraic_radical_order,
     monic,
-    monic_key,
     nf_mora,
     radical_extend,
 )
@@ -41,8 +40,8 @@ class TestLocalOrder:
         assert leading_monomial(parse_poly("z + w")) == (1, 0, 0, 0)
 
     def test_ecart_measures_tail_spread(self):
-        assert ecart(parse_poly("w + z^3")) == 2
-        assert ecart(parse_poly("w")) == 0
+        assert _lead_ecart(parse_poly("w + z^3").terms)[1] == 2
+        assert _lead_ecart(parse_poly("w").terms)[1] == 0
 
     def test_monic_normalizes_display_leader(self):
         p = parse_poly("3*w^2 + 2*z^5*w")
@@ -81,6 +80,10 @@ class TestStandardBasis:
     def test_duplicate_generators_collapse(self):
         ideal = LocalIdeal([parse_poly("w"), parse_poly("w"), Poly.zero()])
         assert len(ideal.generators) == 1
+        # Only exact copies collapse, the first occurrence wins, and scalar
+        # multiples stay separate generators.
+        ideal = LocalIdeal([parse_poly(t) for t in ["w", "z", "w", "2*w", "0"]])
+        assert ideal.generator_strings() == ("w", "z", "2*w")
 
 
 class TestLocalVersusGlobal:
@@ -385,10 +388,10 @@ class TestRadicalExtend:
     def test_conjugation_closure(self):
         ideal = LocalIdeal([parse_poly("z^5"), parse_poly("w^2 + z*w")])
         certs = radical_extend(ideal)
-        known = {monic_key(p) for p in ideal.generators}
-        known |= {monic_key(c.element) for c in certs}
+        known = {monic(p) for p in ideal.generators}
+        known |= {monic(c.element) for c in certs}
         for key_poly in list(ideal.generators) + [c.element for c in certs]:
-            assert monic_key(key_poly.conj()) in known
+            assert monic(key_poly.conj()) in known
 
     def test_deterministic(self):
         gens = [parse_poly("z^5"), parse_poly("w^2 + z*w")]
