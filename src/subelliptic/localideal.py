@@ -4,7 +4,10 @@ Membership in ideals of germs is decided with a standard basis under a local
 term order (anti-graded lex, so the constant monomial is the largest) and
 Mora's normal form with the ecart rule.  All computations carry an explicit
 reduction-step budget; exhausting it yields an honest "undecided", never a
-wrong answer.
+wrong answer.  The normal form is the hot loop: inside it the remainder is
+bucketed by degree and coefficients are coprime integer triples, which are
+exact and canonical, so it returns the same remainder Fraction arithmetic
+would, and Gaussian rationals are rebuilt only for that result.
 
 The radical machinery implements four sound certificate rules (conjugation,
 hermitian squares via an exact rational LDL* decomposition of the Gram
@@ -18,6 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .polyring import (
@@ -107,6 +111,36 @@ def monic(p: Poly) -> Poly:
 # Mora weak normal form
 
 
+def _triple(c: GaussRational) -> tuple[int, int, int]:
+    """(a, b, d) with c = (a + b*i)/d, d > 0 and gcd(a, b, d) = 1.
+
+    Over the lcm d of two reduced denominators the numerators stay coprime
+    to d, so no gcd is needed.
+    """
+    re, im = c.re, c.im
+    d1, d2 = re.denominator, im.denominator
+    d = d1 * d2 // gcd(d1, d2)
+    return re.numerator * (d // d1), im.numerator * (d // d2), d
+
+
+def _reducer(lm: Mono, ecart: int, terms: dict) -> tuple:
+    """(lm, ecart, tail) with every tail term divided by the lead coefficient.
+
+    A tail term is the flat tuple (m0, m1, m2, m3, degree, a, b, d) of its
+    exponents, its degree and its coefficient triple.
+    """
+    p, q, e = terms[lm]
+    norm = p * p + q * q
+    tail = []
+    for m, (a, b, d) in terms.items():
+        if m != lm:
+            # (a + b*i)/d * e/(p + q*i) = e*(a + b*i)*(p - q*i) / (d*norm)
+            re, im, den = e * (a * p + b * q), e * (b * p - a * q), d * norm
+            k = gcd(re, im, den)
+            tail.append((*m, m[0] + m[1] + m[2] + m[3], re // k, im // k, den // k))
+    return lm, ecart, tail
+
+
 def nf_mora(f: Poly, basis: Sequence[Poly], budget: _Budget) -> Poly:
     """Weak normal form of f against basis under the local order.
 
@@ -117,16 +151,30 @@ def nf_mora(f: Poly, basis: Sequence[Poly], budget: _Budget) -> Poly:
     reducers whose leading monomial divides that of the remainder, the first
     of least ecart is used.
 
-    Each reducer carries its (leading monomial, ecart) pair, and the
-    remainder is one term map updated in place, so a step scans the
-    remainder once and never rescans a reducer.
+    Inside the loop the remainder is a map {degree: {monomial: coefficient}}.
+    Its least degree holds the leading monomial (ties to the larger exponent
+    tuple) and its degree spread is the ecart, so a step never scans the
+    whole remainder.  A coefficient is a coprime integer triple (a, b, d)
+    for (a + b*i)/d, kept in lowest terms with d > 0; a reducer's tail is
+    divided by its leading coefficient once, when it joins.  The triple is
+    unique for its value and every operation on it is exact, so the result
+    (converted back to Gaussian rationals only on return) equals the one of
+    Fraction arithmetic term by term, step for step.
     """
     if f.is_zero():
         return f
-    reducers = [(*_lead_ecart(g.terms), g.terms) for g in basis]
-    h = dict(f.terms)
-    while h:
-        lm_h, ecart_h = _lead_ecart(h)
+    reducers = [
+        _reducer(*_lead_ecart(g.terms), {m: _triple(c) for m, c in g.terms.items()})
+        for g in basis
+    ]
+    buckets: dict[int, dict[Mono, tuple[int, int, int]]] = {}
+    for m, c in f.terms.items():
+        buckets.setdefault(m[0] + m[1] + m[2] + m[3], {})[m] = _triple(c)
+    while buckets:
+        low = min(buckets)
+        lowest = buckets[low]
+        lm_h = max(lowest)
+        ecart_h = max(buckets) - low
         best = None
         for reducer in reducers:
             lm_g = reducer[0]
@@ -137,25 +185,36 @@ def nf_mora(f: Poly, basis: Sequence[Poly], budget: _Budget) -> Poly:
         if best is None:
             break
         budget.spend()
-        lm_g, ecart_g, g = best
+        lm_g, ecart_g, tail = best
         if ecart_g > ecart_h:
-            reducers.append((lm_h, ecart_h, dict(h)))
-        quot = h.pop(lm_h) / g[lm_g]
+            snapshot = {m: c for bucket in buckets.values() for m, c in bucket.items()}
+            reducers.append(_reducer(lm_h, ecart_h, snapshot))
+        # Subtract c_h * x^shift * tail; the leading terms cancel exactly.
+        a, b, d = lowest.pop(lm_h)
+        if not lowest:
+            del buckets[low]
         s0, s1, s2, s3 = mono_div(lm_h, lm_g)
-        for m, c in g.items():
-            if m == lm_g:
-                continue  # cancels the leading term of h exactly
-            m = (m[0] + s0, m[1] + s1, m[2] + s2, m[3] + s3)
-            old = h.get(m)
-            if old is None:
-                h[m] = -(quot * c)
+        shift = low - mono_degree(lm_g)
+        for m0, m1, m2, m3, dg, p, q, e in tail:
+            m = (m0 + s0, m1 + s1, m2 + s2, m3 + s3)
+            bucket = buckets.setdefault(dg + shift, {})
+            x, y, den_old = bucket.get(m, (0, 0, 1))
+            re, im, den = a * p - b * q, a * q + b * p, d * e
+            k = gcd(den_old, den)
+            u, v = den // k, den_old // k
+            x, y, den = x * u - re * v, y * u - im * v, den_old * u
+            if x or y:
+                k = gcd(x, y, den)
+                bucket[m] = (x // k, y // k, den // k)
             else:
-                new = old - quot * c
-                if new.is_zero():
-                    del h[m]
-                else:
-                    h[m] = new
-    return Poly(h)
+                del bucket[m]
+                if not bucket:
+                    del buckets[dg + shift]
+    return Poly({
+        m: GaussRational(Fraction(a, d), Fraction(b, d))
+        for bucket in buckets.values()
+        for m, (a, b, d) in bucket.items()
+    })
 
 
 def _spoly(f: Poly, g: Poly) -> Poly:
@@ -168,21 +227,23 @@ def _spoly(f: Poly, g: Poly) -> Poly:
 
 def _buchberger(gens: Sequence[Poly], budget: _Budget) -> list[Poly]:
     basis = [p for p in gens if not p.is_zero()]
+    leads = [leading_monomial(p) for p in basis]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
 
     def pair_key(ij):
-        lcm = mono_lcm(leading_monomial(basis[ij[0]]), leading_monomial(basis[ij[1]]))
+        lcm = mono_lcm(leads[ij[0]], leads[ij[1]])
         return (mono_degree(lcm), lcm)
 
     while pairs:
         pairs.sort(key=pair_key)
         i, j = pairs.pop(0)
-        mi, mj = leading_monomial(basis[i]), leading_monomial(basis[j])
+        mi, mj = leads[i], leads[j]
         if mono_lcm(mi, mj) == mono_mul(mi, mj):
             continue  # product criterion: coprime leading monomials
         h = nf_mora(_spoly(basis[i], basis[j]), basis, budget)
         if not h.is_zero():
             basis.append(h)
+            leads.append(leading_monomial(h))
             pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
     return basis
 

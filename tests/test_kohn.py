@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from subelliptic import localideal
 from subelliptic.polyring import parse_poly, canonical_str
 from subelliptic.localideal import LocalIdeal, min_algebraic_radical_order
 from subelliptic.domain import (
@@ -42,6 +43,10 @@ TRACE_DIGESTS = {
     (3, 2, 6): "6665549fde72d38080a2f20b8640611515b9ffe3c2b2130c8c3706d90e5527f3",
     (4, 3, 6): "aad2ad28d3157acb9586b405118c43b93ab617397ad6b4edcd37e3061e342e5b",
 }
+
+# Mora reduction steps spent by run_kohn on the same grid: the
+# machine-independent count that sits beside every timing of these runs.
+MORA_STEPS = {(3, 2, 4): 1947, (3, 2, 5): 1971, (3, 2, 6): 1992, (4, 3, 6): 1964}
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +239,24 @@ class TestCrossPowerFamily:
         """The serialized event stream of the contract grid never changes."""
         text = serialize_trace(family_runs[params])
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRACE_DIGESTS[params]
+
+    @pytest.mark.parametrize(
+        "params", sorted(MORA_STEPS), ids=lambda p: "".join(map(str, p))
+    )
+    def test_mora_step_count(self, monkeypatch, params):
+        """Reduction steps are counted as the traced benchmark counts them."""
+        nf_mora, spent = localideal.nf_mora, []
+
+        def counting_nf_mora(f, basis, budget):
+            before = budget.remaining
+            try:
+                return nf_mora(f, basis, budget)
+            finally:
+                spent.append(before - max(budget.remaining, 0))
+
+        monkeypatch.setattr(localideal, "nf_mora", counting_nf_mora)
+        run_kohn(cross_power_domain(*params))
+        assert sum(spent) == MORA_STEPS[params]
 
     def test_ineffectiveness_divergence(self, family_runs):
         """Fixed type 6, yet the certified order degrades as k grows."""

@@ -96,7 +96,18 @@ class TestLocalVersusGlobal:
         assert certify_membership(parse_poly("w^3"), gens, 4)
 
 
-def random_poly(rng, degree, allow_conj=True):
+def gauss_integer(rng):
+    return GaussRational(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-1, 1)))
+
+
+def gauss_fraction(rng):
+    """Parts drawn as the benchmark's pool draws them; a third purely imaginary."""
+    re = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    im = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    return GaussRational(Fraction(0) if rng.random() < 1 / 3 else re, im)
+
+
+def random_poly(rng, degree, allow_conj=True, coeff=gauss_integer):
     terms = {}
     n_vars = 4 if allow_conj else 2
     for _ in range(rng.randint(1, 3)):
@@ -104,11 +115,9 @@ def random_poly(rng, degree, allow_conj=True):
         for _ in range(rng.randint(0, degree)):
             slot = rng.randrange(n_vars)
             exps[slot if allow_conj else 2 * slot] += 1
-        coeff = GaussRational(
-            Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-1, 1))
-        )
-        if not coeff.is_zero():
-            terms[tuple(exps)] = coeff
+        c = coeff(rng)
+        if not c.is_zero():
+            terms[tuple(exps)] = c
     return Poly(terms) if terms else Poly.one()
 
 
@@ -548,32 +557,62 @@ def _run_nf(nf, f, basis, steps):
         return "exhausted", budget.remaining
 
 
+def _lead_signs(p):
+    lc = p.terms[leading_monomial(p)]
+    return {"imaginary lead"} if not lc.re else {"negative lead"} if lc.re < 0 else set()
+
+
+def _check_against_reference(rng, coeff):
+    """Same remainder, same steps left, and exhaustion at the same budget.
+
+    Returns the outcomes seen: how the reference loop ended, the signs of
+    the leading coefficients involved, and whether a remainder coefficient
+    had a denominator.
+    """
+    cap = 200
+    outcomes = set()
+    for _ in range(60):
+        basis = [random_poly(rng, 3, coeff=coeff) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            basis = list(LocalIdeal(basis, step_budget=cap).basis or basis)
+        f = random_poly(rng, 5, coeff=coeff) * random_poly(rng, 2, coeff=coeff)
+        if rng.random() < 0.5:
+            f = f + random_poly(rng, 2, coeff=coeff) * basis[0]
+        for p in [f, *basis]:
+            if not p.is_zero():
+                outcomes |= _lead_signs(p)
+        nf, remaining = _run_nf(_reference_nf, f, basis, cap)
+        if nf == "exhausted":
+            budgets = {0, cap // 2, cap}
+            outcomes.add("exhausted")
+        else:
+            steps = cap - remaining
+            budgets = {0, max(steps - 1, 0), steps}
+            outcomes.add("zero" if nf.is_zero() else "remainder")
+        for budget in sorted(budgets):
+            got = _run_nf(nf_mora, f, basis, budget)
+            assert got == _run_nf(_reference_nf, f, basis, budget)
+            if got[0] == "exhausted":
+                continue
+            for c in got[0].terms.values():
+                assert type(c) is GaussRational
+                assert type(c.re) is Fraction and type(c.im) is Fraction
+                if c.re.denominator > 1 or c.im.denominator > 1:
+                    outcomes.add("denominator")
+    return outcomes
+
+
 class TestMoraNormalForm:
     def test_agrees_with_the_reference_loop(self):
-        """Same remainder, same steps left, and exhaustion at the same budget."""
-        rng = random.Random(20261019)
-        cap = 200
-        outcomes = set()
-        for _ in range(60):
-            basis = [random_poly(rng, 3) for _ in range(rng.randint(1, 3))]
-            if rng.random() < 0.5:
-                basis = list(LocalIdeal(basis, step_budget=cap).basis or basis)
-            f = random_poly(rng, 5) * random_poly(rng, 2)
-            if rng.random() < 0.5:
-                f = f + random_poly(rng, 2) * basis[0]
-            nf, remaining = _run_nf(_reference_nf, f, basis, cap)
-            if nf == "exhausted":
-                budgets = {0, cap // 2, cap}
-                outcomes.add("exhausted")
-            else:
-                steps = cap - remaining
-                budgets = {0, max(steps - 1, 0), steps}
-                outcomes.add("zero" if nf.is_zero() else "remainder")
-            for budget in sorted(budgets):
-                assert _run_nf(nf_mora, f, basis, budget) == _run_nf(
-                    _reference_nf, f, basis, budget
-                )
+        outcomes = _check_against_reference(random.Random(20261019), gauss_integer)
         assert outcomes >= {"zero", "remainder"}
+
+    def test_rational_coefficients_agree_with_the_reference_loop(self):
+        """Denominators, gcd normalisation and non-real or negative leads."""
+        outcomes = _check_against_reference(random.Random(20261018), gauss_fraction)
+        assert outcomes >= {
+            "zero", "remainder", "imaginary lead", "negative lead", "denominator"
+        }
 
 
 class TestOracleCrossChecks:
