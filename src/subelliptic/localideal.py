@@ -5,9 +5,9 @@ term order (anti-graded lex, so the constant monomial is the largest) and
 Mora's normal form with the ecart rule.  All computations carry an explicit
 reduction-step budget; exhausting it yields an honest "undecided", never a
 wrong answer.  The normal form is the hot loop: inside it the remainder is
-bucketed by degree and coefficients are coprime integer triples, which are
-exact and canonical, so it returns the same remainder Fraction arithmetic
-would, and Gaussian rationals are rebuilt only for that result.
+bucketed by degree, and coefficients are the coprime integer triples that
+Gaussian rationals store, read on entry and wrapped on return without any
+conversion.
 
 The radical machinery implements four sound certificate rules (conjugation,
 hermitian squares via an exact rational LDL* decomposition of the Gram
@@ -28,6 +28,7 @@ from .polyring import (
     GaussRational,
     Mono,
     Poly,
+    _from_triple,
     canonical_str,
     display_key,
     mono_degree,
@@ -103,24 +104,14 @@ def monic(p: Poly) -> Poly:
     """
     if p.is_zero():
         return p
-    lead = min(p.terms, key=display_key)
-    return p.scale(GaussRational.one() / p.terms[lead])
+    c = p.terms[min(p.terms, key=display_key)]
+    if c == GaussRational.one():
+        return p
+    return p.scale(GaussRational.one() / c)
 
 
 # ---------------------------------------------------------------------------
 # Mora weak normal form
-
-
-def _triple(c: GaussRational) -> tuple[int, int, int]:
-    """(a, b, d) with c = (a + b*i)/d, d > 0 and gcd(a, b, d) = 1.
-
-    Over the lcm d of two reduced denominators the numerators stay coprime
-    to d, so no gcd is needed.
-    """
-    re, im = c.re, c.im
-    d1, d2 = re.denominator, im.denominator
-    d = d1 * d2 // gcd(d1, d2)
-    return re.numerator * (d // d1), im.numerator * (d // d2), d
 
 
 def _reducer(lm: Mono, ecart: int, terms: dict) -> tuple:
@@ -154,22 +145,23 @@ def nf_mora(f: Poly, basis: Sequence[Poly], budget: _Budget) -> Poly:
     Inside the loop the remainder is a map {degree: {monomial: coefficient}}.
     Its least degree holds the leading monomial (ties to the larger exponent
     tuple) and its degree spread is the ecart, so a step never scans the
-    whole remainder.  A coefficient is a coprime integer triple (a, b, d)
-    for (a + b*i)/d, kept in lowest terms with d > 0; a reducer's tail is
-    divided by its leading coefficient once, when it joins.  The triple is
-    unique for its value and every operation on it is exact, so the result
-    (converted back to Gaussian rationals only on return) equals the one of
-    Fraction arithmetic term by term, step for step.
+    whole remainder.  A coefficient is the triple (a, b, d) its
+    GaussRational stores, for (a + b*i)/d with d > 0 and gcd(a, b, d) = 1:
+    it is read as it is on entry, every step keeps it in lowest terms, and
+    the result wraps it as it is.  A reducer's tail is divided by its
+    leading coefficient once, when it joins.  The triple is unique for its
+    value and every operation on it is exact, so the result equals the one
+    of GaussRational arithmetic term by term, step for step.
     """
     if f.is_zero():
         return f
     reducers = [
-        _reducer(*_lead_ecart(g.terms), {m: _triple(c) for m, c in g.terms.items()})
+        _reducer(*_lead_ecart(g.terms), {m: (c.a, c.b, c.d) for m, c in g.terms.items()})
         for g in basis
     ]
     buckets: dict[int, dict[Mono, tuple[int, int, int]]] = {}
     for m, c in f.terms.items():
-        buckets.setdefault(m[0] + m[1] + m[2] + m[3], {})[m] = _triple(c)
+        buckets.setdefault(m[0] + m[1] + m[2] + m[3], {})[m] = (c.a, c.b, c.d)
     while buckets:
         low = min(buckets)
         lowest = buckets[low]
@@ -211,9 +203,7 @@ def nf_mora(f: Poly, basis: Sequence[Poly], budget: _Budget) -> Poly:
                 if not bucket:
                     del buckets[dg + shift]
     return Poly({
-        m: GaussRational(Fraction(a, d), Fraction(b, d))
-        for bucket in buckets.values()
-        for m, (a, b, d) in bucket.items()
+        m: _from_triple(*c) for bucket in buckets.values() for m, c in bucket.items()
     })
 
 

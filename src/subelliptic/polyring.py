@@ -4,7 +4,7 @@ The four variables are formally independent; zb and wb play the role of the
 complex conjugates of z and w.  A polynomial is "real" precisely when it is
 fixed by the conjugation that swaps z with zb and w with wb while conjugating
 coefficients.  All arithmetic is exact: coefficients are Gaussian rationals
-(pairs of ``fractions.Fraction``), never floats.
+(a + b*i)/d, stored as coprime integer triples (a, b, d), never floats.
 
 Monomials are exponent tuples (a, b, c, d) for z^a zb^b w^c wb^d.  The
 canonical display order sorts terms by total degree, lowest first, breaking
@@ -14,8 +14,9 @@ canonical form of 3w^2 + 2z^5w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from numbers import Rational
 from typing import Callable, Mapping, Union
 
 
@@ -37,12 +38,26 @@ def _power(base, n: int, one):
 # Gaussian rationals
 
 
-@dataclass(frozen=True)
 class GaussRational:
-    """Exact complex number re + im*i with rational re, im."""
+    """Exact complex number (a + b*i)/d with integers a, b, d.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The triple is kept in lowest terms, d > 0 and gcd(a, b, d) = 1, so it is
+    unique for its value: equality and hashing compare triples, and every
+    operation works on integers with one gcd to normalise its result.  The
+    real and imaginary parts read back as ``Fraction``s.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re: Rational = 0, im: Rational = 0):
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        # Over the lcm of two reduced denominators the numerators stay
+        # coprime to it, so the triple needs no gcd.
+        d = q * s // gcd(q, s)
+        _set_a(self, p * (d // q))
+        _set_b(self, r * (d // s))
+        _set_d(self, d)
 
     @staticmethod
     def of(re: Union[int, Fraction], im: Union[int, Fraction] = 0) -> "GaussRational":
@@ -56,55 +71,109 @@ class GaussRational:
     def one() -> "GaussRational":
         return _GR_ONE
 
+    def __setattr__(self, *_):
+        raise AttributeError("GaussRational is immutable")
+
+    def __reduce__(self):
+        return GaussRational, (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not (self.a or self.b)
 
     def conj(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return _from_triple(self.a, -self.b, self.d)
 
     def abs_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        return Fraction(a * a + b * b, d * d)
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        k = gcd(d1, d2)
+        u, v = d2 // k, d1 // k
+        return _reduced(self.a * u + other.a * v, self.b * u + other.b * v, d1 * u)
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        k = gcd(d1, d2)
+        u, v = d2 // k, d1 // k
+        return _reduced(self.a * u - other.a * v, self.b * u - other.b * v, d1 * u)
 
     def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
+        return _from_triple(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, p, q = self.a, self.b, other.a, other.b
+        return _reduced(a * p - b * q, a * q + b * p, self.d * other.d)
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
-        d = other.abs_sq()
-        if not d:
+        # (a + b*i)/d / ((p + q*i)/e) = e*(a + b*i)*(p - q*i) / (d*(p^2 + q^2))
+        a, b, p, q, e = self.a, self.b, other.a, other.b, other.d
+        norm = p * p + q * q
+        if not norm:
             raise ZeroDivisionError("division by zero GaussRational")
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        return _reduced(e * (a * p + b * q), e * (b * p - a * q), self.d * norm)
 
-    def scale(self, q: Fraction) -> "GaussRational":
-        return GaussRational(self.re * q, self.im * q)
+    def scale(self, q: Rational) -> "GaussRational":
+        n = q.numerator
+        return _reduced(self.a * n, self.b * n, self.d * q.denominator)
 
     def __pow__(self, n: int) -> "GaussRational":
         return _power(self, n, _GR_ONE)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GaussRational):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d))
+
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # Integer true division rounds correctly, as float(Fraction) does.
+        return complex(self.a / self.d, self.b / self.d)
+
+    def __repr__(self) -> str:
+        return f"GaussRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
         return coeff_str(self)
 
 
-_GR_ZERO = GaussRational(Fraction(0), Fraction(0))
-_GR_ONE = GaussRational(Fraction(1), Fraction(0))
-_GR_I = GaussRational(Fraction(0), Fraction(1))
+_set_a = GaussRational.a.__set__
+_set_b = GaussRational.b.__set__
+_set_d = GaussRational.d.__set__
+_new = object.__new__
+
+
+def _from_triple(a: int, b: int, d: int) -> GaussRational:
+    """The GaussRational (a + b*i)/d of a triple already in lowest terms."""
+    c = _new(GaussRational)
+    _set_a(c, a)
+    _set_b(c, b)
+    _set_d(c, d)
+    return c
+
+
+def _reduced(a: int, b: int, d: int) -> GaussRational:
+    """The GaussRational (a + b*i)/d for any d > 0, brought to lowest terms."""
+    k = gcd(a, b, d)
+    if k != 1:
+        a, b, d = a // k, b // k, d // k
+    return _from_triple(a, b, d)
+
+
+_GR_ZERO = _from_triple(0, 0, 1)
+_GR_ONE = _from_triple(1, 0, 1)
+_GR_I = _from_triple(0, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +353,7 @@ class Poly:
             if e:
                 n = list(m)
                 n[idx] = e - 1
-                out[tuple(n)] = c.scale(Fraction(e))
+                out[tuple(n)] = c.scale(e)
         return Poly(out)
 
     # -- degrees
@@ -356,22 +425,23 @@ def two_re(p: Poly) -> Poly:
 # Canonical printing
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _ratio_str(n: int, d: int) -> str:
+    """The rational n/d (d > 0) in lowest terms, without a denominator of 1."""
+    k = gcd(n, d)
+    n, d = n // k, d // k
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def coeff_str(c: GaussRational) -> str:
     """Standalone rendering of a coefficient, used for constants."""
-    if c.is_zero():
-        return "0"
-    if not c.im:
-        return _frac_str(c.re)
-    if not c.re:
-        mag = "" if abs(c.im) == 1 else _frac_str(abs(c.im)) + "*"
-        return ("-" if c.im < 0 else "") + mag + "i"
-    im_mag = "" if abs(c.im) == 1 else _frac_str(abs(c.im)) + "*"
-    joiner = " + " if c.im > 0 else " - "
-    return "(" + _frac_str(c.re) + joiner + im_mag + "i)"
+    a, b, d = c.a, c.b, c.d
+    if not b:
+        return _ratio_str(a, d)
+    mag = "" if abs(b) == d else _ratio_str(abs(b), d) + "*"
+    if not a:
+        return ("-" if b < 0 else "") + mag + "i"
+    joiner = " + " if b > 0 else " - "
+    return "(" + _ratio_str(a, d) + joiner + mag + "i)"
 
 
 def _term_str(c: GaussRational, m: Mono) -> tuple[int, str]:
@@ -519,17 +589,17 @@ def _parse_factor(tk: _Tokens) -> Poly:
         tk.expect(")")
         return _maybe_power(tk, p)
     if kind == "num":
-        q = Fraction(int(val))
+        n, den = int(val), 1
         if tk.peek()[0] == "/":
             tk.next()
             dk, dv, dp = tk.expect("num")
-            if int(dv) == 0:
+            den = int(dv)
+            if den == 0:
                 raise ParseError("zero denominator", tk.text, dp)
-            q /= int(dv)
         if tk.peek()[:2] == ("name", "i"):
             tk.next()
-            return Poly.constant(GaussRational(Fraction(0), q))
-        return Poly.constant(GaussRational(q))
+            return Poly.constant(_reduced(0, n, den))
+        return Poly.constant(_reduced(n, 0, den))
     if kind == "name":
         if val == "i":
             return Poly.constant(_GR_I)

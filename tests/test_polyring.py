@@ -1,10 +1,13 @@
 """Tests for exact polynomial arithmetic, printing and parsing."""
 
+import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from subelliptic import polyring
 from subelliptic.polyring import (
     GaussRational,
     ParseError,
@@ -63,8 +66,128 @@ class TestGaussRational:
         assert GR(Fraction(1, 2), Fraction(-3, 4)).to_complex() == 0.5 - 0.75j
 
     def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            GR(1) / GR(0)
+        for zero in (GR(0), GaussRational(), GaussRational(Fraction(0), Fraction(0, 3))):
+            with pytest.raises(ZeroDivisionError):
+                GR(Fraction(1, 3), 2) / zero
+
+    def test_immutable(self):
+        a = GR(Fraction(1, 2), 3)
+        for name in ("a", "b", "d", "re", "im"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 1)
+        assert pickle.loads(pickle.dumps(a)) == a
+
+
+# A reference Gaussian rational: a pair (re, im) of Fractions.
+
+
+def ref_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def ref_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+
+def ref_pow(x, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        out = ref_mul(out, x)
+    return out
+
+
+def random_part(rng: random.Random) -> Fraction:
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9))
+    return Fraction(rng.randint(-40, 40), rng.randint(1, 36))
+
+
+def random_pair(rng: random.Random) -> tuple[Fraction, Fraction]:
+    """Rational, purely imaginary, negative or zero parts, and mixed values."""
+    return random_part(rng), random_part(rng)
+
+
+def assert_lowest_terms(c: GaussRational) -> None:
+    assert type(c.a) is int and type(c.b) is int and type(c.d) is int
+    assert c.d > 0 and math.gcd(c.a, c.b, c.d) == 1
+
+
+class TestGaussRationalAgainstFractionPairs:
+    """Every operation agrees with the same operation on Fraction pairs."""
+
+    def test_operations(self):
+        rng = random.Random(20261020)
+        seen = set()
+        for _ in range(600):
+            x, y = random_pair(rng), random_pair(rng)
+            n = rng.randint(1, 5)
+            gx, gy = GaussRational(*x), GaussRational(*y)
+            seen.add("zero" if x == (0, 0) else "real" if not x[1]
+                     else "imaginary" if not x[0] else "mixed")
+            results = [
+                (gx + gy, ref_add(x, y)),
+                (gx - gy, ref_sub(x, y)),
+                (gx * gy, ref_mul(x, y)),
+                (-gx, (-x[0], -x[1])),
+                (gx.conj(), (x[0], -x[1])),
+                (gx.scale(y[0]), (x[0] * y[0], x[1] * y[0])),
+                (gx.scale(3), (3 * x[0], 3 * x[1])),
+                (gx ** 0, (1, 0)),
+                (gx ** n, ref_pow(x, n)),
+            ]
+            if y != (0, 0):
+                results.append((gx / gy, ref_div(x, y)))
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    gx / gy
+            for got, want in results:
+                assert_lowest_terms(got)
+                assert type(got.re) is Fraction and type(got.im) is Fraction
+                assert (got.re, got.im) == want
+                assert got.is_zero() == (want == (0, 0))
+            abs_sq = gx.abs_sq()
+            assert type(abs_sq) is Fraction and abs_sq == x[0] ** 2 + x[1] ** 2
+        assert seen == {"zero", "real", "imaginary", "mixed"}
+
+    def test_equal_values_compare_and_hash_equal(self):
+        halves = [
+            GaussRational(Fraction(2, 4)),
+            GaussRational(Fraction(1, 2), 0),
+            GaussRational.of(Fraction(1, 2)),
+            GaussRational(Fraction(3, 4)) * GaussRational(Fraction(2, 3)),
+            GaussRational(Fraction(1, 2), Fraction(1, 2))
+            * GaussRational(Fraction(1, 2), Fraction(-1, 2)),
+            GaussRational(1) / GaussRational(2),
+        ]
+        for h in halves:
+            assert_lowest_terms(h)
+            assert (h.a, h.b, h.d) == (1, 0, 2)
+            assert h == halves[0] and hash(h) == hash(halves[0])
+        assert len(set(halves)) == 1
+        assert GaussRational(0) == GaussRational(Fraction(0, 5), 0) == GaussRational.zero()
+        assert GaussRational(Fraction(1, 2)) != GaussRational(0, Fraction(1, 2))
+
+    def test_to_complex_is_bit_identical(self):
+        rng = random.Random(20261021)
+        values = [random_pair(rng) for _ in range(300)]
+        values += [(Fraction(10 ** 30 + 1, 3 ** 40), Fraction(-(7 ** 50), 10 ** 41 + 3)),
+                   (Fraction(1, 3), Fraction(-2, 3)), (Fraction(0), Fraction(-1, 7))]
+        for re, im in values:
+            got = GaussRational(re, im).to_complex()
+            want = complex(re) + 1j * complex(im)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 class TestPolyArithmetic:
@@ -265,6 +388,70 @@ class TestPrinting:
     def test_fraction_coefficients(self):
         p = Poly.constant(GR(Fraction(-3, 4))) * Z * ZB
         assert canonical_str(p) == "-3/4*z*zb"
+
+
+def fraction_coeff_str(c: GaussRational) -> str:
+    """The coefficient printer as written on Fraction parts, for comparison."""
+
+    def frac_str(q: Fraction) -> str:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    re, im = c.re, c.im
+    if not re and not im:
+        return "0"
+    if not im:
+        return frac_str(re)
+    if not re:
+        mag = "" if abs(im) == 1 else frac_str(abs(im)) + "*"
+        return ("-" if im < 0 else "") + mag + "i"
+    im_mag = "" if abs(im) == 1 else frac_str(abs(im)) + "*"
+    joiner = " + " if im > 0 else " - "
+    return "(" + frac_str(re) + joiner + im_mag + "i)"
+
+
+PARTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2),
+         Fraction(1, 3), Fraction(-5)]
+COEFFS = [GR(re, im) for re in PARTS for im in PARTS if re or im]
+
+
+class TestPrinterMatchesFractionPrinter:
+    def _both(self, monkeypatch, p: Poly) -> tuple[str, str]:
+        got = canonical_str(p)
+        with monkeypatch.context() as m:
+            m.setattr(polyring, "coeff_str", fraction_coeff_str)
+            want = canonical_str(p)
+        return got, want
+
+    @pytest.mark.parametrize("mono", [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 2, 0), (3, 0, 1, 1)])
+    def test_every_small_coefficient_times_a_monomial(self, monkeypatch, mono):
+        assert len(COEFFS) == 48
+        for c in COEFFS:
+            assert polyring.coeff_str(c) == fraction_coeff_str(c)
+            got, want = self._both(monkeypatch, Poly.monomial(c, mono))
+            assert got == want
+
+    def test_random_polynomials(self, monkeypatch):
+        rng = random.Random(20261022)
+        for _ in range(100):
+            got, want = self._both(monkeypatch, random_poly(rng))
+            assert got == want
+
+
+class TestParsePrintRoundTrip:
+    def test_rational_and_imaginary_coefficients(self):
+        rng = random.Random(20261023)
+        monos = ["", "z", "w^2", "z*wb", "zb^2*w"]
+        for _ in range(150):
+            pieces = []
+            for mono in rng.sample(monos, rng.randint(1, 4)):
+                q = Fraction(rng.randint(1, 12), rng.randint(1, 6))
+                coeff = f"{q}*i" if rng.random() < 0.5 else str(q)
+                sign = rng.choice(["+", "-"])
+                pieces.append(f"{sign} {coeff}" + (f"*{mono}" if mono else ""))
+            p = parse_poly(" ".join(pieces))
+            text = canonical_str(p)
+            assert parse_poly(text) == p
+            assert canonical_str(parse_poly(text)) == text
 
 
 class TestParsing:
