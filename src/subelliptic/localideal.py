@@ -6,19 +6,24 @@ Mora's normal form with the ecart rule.  All computations carry an explicit
 reduction-step budget; exhausting it yields an honest "undecided", never a
 wrong answer.  The normal form is the hot loop: inside it the remainder is
 bucketed by degree, and coefficients are the coprime integer triples that
-Gaussian rationals store, read on entry and wrapped on return without any
-conversion.
+Gaussian rationals store, read on entry and returned as they are.  Each
+basis element's reducer is prepared once per basis, so a membership query
+pays no setup, and a remainder becomes a Poly only where a caller needs one.
 
 The radical machinery implements four sound certificate rules (conjugation,
 hermitian squares via an exact rational LDL* decomposition of the Gram
 matrix, monomial roots via ascending power probes, and algebraic powers) and
-iterates them to a fixpoint.  Certificates record enough context (probe
-ideal snapshots, membership logs) for traces to be replayed and audited.
+iterates them to a fixpoint.  A power sweep probes the two lowest powers
+before it asks whether the cap power rules a base out.  Certificates record
+enough context (probe ideal snapshots, membership logs) for traces to be
+replayed and audited.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -132,13 +137,29 @@ def _reducer(lm: Mono, ecart: int, terms: dict) -> tuple:
     return lm, ecart, tail
 
 
-def nf_mora(f: Poly, basis: Sequence[Poly], budget: _Budget) -> Poly:
-    """Weak normal form of f against basis under the local order.
+def _prepare(basis: Iterable[Poly]) -> list[tuple]:
+    """The reducer of each basis element, in order, ready for nf_mora."""
+    return [
+        _reducer(*_lead_ecart(g.terms), {m: (c.a, c.b, c.d) for m, c in g.terms.items()})
+        for g in basis
+    ]
 
-    There is a local unit u with u*f = (combination of basis) + result; the
-    result is 0 exactly when f lies in the ideal generated by basis in the
-    localized ring.  Intermediate remainders join the reducer set (Mora's
-    trick), which guarantees termination despite the local order.  Among the
+
+def _as_poly(remainder: dict) -> Poly:
+    """The Poly of a remainder map {monomial: (a, b, d)} that nf_mora returns."""
+    return Poly({m: _from_triple(*c) for m, c in remainder.items()})
+
+
+def nf_mora(f: Poly, reducers: Sequence[tuple], budget: _Budget) -> dict:
+    """Weak normal form of f against a basis under the local order.
+
+    The basis comes as its reducers, prepared once by _prepare, and the
+    result is the remainder map {monomial: (a, b, d)}; _as_poly turns it
+    into a Poly where one is needed.  There is a local unit u with
+    u*f = (combination of basis) + result; the result is empty exactly
+    when f lies in the ideal generated by the basis in the localized ring.
+    Intermediate remainders join a copy of the reducer list (Mora's trick),
+    which guarantees termination despite the local order.  Among the
     reducers whose leading monomial divides that of the remainder, the first
     of least ecart is used.
 
@@ -148,17 +169,14 @@ def nf_mora(f: Poly, basis: Sequence[Poly], budget: _Budget) -> Poly:
     whole remainder.  A coefficient is the triple (a, b, d) its
     GaussRational stores, for (a + b*i)/d with d > 0 and gcd(a, b, d) = 1:
     it is read as it is on entry, every step keeps it in lowest terms, and
-    the result wraps it as it is.  A reducer's tail is divided by its
-    leading coefficient once, when it joins.  The triple is unique for its
-    value and every operation on it is exact, so the result equals the one
-    of GaussRational arithmetic term by term, step for step.
+    the result returns it as it is.  A reducer's tail is divided by its
+    leading coefficient once, when it is prepared or joins.  The triple is
+    unique for its value and every operation on it is exact, so the result
+    equals the one of GaussRational arithmetic term by term, step for step.
     """
     if f.is_zero():
-        return f
-    reducers = [
-        _reducer(*_lead_ecart(g.terms), {m: (c.a, c.b, c.d) for m, c in g.terms.items()})
-        for g in basis
-    ]
+        return {}
+    reducers = list(reducers)
     buckets: dict[int, dict[Mono, tuple[int, int, int]]] = {}
     for m, c in f.terms.items():
         buckets.setdefault(m[0] + m[1] + m[2] + m[3], {})[m] = (c.a, c.b, c.d)
@@ -202,9 +220,7 @@ def nf_mora(f: Poly, basis: Sequence[Poly], budget: _Budget) -> Poly:
                 del bucket[m]
                 if not bucket:
                     del buckets[dg + shift]
-    return Poly({
-        m: _from_triple(*c) for bucket in buckets.values() for m, c in bucket.items()
-    })
+    return {m: c for bucket in buckets.values() for m, c in bucket.items()}
 
 
 def _spoly(f: Poly, g: Poly) -> Poly:
@@ -216,25 +232,35 @@ def _spoly(f: Poly, g: Poly) -> Poly:
 
 
 def _buchberger(gens: Sequence[Poly], budget: _Budget) -> list[Poly]:
+    """Standard basis of the generators: the generators, then the remainders.
+
+    Pairs are treated by least lcm of their leading monomials (degree first,
+    then exponents), ties in the order they were formed.  The queue is a
+    heap keyed by (degree, lcm, index of formation), which pops them in the
+    order a stable sort of the pending pairs would list them.
+    """
     basis = [p for p in gens if not p.is_zero()]
-    leads = [leading_monomial(p) for p in basis]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    reducers = _prepare(basis)  # reducers[i][0] is the leading monomial of basis[i]
+    pairs: list[tuple[int, Mono, int, int, int]] = []
+    formed = itertools.count()
 
-    def pair_key(ij):
-        lcm = mono_lcm(leads[ij[0]], leads[ij[1]])
-        return (mono_degree(lcm), lcm)
+    def push(i: int, j: int) -> None:
+        lcm = mono_lcm(reducers[i][0], reducers[j][0])
+        heapq.heappush(pairs, (mono_degree(lcm), lcm, next(formed), i, j))
 
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            push(i, j)
     while pairs:
-        pairs.sort(key=pair_key)
-        i, j = pairs.pop(0)
-        mi, mj = leads[i], leads[j]
-        if mono_lcm(mi, mj) == mono_mul(mi, mj):
+        _, lcm, _, i, j = heapq.heappop(pairs)
+        if lcm == mono_mul(reducers[i][0], reducers[j][0]):
             continue  # product criterion: coprime leading monomials
-        h = nf_mora(_spoly(basis[i], basis[j]), basis, budget)
-        if not h.is_zero():
-            basis.append(h)
-            leads.append(leading_monomial(h))
-            pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
+        h = nf_mora(_spoly(basis[i], basis[j]), reducers, budget)
+        if h:
+            reducers.append(_reducer(*_lead_ecart(h), h))
+            basis.append(_as_poly(h))
+            for t in range(len(basis) - 1):
+                push(t, len(basis) - 1)
     return basis
 
 
@@ -306,9 +332,10 @@ def _tail_strip(basis: list[Poly]) -> list[Poly]:
 class LocalIdeal:
     """Finitely generated ideal in the local ring at the origin.
 
-    The standard basis is computed lazily and cached; once computed the
-    object is immutable.  A basis of None means the step budget ran out and
-    membership queries answer UNDECIDED.
+    The standard basis is computed lazily and cached, together with the
+    reducer of each element that nf_mora reads, so a membership query pays
+    no setup; once computed the object is immutable.  A basis of None means
+    the step budget ran out and membership queries answer UNDECIDED.
     """
 
     def __init__(
@@ -325,6 +352,7 @@ class LocalIdeal:
         self.step_budget = step_budget
         self._seed = _seed
         self._basis: Optional[tuple[Poly, ...]] = None
+        self._reducers: list[tuple] = []
         self._basis_failed = False
 
     @property
@@ -334,6 +362,7 @@ class LocalIdeal:
             try:
                 computed = _buchberger(start, _Budget(self.step_budget))
                 self._basis = tuple(_tail_strip(_minimalize(computed)))
+                self._reducers = _prepare(self._basis)
             except BudgetExhausted:
                 self._basis_failed = True
         return self._basis
@@ -341,16 +370,15 @@ class LocalIdeal:
     def membership(self, p: Poly, step_budget: Optional[int] = None) -> Membership:
         if p.is_zero():
             return Membership.YES
-        basis = self.basis
-        if basis is None:
+        if self.basis is None:
             return Membership.UNDECIDED
         if step_budget is None:
             step_budget = self.step_budget
         try:
-            nf = nf_mora(p, basis, _Budget(step_budget))
+            nf = nf_mora(p, self._reducers, _Budget(step_budget))
         except BudgetExhausted:
             return Membership.UNDECIDED
-        return Membership.YES if nf.is_zero() else Membership.NO
+        return Membership.NO if nf else Membership.YES
 
     def reduce_modulo(self, p: Poly) -> Poly:
         """Best-effort reduction: returns p minus ideal elements, never None.
@@ -364,7 +392,7 @@ class LocalIdeal:
             return p
         basis = self.basis
         try:
-            h = nf_mora(p, basis, _Budget(self.step_budget))
+            h = _as_poly(nf_mora(p, self._reducers, _Budget(self.step_budget)))
         except BudgetExhausted:
             h = p
         if h.is_zero():
@@ -422,23 +450,28 @@ def _power_sweep(
     uncertain evidence.  step_budget bounds each membership query and
     defaults to the ideal's own budget.
 
-    Before the sweep each base is probed once at b^cap, under at most
-    PRUNE_BUDGET steps.  Since b^m in the ideal implies b^cap in it, a NO
-    there is exact for every power and drops the base with the log
-    [(cap, "no")]; a YES or an undecided answer leaves the sweep as it was.
-    The bound keeps a costly YES at the cap from outweighing the sweep.
+    When neither b^first nor b^(first+1) wins, each base still alive is
+    probed once at b^cap, under at most PRUNE_BUDGET steps, before the sweep
+    goes on from b^(first+2).  Since b^m in the ideal implies b^cap in it, a
+    NO there is exact for every higher power and drops the base, whose log
+    ends with (cap, "no"); a YES or an undecided answer leaves the sweep as
+    it was.  The bound keeps a costly YES at the cap from outweighing the
+    sweep, and the two low powers spare the cap probe wherever one of them
+    wins.  When b^(first+2) is b^cap itself the sweep asks it next anyway,
+    so no cap probe is made.  A dropped base never joins a cohort, so the
+    power, the cohort and the cohort's logs are those of the plain sweep.
     """
     logs: dict[str, list[tuple[int, str]]] = {name: [] for name in bases}
     alive = list(bases)
-    if first <= cap:
-        budget = ideal.step_budget if step_budget is None else step_budget
-        prune = min(PRUNE_BUDGET, budget)
-        for name in bases:
-            if ideal.membership(bases[name] ** cap, step_budget=prune) is Membership.NO:
-                logs[name].append((cap, Membership.NO.value))
-                alive.remove(name)
     powers = {name: bases[name] ** (first - 1) for name in alive}
     for m in range(first, cap + 1):
+        if m == first + 2 and m < cap:
+            budget = ideal.step_budget if step_budget is None else step_budget
+            prune = min(PRUNE_BUDGET, budget)
+            for name in list(alive):
+                if ideal.membership(bases[name] ** cap, step_budget=prune) is Membership.NO:
+                    logs[name].append((cap, Membership.NO.value))
+                    alive.remove(name)
         cohort = []
         for name in list(alive):
             powers[name] = powers[name] * bases[name]
@@ -589,7 +622,10 @@ def radical_extend(
     m <= order_cap lies in the ideal join at order 2m via Cauchy-Schwarz.
     An element is new when its monic form is not yet known.  Probes run
     under their own smaller budget so a hopeless high-power sweep degrades
-    to an honest "undecided" quickly.
+    to an honest "undecided" quickly.  Both probe rules sweep through
+    _power_sweep, which tries the two lowest powers before a probe at
+    order_cap may drop a base, so a root or candidate that lies in the ideal
+    at one of those powers never pays for the probe at order_cap.
 
     The known set only grows, so revisiting an element could never commit
     anything: rules (2) and (3) visit each element once, in order, through

@@ -235,9 +235,12 @@ def mono_str(m: Mono) -> str:
 
 
 class Poly:
-    """Immutable sparse polynomial with GaussRational coefficients."""
+    """Immutable sparse polynomial with GaussRational coefficients.
 
-    __slots__ = ("terms",)
+    The hash is computed on first use and kept in the _hash slot.
+    """
+
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[Mono, GaussRational] | None = None):
         clean: dict[Mono, GaussRational] = {}
@@ -249,6 +252,9 @@ class Poly:
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return Poly, (self.terms,)
 
     # -- constructors
 
@@ -286,7 +292,12 @@ class Poly:
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(frozenset(self.terms.items()))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def constant_term(self) -> GaussRational:
         return self.terms.get(MONO_ONE, _GR_ZERO)

@@ -5,15 +5,28 @@ from fractions import Fraction
 
 import pytest
 
-from subelliptic.polyring import GaussRational, Poly, canonical_str, parse_poly
+from subelliptic import localideal
+from subelliptic.polyring import (
+    GaussRational,
+    Poly,
+    canonical_str,
+    mono_degree,
+    mono_lcm,
+    mono_mul,
+    parse_poly,
+)
 from subelliptic.localideal import (
     BudgetExhausted,
     LocalIdeal,
     Membership,
     RadicalCertificate,
+    _as_poly,
     _Budget,
+    _buchberger,
     _lead_ecart,
     _power_sweep,
+    _prepare,
+    _spoly,
     hermitian_square_rows,
     leading_monomial,
     min_algebraic_radical_order,
@@ -458,52 +471,78 @@ class TestPowerSweep:
         assert logs["w"] == [(1, "no"), (2, "no"), (3, "no"), (4, "undecided")]
         assert logs["z"] == [(m, "no") for m in range(1, 5)] + [(5, "yes")]
 
-    def test_base_outside_at_the_cap_costs_one_membership(self):
+    def test_base_outside_at_the_cap_is_dropped_after_two_low_powers(self):
         ideal = LocalIdeal([parse_poly("z^3")])
-        calls = []
-        membership = ideal.membership
-
-        def counted(p, step_budget=None):
-            calls.append(canonical_str(p))
-            return membership(p, step_budget=step_budget)
-
-        ideal.membership = counted
+        calls = _count_memberships(ideal)
         result = _power_sweep({"w": parse_poly("w")}, ideal, 1, 8)
-        assert result == (None, [], {"w": [(8, "no")]})
-        assert calls == ["w^8"]
+        assert result == (None, [], {"w": [(1, "no"), (2, "no"), (8, "no")]})
+        assert calls == ["w", "w^2", "w^8"]
+
+    def test_base_in_the_ideal_at_the_second_power_never_probes_the_cap(self):
+        ideal = LocalIdeal([parse_poly("z^2"), parse_poly("w^5")])
+        calls = _count_memberships(ideal)
+        bases = {"z": parse_poly("z"), "w": parse_poly("w")}
+        power, cohort, logs = _power_sweep(bases, ideal, 1, 8)
+        assert (power, cohort) == (2, ["z"])
+        assert logs == {"z": [(1, "no"), (2, "yes")], "w": [(1, "no"), (2, "no")]}
+        assert calls == ["z", "w", "z^2", "w^2"]
+
+    def test_no_cap_probe_when_the_third_power_is_the_cap(self):
+        ideal = LocalIdeal([parse_poly("z^3")])
+        calls = _count_memberships(ideal)
+        result = _power_sweep({"w": parse_poly("w")}, ideal, 1, 3)
+        assert result == (None, [], {"w": [(1, "no"), (2, "no"), (3, "no")]})
+        assert calls == ["w", "w^2", "w^3"]
 
     def test_undecided_prune_probe_leaves_the_sweep_as_it_was(self):
-        """(z + w)^8 needs more than one step, (z + w)^2 exactly one."""
+        """(z + w)^8 needs more than one step, (z + w)^3 exactly one."""
         b = parse_poly("z + w")
-        ideal = LocalIdeal([b * b])
+        ideal = LocalIdeal([b ** 3])
         assert ideal.membership(b ** 8, step_budget=1) is Membership.UNDECIDED
+        calls = _count_memberships(ideal)
         power, cohort, logs = _power_sweep({"b": b}, ideal, 1, 8, step_budget=1)
-        assert (power, cohort) == (2, ["b"])
-        assert logs["b"] == [(1, "no"), (2, "yes")]
+        assert (power, cohort) == (3, ["b"])
+        assert logs["b"] == [(1, "no"), (2, "no"), (3, "yes")]
+        assert calls[2] == canonical_str(b ** 8)
 
     def test_agrees_with_the_ascending_sweep_on_random_ideals(self):
         rng = random.Random(20261018)
         bases = {"z": parse_poly("z"), "w": parse_poly("w")}
         outcomes = set()
-        for _ in range(40):
+        for _ in range(60):
             ideal = LocalIdeal(
                 random_poly(rng, 4, allow_conj=False) for _ in range(rng.randint(1, 3))
             )
             step_budget = rng.choice([None, 0, 1, 3])
-            cap = rng.randint(1, 8)
-            want = _ascending_sweep(bases, ideal, cap, step_budget)
-            power, cohort, logs = _power_sweep(bases, ideal, 1, cap, step_budget)
+            first = rng.choice([1, 2])
+            cap = rng.randint(first - 1, 8)
+            want = _ascending_sweep(bases, ideal, first, cap, step_budget)
+            power, cohort, logs = _power_sweep(bases, ideal, first, cap, step_budget)
             assert (power, cohort) == want[:2]
             assert {v: logs[v] for v in cohort} == {v: want[2][v] for v in cohort}
             outcomes.add(power is None)
-        assert outcomes == {True, False}
+            outcomes.add("short" if cap < first + 2 else "long")
+        assert outcomes == {True, False, "short", "long"}
 
 
-def _ascending_sweep(bases, ideal, cap, step_budget):
-    """The sweep without the prune probe: b^1, b^2, ... up to b^cap."""
+def _count_memberships(ideal):
+    """Record the canonical string of every polynomial the ideal is asked about."""
+    calls = []
+    membership = ideal.membership
+
+    def counted(p, step_budget=None):
+        calls.append(canonical_str(p))
+        return membership(p, step_budget=step_budget)
+
+    ideal.membership = counted
+    return calls
+
+
+def _ascending_sweep(bases, ideal, first, cap, step_budget):
+    """The sweep without the prune probe: b^first, b^(first+1), ... up to b^cap."""
     logs = {name: [] for name in bases}
     alive = list(bases)
-    for m in range(1, cap + 1):
+    for m in range(first, cap + 1):
         cohort = []
         for name in list(alive):
             answer = ideal.membership(bases[name] ** m, step_budget=step_budget)
@@ -549,6 +588,16 @@ def _reference_nf(f, basis, budget):
     return h
 
 
+def _prepared_nf(f, basis, budget):
+    """nf_mora through reducers prepared once, which it must leave unchanged."""
+    reducers = _prepare(basis)
+    prepared = list(reducers)
+    try:
+        return _as_poly(nf_mora(f, reducers, budget))
+    finally:
+        assert reducers == prepared
+
+
 def _run_nf(nf, f, basis, steps):
     budget = _Budget(steps)
     try:
@@ -590,7 +639,7 @@ def _check_against_reference(rng, coeff):
             budgets = {0, max(steps - 1, 0), steps}
             outcomes.add("zero" if nf.is_zero() else "remainder")
         for budget in sorted(budgets):
-            got = _run_nf(nf_mora, f, basis, budget)
+            got = _run_nf(_prepared_nf, f, basis, budget)
             assert got == _run_nf(_reference_nf, f, basis, budget)
             if got[0] == "exhausted":
                 continue
@@ -613,6 +662,106 @@ class TestMoraNormalForm:
         assert outcomes >= {
             "zero", "remainder", "imaginary lead", "negative lead", "denominator"
         }
+
+
+def _reference_buchberger(gens, budget):
+    """Completion as written with a pair list re-sorted before every pop."""
+    basis = [p for p in gens if not p.is_zero()]
+    leads = [leading_monomial(p) for p in basis]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+
+    def pair_key(ij):
+        lcm = mono_lcm(leads[ij[0]], leads[ij[1]])
+        return (mono_degree(lcm), lcm)
+
+    while pairs:
+        pairs.sort(key=pair_key)
+        i, j = pairs.pop(0)
+        mi, mj = leads[i], leads[j]
+        if mono_lcm(mi, mj) == mono_mul(mi, mj):
+            continue
+        h = _as_poly(nf_mora(_spoly(basis[i], basis[j]), _prepare(basis), budget))
+        if not h.is_zero():
+            basis.append(h)
+            leads.append(leading_monomial(h))
+            pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
+    return basis
+
+
+class TestBuchberger:
+    def test_pair_heap_agrees_with_the_sorted_pair_list(self):
+        """Same basis list, same steps left, exhaustion at the same budget."""
+        rng = random.Random(20261020)
+        factors = [parse_poly(text) for text in ("z", "w", "z*w", "z + w")]
+        outcomes = set()
+        for _ in range(40):
+            gens = [
+                rng.choice(factors) * random_poly(rng, 3, allow_conj=False)
+                for _ in range(rng.randint(2, 3))
+            ]
+            for steps in (10, 1000):
+                want = _complete(_reference_buchberger, gens, steps)
+                assert _complete(_buchberger, gens, steps) == want
+                if want[0] == "exhausted":
+                    outcomes.add("exhausted")
+                else:
+                    outcomes.add("grown" if len(want[0]) > len(gens) else "complete")
+        assert outcomes == {"exhausted", "grown", "complete"}
+
+
+def _complete(buchberger, gens, steps):
+    budget = _Budget(steps)
+    try:
+        return buchberger(gens, budget), budget.remaining
+    except BudgetExhausted:
+        return "exhausted", budget.remaining
+
+
+class TestPreparedReducers:
+    def test_memberships_prepare_each_basis_element_once(self, monkeypatch):
+        """Homogeneous generators keep every ecart 0, so Mora's trick never fires."""
+        made, completing = {"completion": 0, "ideal": 0}, []
+        reducer, buchberger = localideal._reducer, localideal._buchberger
+
+        def counted_reducer(*args):
+            made["completion" if completing else "ideal"] += 1
+            return reducer(*args)
+
+        def counted_buchberger(*args):
+            completing.append(True)
+            try:
+                return buchberger(*args)
+            finally:
+                completing.pop()
+
+        monkeypatch.setattr(localideal, "_reducer", counted_reducer)
+        monkeypatch.setattr(localideal, "_buchberger", counted_buchberger)
+        ideal = LocalIdeal([parse_poly("z^3 - w^3"), parse_poly("z*w^2 + 2*z^2*w")])
+        answers = {
+            ideal.membership(parse_poly(text) ** k)
+            for text in ("z", "w", "z + w", "z - 2*w")
+            for k in range(1, 11)
+        }
+        assert answers == {Membership.YES, Membership.NO}
+        assert made["completion"] > 0
+        assert made["ideal"] == len(ideal.basis) > 2
+
+    def test_a_no_answer_builds_no_remainder(self, monkeypatch):
+        ideal = LocalIdeal([parse_poly("w^2 - z^3"), parse_poly("z^5")])
+        ideal.basis
+        wrapped = []
+        from_triple = localideal._from_triple
+
+        def counted(*triple):
+            wrapped.append(triple)
+            return from_triple(*triple)
+
+        monkeypatch.setattr(localideal, "_from_triple", counted)
+        assert ideal.membership(parse_poly("w + z^2 + 3*z*w^4")) is Membership.NO
+        assert ideal.membership(parse_poly("w^3")) is Membership.NO
+        assert wrapped == []
+        assert not ideal.reduce_modulo(parse_poly("w + z")).is_zero()
+        assert wrapped
 
 
 class TestOracleCrossChecks:

@@ -1,5 +1,6 @@
 """Tests for exact polynomial arithmetic, printing and parsing."""
 
+import copy
 import math
 import pickle
 import random
@@ -250,6 +251,30 @@ class TestPolyArithmetic:
         p = Z + W
         with pytest.raises(AttributeError):
             p.terms = {}
+        hash(p)
+        with pytest.raises(AttributeError):
+            p._hash = 0
+
+    def test_pickle_and_copy_round_trip(self):
+        rng = random.Random(107)
+        for p in [Poly.zero(), Z + WB, *(random_poly(rng) for _ in range(30))]:
+            hash(p)
+            for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+                assert type(q) is Poly
+                assert q == p and hash(q) == hash(p)
+                assert canonical_str(q) == canonical_str(p)
+
+    def test_equal_polys_hash_equal(self):
+        """The kept hash ignores term order, as equality does."""
+        rng = random.Random(108)
+        for _ in range(50):
+            p = random_poly(rng)
+            items = list(p.terms.items())
+            rng.shuffle(items)
+            q = Poly(dict(items))
+            assert q == p
+            assert hash(p) == hash(q) == hash(p) == hash(frozenset(p.terms.items()))
+            assert hash(p + Poly.zero()) == hash(p)
 
     def test_conj_involution_random(self):
         rng = random.Random(101)
