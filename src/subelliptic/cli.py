@@ -478,9 +478,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT
     if args.json and fields is not None:
         envelope = {"config": _config_echo(args), "spec": spec_echo(spec), **fields}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(envelope, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --json artifact: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     return code
 
 

@@ -36,6 +36,7 @@ BORDERLINE = {
     "g": ["w"],
     "sample_radius": 0.01,
 }
+TWO = {"name": "two-component", "f": ["w^2 + z*w^2", "w^3"], "g": ["z*w^2"]}
 
 
 class TestSpecLoading:
@@ -427,6 +428,63 @@ class TestJsonArtifacts:
             "classic": "1/32",
             "effective": "1/16",
         }
+
+    @pytest.mark.parametrize(
+        "spec,finite_diff_error,min_lambda",
+        [
+            (FLAT, "0x1.3522c40000000p-30", "0x1.0000000000000p+0"),
+            (BORDERLINE, "0x1.6a43549e614b0p-27", "0x1.1f4db7fa0a1d3p-20"),
+            (TWO, "0x1.459bab9acc3a0p-26", "0x1.c0f0544fe6f62p-14"),
+            (CP325, "0x1.e519a3d49955dp-28", "0x1.bacc040927056p-28"),
+        ],
+        ids=["flat", "borderline", "two-component", "cross-power(3,2,5)"],
+    )
+    def test_verify_artifact_is_pinned(
+        self, tmp_path, capsys, spec, finite_diff_error, min_lambda
+    ):
+        """The default verify run reproduces its floats bit for bit."""
+        out_path = tmp_path / "verify.json"
+        code = main(["verify", write_spec(tmp_path, spec), "--json", str(out_path)])
+        assert code == EXIT_OK
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        assert payload["finite_diff_error"].hex() == finite_diff_error
+        assert float(payload["boundary"]["min_lambda_on_boundary"]).hex() == min_lambda
+
+    def test_degenerate_check_hypo_artifact_is_strict_json(self, tmp_path):
+        """Infinite ratios are written as strings, never as bare Infinity."""
+        out_path = tmp_path / "hypo.json"
+        spec = write_spec(tmp_path, {"f": ["z"], "g": ["w"]})
+        code = main(["check-hypo", spec, "--samples", "20", "--json", str(out_path)])
+        assert code == EXIT_REFUSED
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        payload = json.loads(out_path.read_text(encoding="utf-8"), parse_constant=reject)
+        report = payload["report"]
+        assert report["degenerate"] == 20
+        assert report["delta_hat"] == "infinity"
+        assert len(report["violations"]) == 20
+        assert {v["value"] for v in report["violations"]} == {"infinity"}
+
+    @pytest.mark.parametrize(
+        "command,extra,target",
+        [
+            ("levi", [], "directory"),
+            ("verify", ["--samples", "20"], "missing/x.json"),
+        ],
+    )
+    def test_unwritable_artifact_path_exits_one(
+        self, tmp_path, capsys, command, extra, target
+    ):
+        """A directory or a path in a missing directory is an input error."""
+        spec = write_spec(tmp_path, FLAT)
+        (tmp_path / "directory").mkdir()
+        code = main([command, spec, *extra, "--json", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out  # the subcommand ran and reported before the write
+        assert "error: cannot write --json artifact:" in captured.err
 
     @pytest.mark.parametrize(
         "command,extra,fields",

@@ -1,16 +1,21 @@
 """Tests for the sampling verifier and the finite-difference oracle."""
 
+import functools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
-from subelliptic.polyring import parse_poly
+from subelliptic.polyring import GaussRational, Poly, parse_poly
 from subelliptic.domain import (
     DomainSpec,
+    expand_r,
     flat_domain,
     cross_power_domain,
     borderline_domain,
 )
+from subelliptic import numcheck
 from subelliptic.numcheck import (
     BoundarySolveError,
     SampleReport,
@@ -158,12 +163,133 @@ class TestFiniteDifferenceOracle:
             finite_diff_levi(flat_domain(), points, h=1e-9)
 
 
+def _pointwise_evaluator(p: Poly):
+    """Numeric evaluation of p one point at a call, term by term from 0j."""
+    data = [(c.to_complex(), m) for m, c in p.terms.items()]
+
+    def ev(z0: complex, w0: complex) -> complex:
+        zb0, wb0 = z0.conjugate(), w0.conjugate()
+        total = 0j
+        for cc, m in data:
+            total += cc * z0 ** m[0] * zb0 ** m[1] * w0 ** m[2] * wb0 ** m[3]
+        return total
+
+    return ev
+
+
+def _pointwise_levi(r, z0: complex, w0: complex, h: float) -> float:
+    """The finite-difference lambda with r evaluated afresh at every read."""
+    x, y, u, v = z0.real, z0.imag, w0.real, w0.imag
+
+    def at(dx=0.0, dy=0.0, du=0.0, dv=0.0) -> float:
+        return r(complex(x + dx, y + dy), complex(u + du, v + dv)).real
+
+    center = at()
+
+    def first(axis: str) -> float:
+        return (at(**{axis: h}) - at(**{axis: -h})) / (2.0 * h)
+
+    def pure(axis: str) -> float:
+        return (at(**{axis: h}) - 2.0 * center + at(**{axis: -h})) / (h * h)
+
+    def mixed(a: str, b: str) -> float:
+        return (
+            at(**{a: h, b: h})
+            - at(**{a: h, b: -h})
+            - at(**{a: -h, b: h})
+            + at(**{a: -h, b: -h})
+        ) / (4.0 * h * h)
+
+    r_z = 0.5 * complex(first("dx"), -first("dy"))
+    r_w = 0.5 * complex(first("du"), -first("dv"))
+    r_zzb = 0.25 * (pure("dx") + pure("dy"))
+    r_wwb = 0.25 * (pure("du") + pure("dv"))
+    r_zwb = 0.25 * complex(
+        mixed("dx", "du") + mixed("dy", "dv"),
+        mixed("dx", "dv") - mixed("dy", "du"),
+    )
+    return (
+        r_wwb * abs(r_z) ** 2
+        + r_zzb * abs(r_w) ** 2
+        - 2.0 * (r_zwb * r_w * r_z.conjugate()).real
+    )
+
+
+_COEFFICIENTS = [
+    GaussRational(1),
+    GaussRational(-1),
+    GaussRational(0, 1),
+    GaussRational(0, -2),
+    GaussRational(-3),
+    GaussRational(Fraction(1, 2)),
+    GaussRational(2, -3),
+    GaussRational(Fraction(-1, 3), Fraction(5, 7)),
+]
+
+_SIGNED_ZEROS = [
+    (0j, 0j),
+    (complex(-0.0, -0.0), complex(-0.0, 0.0)),
+    (complex(0.0, -0.0), complex(-0.0, -0.0)),
+    (complex(-0.0, 0.05), complex(0.03, -0.0)),
+]
+
+
+def _random_component(rng: random.Random) -> Poly:
+    """1-3 terms z^a*w^c with a zero exponent allowed on either variable."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        a, c = rng.randint(0, 3), rng.randint(0, 3)
+        terms[(a, 0, max(c, 1 - a), 0)] = rng.choice(_COEFFICIENTS)
+    return Poly(terms)
+
+
+def _random_spec(rng: random.Random) -> DomainSpec:
+    return DomainSpec(
+        name="random",
+        f=tuple(_random_component(rng) for _ in range(rng.randint(1, 2))),
+        g=tuple(_random_component(rng) for _ in range(rng.randint(1, 2))),
+    )
+
+
+class TestStencilKernel:
+    """finite_diff_levi against r evaluated point by point, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_pointwise_evaluation(self, seed, monkeypatch):
+        # One finite_diff_levi call per point, so that no point's deviation
+        # hides behind the maximum; the symbolic expansion is computed once
+        # per spec, since it is not what this test compares.
+        monkeypatch.setattr(numcheck, "expand_r", functools.lru_cache(expand_r))
+        rng = random.Random(seed)
+        for _ in range(8):
+            spec = _random_spec(rng)
+            data = expand_r(spec)
+            r = _pointwise_evaluator(data.r)
+            lam = _pointwise_evaluator(data.lam)
+            radius = rng.choice([0.05, 0.3, 1.0])
+            points = polydisc_points(radius, 6, rng.randrange(1000)) + _SIGNED_ZEROS
+            for h in (1e-6, 1e-4, 1e-3):
+                for z0, w0 in points:
+                    numeric = _pointwise_levi(r, z0, w0, h)
+                    reference = lam(z0, w0).real
+                    expected = max(0.0, abs(numeric - reference) / (1.0 + abs(reference)))
+                    got = finite_diff_levi(spec, [(z0, w0)], h=h)
+                    assert got.hex() == expected.hex(), (spec, z0, w0, h)
+
+
 class TestReportSerialization:
     def test_infinities_are_encoded(self):
         report = SampleReport(radius=0.1, n_samples=5, seed=1, delta_hat=math.inf)
         encoded = report.as_dict()
         assert encoded["delta_hat"] == "infinity"
         assert encoded["min_lambda_on_boundary"] is None
+
+    def test_infinite_violation_values_are_encoded(self):
+        report = sample_hypo(spec_of(["z*w"], g=["w"]), radius=1e-9, n=5)
+        assert [v["value"] for v in report.violations] == [math.inf] * 5
+        encoded = report.as_dict()["violations"]
+        assert [v["value"] for v in encoded] == ["infinity"] * 5
+        assert [v["z"] for v in encoded] == [v["z"] for v in report.violations]
 
     def test_plain_fields_pass_through(self):
         report = sample_hypo(flat_domain(), radius=0.2, n=10)
