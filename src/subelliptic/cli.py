@@ -61,7 +61,6 @@ EXIT_INPUT = 1
 EXIT_UNDECIDED = 2
 EXIT_REFUSED = 3
 
-DEFAULT_SAMPLE_RADIUS = 0.1
 FINITE_DIFF_TOL = 1e-5
 
 _SPEC_KEYS = {"name", "f", "g", "params", "sample_radius"}
@@ -132,7 +131,7 @@ def spec_from_dict(data, default_name: str = "spec") -> DomainSpec:
     else:
         raise SpecFileError("spec needs 'f' components or family 'params'")
     g = _parse_components(data.get("g", []), "g")
-    radius = data.get("sample_radius", DEFAULT_SAMPLE_RADIUS)
+    radius = data.get("sample_radius", DomainSpec.sample_radius)
     if isinstance(radius, bool) or not isinstance(radius, (int, float)):
         raise SpecFileError("'sample_radius' must be a positive number")
     try:

@@ -39,7 +39,7 @@ class DomainSpec:
     f: tuple[Poly, ...]
     g: tuple[Poly, ...] = ()
     params: Optional[dict] = None
-    sample_radius: float = 0.5
+    sample_radius: float = 0.1
 
     def __post_init__(self):
         for label, components in (("f", self.f), ("g", self.g)):

@@ -196,10 +196,6 @@ def run_kohn(
                 multiplier_order = epsilon / cert.order
             ledger.add(cert.element, multiplier_order)
             max_radical_order = max(max_radical_order, cert.order)
-            if cert.probe_log is not None and any(
-                status == "undecided" for _, status in cert.probe_log
-            ):
-                saw_undecided = True
             cert_events.append(_cert_event(cert, multiplier_order))
         events.append(
             {

@@ -2,13 +2,15 @@
 
 Membership in ideals of germs is decided with a standard basis under a local
 term order (anti-graded lex, so the constant monomial is the largest) and
-Mora's normal form with the ecart rule.  All computations carry an explicit
-reduction-step budget; exhausting it yields an honest "undecided", never a
-wrong answer.  The normal form is the hot loop: inside it the remainder is
-bucketed by degree, and coefficients are the coprime integer triples that
-Gaussian rationals store, read on entry and returned as they are.  Each
-basis element's reducer is prepared once per basis, so a membership query
-pays no setup, and a remainder becomes a Poly only where a caller needs one.
+Mora's normal form with the ecart rule.  All computations carry a
+reduction-step budget, which the constants DEFAULT_STEP_BUDGET, PROBE_BUDGET
+and PRUNE_BUDGET below set and a query reads when it runs; exhausting it
+yields an honest "undecided", never a wrong answer.  The normal form is
+the hot loop: inside it the remainder is bucketed by degree, and
+coefficients are the coprime integer triples that Gaussian rationals store,
+read on entry and returned as they are.  Each basis element's reducer is
+prepared once per basis, so a membership query pays no setup, and a
+remainder becomes a Poly only where a caller needs one.
 
 The radical machinery implements four sound certificate rules (conjugation,
 hermitian squares via an exact rational LDL* decomposition of the Gram
@@ -334,14 +336,14 @@ class LocalIdeal:
 
     The standard basis is computed lazily and cached, together with the
     reducer of each element that nf_mora reads, so a membership query pays
-    no setup; once computed the object is immutable.  A basis of None means
-    the step budget ran out and membership queries answer UNDECIDED.
+    no setup; once computed the object is immutable.  Completion and
+    reduce_modulo run under DEFAULT_STEP_BUDGET steps.  A basis of None
+    means that budget ran out and membership queries answer UNDECIDED.
     """
 
     def __init__(
         self,
         generators: Iterable[Poly],
-        step_budget: int = DEFAULT_STEP_BUDGET,
         _seed: Optional[tuple[Poly, ...]] = None,
     ):
         # Exact duplicates collapse, keeping the first occurrence; scalar
@@ -349,7 +351,6 @@ class LocalIdeal:
         self.generators: tuple[Poly, ...] = tuple(
             dict.fromkeys(p for p in generators if not p.is_zero())
         )
-        self.step_budget = step_budget
         self._seed = _seed
         self._basis: Optional[tuple[Poly, ...]] = None
         self._reducers: list[tuple] = []
@@ -360,7 +361,7 @@ class LocalIdeal:
         if self._basis is None and not self._basis_failed:
             start = self.generators if self._seed is None else self._seed
             try:
-                computed = _buchberger(start, _Budget(self.step_budget))
+                computed = _buchberger(start, _Budget(DEFAULT_STEP_BUDGET))
                 self._basis = tuple(_tail_strip(_minimalize(computed)))
                 self._reducers = _prepare(self._basis)
             except BudgetExhausted:
@@ -373,7 +374,7 @@ class LocalIdeal:
         if self.basis is None:
             return Membership.UNDECIDED
         if step_budget is None:
-            step_budget = self.step_budget
+            step_budget = DEFAULT_STEP_BUDGET
         try:
             nf = nf_mora(p, self._reducers, _Budget(step_budget))
         except BudgetExhausted:
@@ -392,7 +393,7 @@ class LocalIdeal:
             return p
         basis = self.basis
         try:
-            h = _as_poly(nf_mora(p, self._reducers, _Budget(self.step_budget)))
+            h = _as_poly(nf_mora(p, self._reducers, _Budget(DEFAULT_STEP_BUDGET)))
         except BudgetExhausted:
             h = p
         if h.is_zero():
@@ -423,7 +424,7 @@ class LocalIdeal:
         seed = None
         if self._basis is not None:
             seed = tuple(list(self._basis) + more)
-        return LocalIdeal(list(self.generators) + more, self.step_budget, _seed=seed)
+        return LocalIdeal(list(self.generators) + more, _seed=seed)
 
     def generator_strings(self) -> tuple[str, ...]:
         return tuple(canonical_str(g) for g in self.generators)
@@ -448,7 +449,7 @@ def _power_sweep(
     orders (and hence the order ledger) as strong as the ideal allows.  An
     undecided membership retires its base: no certificate is ever issued on
     uncertain evidence.  step_budget bounds each membership query and
-    defaults to the ideal's own budget.
+    defaults to DEFAULT_STEP_BUDGET.
 
     When neither b^first nor b^(first+1) wins, each base still alive is
     probed once at b^cap, under at most PRUNE_BUDGET steps, before the sweep
@@ -461,13 +462,14 @@ def _power_sweep(
     so no cap probe is made.  A dropped base never joins a cohort, so the
     power, the cohort and the cohort's logs are those of the plain sweep.
     """
+    if step_budget is None:
+        step_budget = DEFAULT_STEP_BUDGET
     logs: dict[str, list[tuple[int, str]]] = {name: [] for name in bases}
     alive = list(bases)
     powers = {name: bases[name] ** (first - 1) for name in alive}
     for m in range(first, cap + 1):
         if m == first + 2 and m < cap:
-            budget = ideal.step_budget if step_budget is None else step_budget
-            prune = min(PRUNE_BUDGET, budget)
+            prune = min(PRUNE_BUDGET, step_budget)
             for name in list(alive):
                 if ideal.membership(bases[name] ** cap, step_budget=prune) is Membership.NO:
                     logs[name].append((cap, Membership.NO.value))
@@ -608,7 +610,6 @@ def radical_extend(
     ideal: LocalIdeal,
     order_cap: int = DEFAULT_ORDER_CAP,
     power_candidates: Sequence[Poly] = (),
-    probe_budget: int = PROBE_BUDGET,
 ) -> list[RadicalCertificate]:
     """Certified elements of the restricted real radical of the ideal.
 
@@ -620,12 +621,12 @@ def radical_extend(
     contribute their rows at order 2 (2e after rebalancing a pure power
     v^e); (4) explicit power candidates g with g(0) = 0 whose smallest power
     m <= order_cap lies in the ideal join at order 2m via Cauchy-Schwarz.
-    An element is new when its monic form is not yet known.  Probes run
-    under their own smaller budget so a hopeless high-power sweep degrades
-    to an honest "undecided" quickly.  Both probe rules sweep through
-    _power_sweep, which tries the two lowest powers before a probe at
-    order_cap may drop a base, so a root or candidate that lies in the ideal
-    at one of those powers never pays for the probe at order_cap.
+    An element is new when its monic form is not yet known.  Monomial-root
+    probes run under the smaller PROBE_BUDGET so a hopeless high-power sweep
+    degrades to an honest "undecided" quickly.  Both probe rules sweep
+    through _power_sweep, which tries the two lowest powers before a probe
+    at order_cap may drop a base, so a root or candidate that lies in the
+    ideal at one of those powers never pays for the probe at order_cap.
 
     The known set only grows, so revisiting an element could never commit
     anything: rules (2) and (3) visit each element once, in order, through
@@ -669,7 +670,7 @@ def radical_extend(
         # Variables are monic, so each is its own key.
         pending = {v: Poly.variable(v) for v in VARIABLES if Poly.variable(v) not in keys}
         if pending:
-            m, cohort, logs = _power_sweep(pending, current, 1, order_cap, probe_budget)
+            m, cohort, logs = _power_sweep(pending, current, 1, order_cap, PROBE_BUDGET)
             if m is not None:
                 snapshot = current.generator_strings()
                 for v in cohort:

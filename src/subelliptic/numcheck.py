@@ -201,7 +201,8 @@ def finite_diff_levi(
     differences in the four real coordinates and assembled into the general
     tangential Hessian pairing, a route to lambda independent of the sum of
     squares the symbolic side uses.  The result is max |lam_num - lam_sym| /
-    (1 + |lam_sym|) over the points.
+    (1 + |lam_sym|) over the points, or inf as soon as one deviation is not
+    finite (an overflowing r gives NaN, which must fail the check).
 
     The differences read r at 25 points per sample, the 5x5 grid of
     `_stencil`, and r is evaluated once at each of them with
@@ -217,7 +218,10 @@ def finite_diff_levi(
     for z0, w0 in points:
         numeric = _levi_by_differences(r, z0, w0, h)
         reference = lam(z0, w0).real
-        worst = max(worst, abs(numeric - reference) / (1.0 + abs(reference)))
+        deviation = abs(numeric - reference) / (1.0 + abs(reference))
+        if not math.isfinite(deviation):
+            return math.inf
+        worst = max(worst, deviation)
     return worst
 
 

@@ -17,8 +17,9 @@ from subelliptic.cli import (
     spec_from_dict,
     trace_schema,
 )
+from subelliptic.domain import DomainSpec
 from subelliptic.kohn import run_kohn
-from subelliptic.polyring import canonical_str
+from subelliptic.polyring import canonical_str, parse_poly
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -47,6 +48,11 @@ class TestSpecLoading:
         assert canonical_str(spec.f[0]) == "w"
         assert spec.g == ()
         assert spec.sample_radius == 0.1
+
+    def test_library_and_spec_files_share_one_default_radius(self, tmp_path):
+        from_file = load_spec(write_spec(tmp_path, {"f": ["w"]}))
+        built = DomainSpec(name="disc", f=(parse_poly("w"),))
+        assert built.sample_radius == from_file.sample_radius
 
     def test_full_spec_round_trip(self, tmp_path):
         spec = load_spec(write_spec(tmp_path, BORDERLINE))

@@ -312,6 +312,36 @@ class TestStalling:
         outcome = result.events[-1]
         assert outcome["kind"] == "outcome" and outcome["outcome"] == "stalled"
 
+    def test_starved_budget_stalls_and_says_so(self, monkeypatch):
+        """With no reduction step every basis fails, every membership is
+        undecided, and each nonzero row child is kept unverified."""
+        monkeypatch.setattr(localideal, "DEFAULT_STEP_BUDGET", 0)
+        result = run_kohn(DomainSpec(name="zw", f=(parse_poly("z*w"),)), max_steps=4)
+        assert result.outcome is Outcome.STALLED
+        assert result.reason == (
+            "no unit within 4 steps; some memberships were undecided under the budget"
+        )
+        assert _row_statuses(result) == {"zero", "kept-unverified"}
+        assert audit_trace(result) == []
+
+    def test_starved_budget_keeps_unverified_children_on_success(self, monkeypatch):
+        """An unverified child is L of a multiplier, a multiplier at half
+        its parent's order whether or not it lies in the ideal."""
+        monkeypatch.setattr(localideal, "DEFAULT_STEP_BUDGET", 0)
+        result = run_kohn(cross_power_domain(3, 2, 4))
+        assert result.outcome is Outcome.SUCCESS
+        assert "kept-unverified" in _row_statuses(result)
+        assert audit_trace(result) == []
+
+
+def _row_statuses(result):
+    return {
+        child["status"]
+        for event in result.events
+        if event["kind"] == "row"
+        for child in event["children"]
+    }
+
 
 class TestTraceMachinery:
     def test_replay_is_bit_exact(self, run_325):

@@ -179,10 +179,9 @@ class TestUnitDetection:
 
 
 class TestBudgets:
-    def test_exhausted_budget_yields_no_basis(self):
-        tiny = LocalIdeal(
-            [parse_poly("z*w + w^3"), parse_poly("z^2 - w^2")], step_budget=0
-        )
+    def test_exhausted_budget_yields_no_basis(self, monkeypatch):
+        monkeypatch.setattr(localideal, "DEFAULT_STEP_BUDGET", 0)
+        tiny = LocalIdeal([parse_poly("z*w + w^3"), parse_poly("z^2 - w^2")])
         assert tiny.basis is None
         assert tiny.membership(parse_poly("w^3")) is Membership.UNDECIDED
 
@@ -193,11 +192,10 @@ class TestBudgets:
         starved = full.membership(parse_poly("w^3"), step_budget=1)
         assert starved in (Membership.YES, Membership.UNDECIDED)
 
-    def test_zero_is_a_member_without_a_basis(self):
+    def test_zero_is_a_member_without_a_basis(self, monkeypatch):
         """0 lies in every ideal, so no standard basis is needed to say so."""
-        starving = LocalIdeal(
-            [parse_poly("z*w + w^3"), parse_poly("z^2 - w^2")], step_budget=0
-        )
+        monkeypatch.setattr(localideal, "DEFAULT_STEP_BUDGET", 0)
+        starving = LocalIdeal([parse_poly("z*w + w^3"), parse_poly("z^2 - w^2")])
         assert starving.membership(Poly.zero()) is Membership.YES
         assert starving.reduce_modulo(Poly.zero()).is_zero()
         assert starving.basis is None
@@ -240,10 +238,9 @@ class TestReduceModulo:
             member = random_poly(rng, 2) * self.gens[0] + random_poly(rng, 2) * self.gens[1]
             assert self.ideal.reduce_modulo(member).is_zero()
 
-    def test_failed_basis_returns_the_input(self):
-        starving = LocalIdeal(
-            [parse_poly("z*w + w^3"), parse_poly("z^2 - w^2")], step_budget=0
-        )
+    def test_failed_basis_returns_the_input(self, monkeypatch):
+        monkeypatch.setattr(localideal, "DEFAULT_STEP_BUDGET", 0)
+        starving = LocalIdeal([parse_poly("z*w + w^3"), parse_poly("z^2 - w^2")])
         assert starving.basis is None
         p = parse_poly("w^3 + z*w")
         assert starving.reduce_modulo(p) is p
@@ -379,9 +376,10 @@ class TestRadicalExtend:
             ("conjugation", 1, "zb*wb"),
         ]
 
-    def test_zero_probe_budget_certifies_no_root(self):
+    def test_zero_probe_budget_certifies_no_root(self, monkeypatch):
         """z^5 needs one reduction step, which a zero probe budget forbids."""
-        certs = radical_extend(LocalIdeal([parse_poly("z^5")]), probe_budget=0)
+        monkeypatch.setattr(localideal, "PROBE_BUDGET", 0)
+        certs = radical_extend(LocalIdeal([parse_poly("z^5")]))
         assert all(c.rule != "monomial-root" for c in certs)
 
     def test_order_cap_bounds_the_probe(self):
@@ -447,10 +445,9 @@ class TestMinAlgebraicRadicalOrder:
         ideal = LocalIdeal([parse_poly("z^5")])
         assert min_algebraic_radical_order(parse_poly("z"), ideal, 4) is None
 
-    def test_undecided_stops_the_search(self):
-        starving = LocalIdeal(
-            [parse_poly("z*w + w^3"), parse_poly("z^2 - w^2")], step_budget=0
-        )
+    def test_undecided_stops_the_search(self, monkeypatch):
+        monkeypatch.setattr(localideal, "DEFAULT_STEP_BUDGET", 0)
+        starving = LocalIdeal([parse_poly("z*w + w^3"), parse_poly("z^2 - w^2")])
         assert min_algebraic_radical_order(parse_poly("w"), starving, 8) is None
 
 
@@ -520,6 +517,8 @@ class TestPowerSweep:
             power, cohort, logs = _power_sweep(bases, ideal, first, cap, step_budget)
             assert (power, cohort) == want[:2]
             assert {v: logs[v] for v in cohort} == {v: want[2][v] for v in cohort}
+            # An undecided base retires, so no cohort log records one.
+            assert all(answer != "undecided" for v in cohort for _, answer in logs[v])
             outcomes.add(power is None)
             outcomes.add("short" if cap < first + 2 else "long")
         assert outcomes == {True, False, "short", "long"}
@@ -611,7 +610,7 @@ def _lead_signs(p):
     return {"imaginary lead"} if not lc.re else {"negative lead"} if lc.re < 0 else set()
 
 
-def _check_against_reference(rng, coeff):
+def _check_against_reference(rng, coeff, monkeypatch):
     """Same remainder, same steps left, and exhaustion at the same budget.
 
     Returns the outcomes seen: how the reference loop ended, the signs of
@@ -619,11 +618,12 @@ def _check_against_reference(rng, coeff):
     had a denominator.
     """
     cap = 200
+    monkeypatch.setattr(localideal, "DEFAULT_STEP_BUDGET", cap)
     outcomes = set()
     for _ in range(60):
         basis = [random_poly(rng, 3, coeff=coeff) for _ in range(rng.randint(1, 3))]
         if rng.random() < 0.5:
-            basis = list(LocalIdeal(basis, step_budget=cap).basis or basis)
+            basis = list(LocalIdeal(basis).basis or basis)
         f = random_poly(rng, 5, coeff=coeff) * random_poly(rng, 2, coeff=coeff)
         if rng.random() < 0.5:
             f = f + random_poly(rng, 2, coeff=coeff) * basis[0]
@@ -652,13 +652,17 @@ def _check_against_reference(rng, coeff):
 
 
 class TestMoraNormalForm:
-    def test_agrees_with_the_reference_loop(self):
-        outcomes = _check_against_reference(random.Random(20261019), gauss_integer)
+    def test_agrees_with_the_reference_loop(self, monkeypatch):
+        outcomes = _check_against_reference(
+            random.Random(20261019), gauss_integer, monkeypatch
+        )
         assert outcomes >= {"zero", "remainder"}
 
-    def test_rational_coefficients_agree_with_the_reference_loop(self):
+    def test_rational_coefficients_agree_with_the_reference_loop(self, monkeypatch):
         """Denominators, gcd normalisation and non-real or negative leads."""
-        outcomes = _check_against_reference(random.Random(20261018), gauss_fraction)
+        outcomes = _check_against_reference(
+            random.Random(20261018), gauss_fraction, monkeypatch
+        )
         assert outcomes >= {
             "zero", "remainder", "imaginary lead", "negative lead", "denominator"
         }

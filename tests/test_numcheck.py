@@ -155,6 +155,12 @@ class TestFiniteDifferenceOracle:
         points = polydisc_points(0.5, 100, seed=42)
         assert finite_diff_levi(spec, points, h=1e-4) <= 1e-5
 
+    def test_non_finite_deviation_fails_the_check(self):
+        """At radius 1e80 r overflows and the differences turn NaN; a NaN
+        deviation must read as infinite, not be skipped by the maximum."""
+        points = polydisc_points(1e80, 50, seed=42)
+        assert finite_diff_levi(cross_power_domain(3, 2, 5), points) == math.inf
+
     def test_step_size_is_validated(self):
         points = polydisc_points(0.1, 1, seed=0)
         with pytest.raises(ValueError):
