@@ -22,7 +22,7 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .polyring import Poly, canonical_str
 from .localideal import (
@@ -106,7 +106,6 @@ def run_kohn(
     spec: DomainSpec,
     max_steps: int = DEFAULT_MAX_STEPS,
     radical_cap: int = DEFAULT_ORDER_CAP,
-    power_candidates: Sequence[Poly] = (),
 ) -> KohnResult:
     """Run the multiplier chain on spec until a unit appears or it stalls."""
     data = expand_r(spec)
@@ -185,9 +184,7 @@ def run_kohn(
     for step in range(1, max_steps + 1):
         # -- radical step: entry orders are frozen before any commit
         epsilon = min(ledger.order_of(g) for g in current.generators)
-        certificates = radical_extend(
-            current, order_cap=radical_cap, power_candidates=power_candidates
-        )
+        certificates = radical_extend(current, order_cap=radical_cap)
         cert_events = []
         for cert in certificates:
             if cert.rule in ("conjugation", "hermitian-square"):

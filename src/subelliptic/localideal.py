@@ -7,10 +7,12 @@ reduction-step budget, which the constants DEFAULT_STEP_BUDGET, PROBE_BUDGET
 and PRUNE_BUDGET below set and a query reads when it runs; exhausting it
 yields an honest "undecided", never a wrong answer.  The normal form is
 the hot loop: inside it the remainder is bucketed by degree, and
-coefficients are the coprime integer triples that Gaussian rationals store,
-read on entry and returned as they are.  Each basis element's reducer is
-prepared once per basis, so a membership query pays no setup, and a
-remainder becomes a Poly only where a caller needs one.
+coefficients are the coprime integer triples that Gaussian rationals store.
+A standard basis is its reducers: each monic element as its leading
+monomial, its ecart and its tail of triples.  Generators are prepared once,
+and completion, minimalization and tail stripping all run on the reducers,
+so a finished basis is never prepared again and a membership query pays no
+setup.  A remainder becomes a Poly only where a caller needs one.
 
 The radical machinery implements four sound certificate rules (conjugation,
 hermitian squares via an exact rational LDL* decomposition of the Gram
@@ -98,20 +100,18 @@ def _lead_ecart(terms) -> tuple[Mono, int]:
     return lm, high - low
 
 
-def leading_monomial(p: Poly) -> Mono:
-    return _lead_ecart(p.terms)[0]
-
-
 def monic(p: Poly) -> Poly:
-    """Scale so the display-leading coefficient is 1.
+    """Scale so the leading coefficient is 1.
 
     Two polynomials are equal up to a nonzero scalar exactly when their
     monic forms are equal, so monic(p) is the key wherever that identity
     matters (radical closure, the multiplier ledger, kept row children).
+    The leading monomial of the local order is also the first in display
+    order, and monic(p) is the element a reducer of p stands for.
     """
     if p.is_zero():
         return p
-    c = p.terms[min(p.terms, key=display_key)]
+    c = p.terms[_lead_ecart(p.terms)[0]]
     if c == GaussRational.one():
         return p
     return p.scale(GaussRational.one() / c)
@@ -121,11 +121,17 @@ def monic(p: Poly) -> Poly:
 # Mora weak normal form
 
 
+def _triples(p: Poly) -> dict:
+    """The map {monomial: (a, b, d)} of p's coefficient triples."""
+    return {m: (c.a, c.b, c.d) for m, c in p.terms.items()}
+
+
 def _reducer(lm: Mono, ecart: int, terms: dict) -> tuple:
     """(lm, ecart, tail) with every tail term divided by the lead coefficient.
 
     A tail term is the flat tuple (m0, m1, m2, m3, degree, a, b, d) of its
-    exponents, its degree and its coefficient triple.
+    exponents, its degree and its coefficient triple.  The reducer thus
+    stands for the element monic(p) of the polynomial p with these terms.
     """
     p, q, e = terms[lm]
     norm = p * p + q * q
@@ -139,12 +145,9 @@ def _reducer(lm: Mono, ecart: int, terms: dict) -> tuple:
     return lm, ecart, tail
 
 
-def _prepare(basis: Iterable[Poly]) -> list[tuple]:
-    """The reducer of each basis element, in order, ready for nf_mora."""
-    return [
-        _reducer(*_lead_ecart(g.terms), {m: (c.a, c.b, c.d) for m, c in g.terms.items()})
-        for g in basis
-    ]
+def _prepare(polys: Iterable[Poly]) -> list[tuple]:
+    """The reducer of each nonzero polynomial, in order, ready for nf_mora."""
+    return [_reducer(*_lead_ecart(g.terms), _triples(g)) for g in polys if not g.is_zero()]
 
 
 def _as_poly(remainder: dict) -> Poly:
@@ -152,12 +155,12 @@ def _as_poly(remainder: dict) -> Poly:
     return Poly({m: _from_triple(*c) for m, c in remainder.items()})
 
 
-def nf_mora(f: Poly, reducers: Sequence[tuple], budget: _Budget) -> dict:
+def nf_mora(f: dict, reducers: Sequence[tuple], budget: _Budget) -> dict:
     """Weak normal form of f against a basis under the local order.
 
-    The basis comes as its reducers, prepared once by _prepare, and the
-    result is the remainder map {monomial: (a, b, d)}; _as_poly turns it
-    into a Poly where one is needed.  There is a local unit u with
+    f is the triple map {monomial: (a, b, d)} of a polynomial, the basis
+    comes as its reducers and the result is again a triple map; _as_poly
+    turns it into a Poly where one is needed.  There is a local unit u with
     u*f = (combination of basis) + result; the result is empty exactly
     when f lies in the ideal generated by the basis in the localized ring.
     Intermediate remainders join a copy of the reducer list (Mora's trick),
@@ -170,18 +173,16 @@ def nf_mora(f: Poly, reducers: Sequence[tuple], budget: _Budget) -> dict:
     tuple) and its degree spread is the ecart, so a step never scans the
     whole remainder.  A coefficient is the triple (a, b, d) its
     GaussRational stores, for (a + b*i)/d with d > 0 and gcd(a, b, d) = 1:
-    it is read as it is on entry, every step keeps it in lowest terms, and
-    the result returns it as it is.  A reducer's tail is divided by its
-    leading coefficient once, when it is prepared or joins.  The triple is
-    unique for its value and every operation on it is exact, so the result
-    equals the one of GaussRational arithmetic term by term, step for step.
+    every step keeps it in lowest terms, and the result returns it as it
+    is.  A reducer's tail is divided by its leading coefficient once, when
+    it is prepared or joins.  The triple is unique for its value and every
+    operation on it is exact, so the result equals the one of GaussRational
+    arithmetic term by term, step for step.
     """
-    if f.is_zero():
-        return {}
     reducers = list(reducers)
     buckets: dict[int, dict[Mono, tuple[int, int, int]]] = {}
-    for m, c in f.terms.items():
-        buckets.setdefault(m[0] + m[1] + m[2] + m[3], {})[m] = (c.a, c.b, c.d)
+    for m, c in f.items():
+        buckets.setdefault(m[0] + m[1] + m[2] + m[3], {})[m] = c
     while buckets:
         low = min(buckets)
         lowest = buckets[low]
@@ -225,24 +226,33 @@ def nf_mora(f: Poly, reducers: Sequence[tuple], budget: _Budget) -> dict:
     return {m: c for bucket in buckets.values() for m, c in bucket.items()}
 
 
-def _spoly(f: Poly, g: Poly) -> Poly:
-    mf, mg = leading_monomial(f), leading_monomial(g)
-    gamma = mono_lcm(mf, mg)
-    left = Poly.monomial(GaussRational.one() / f.terms[mf], mono_div(gamma, mf)) * f
-    right = Poly.monomial(GaussRational.one() / g.terms[mg], mono_div(gamma, mg)) * g
-    return left - right
+def _spoly(f: tuple, g: tuple) -> dict:
+    """The S-polynomial of two reducers, as the triple map nf_mora reads.
 
-
-def _buchberger(gens: Sequence[Poly], budget: _Budget) -> list[Poly]:
-    """Standard basis of the generators: the generators, then the remainders.
-
-    Pairs are treated by least lcm of their leading monomials (degree first,
-    then exponents), ties in the order they were formed.  The queue is a
-    heap keyed by (degree, lcm, index of formation), which pops them in the
-    order a stable sort of the pending pairs would list them.
+    Both elements are monic, so their leading terms, shifted to the lcm of
+    the leading monomials, cancel, and the shifted tails are what is left.
     """
-    basis = [p for p in gens if not p.is_zero()]
-    reducers = _prepare(basis)  # reducers[i][0] is the leading monomial of basis[i]
+    gamma = mono_lcm(f[0], g[0])
+    zero, terms = GaussRational.zero(), {}
+    for (lm, _, tail), sign in ((f, 1), (g, -1)):
+        s0, s1, s2, s3 = mono_div(gamma, lm)
+        for m0, m1, m2, m3, _, a, b, d in tail:
+            m = (m0 + s0, m1 + s1, m2 + s2, m3 + s3)
+            terms[m] = terms.get(m, zero) + _from_triple(sign * a, sign * b, d)
+    return {m: (c.a, c.b, c.d) for m, c in terms.items() if not c.is_zero()}
+
+
+def _buchberger(reducers: Sequence[tuple], budget: _Budget) -> list[tuple]:
+    """Standard basis of the ideal the reducers generate, as reducers.
+
+    The given reducers come first, then those of the nonzero remainders;
+    no element is ever a Poly on the way.  Pairs are treated by least lcm
+    of their leading monomials (degree first, then exponents), ties in the
+    order they were formed.  The queue is a heap keyed by (degree, lcm,
+    index of formation), which pops them in the order a stable sort of the
+    pending pairs would list them.
+    """
+    reducers = list(reducers)
     pairs: list[tuple[int, Mono, int, int, int]] = []
     formed = itertools.count()
 
@@ -250,79 +260,55 @@ def _buchberger(gens: Sequence[Poly], budget: _Budget) -> list[Poly]:
         lcm = mono_lcm(reducers[i][0], reducers[j][0])
         heapq.heappush(pairs, (mono_degree(lcm), lcm, next(formed), i, j))
 
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
+    for i in range(len(reducers)):
+        for j in range(i + 1, len(reducers)):
             push(i, j)
     while pairs:
         _, lcm, _, i, j = heapq.heappop(pairs)
         if lcm == mono_mul(reducers[i][0], reducers[j][0]):
             continue  # product criterion: coprime leading monomials
-        h = nf_mora(_spoly(basis[i], basis[j]), reducers, budget)
+        h = nf_mora(_spoly(reducers[i], reducers[j]), reducers, budget)
         if h:
             reducers.append(_reducer(*_lead_ecart(h), h))
-            basis.append(_as_poly(h))
-            for t in range(len(basis) - 1):
-                push(t, len(basis) - 1)
-    return basis
+            for t in range(len(reducers) - 1):
+                push(t, len(reducers) - 1)
+    return reducers
 
 
-def _minimalize(basis: list[Poly]) -> list[Poly]:
+def _minimalize(reducers: list[tuple]) -> list[tuple]:
     # Among elements sharing a leading monomial, prefer the sparsest and
-    # lowest-degree representative; tails of the discarded ones carry junk.
-    ordered = sorted(
-        basis,
-        key=lambda p: (
-            mono_degree(leading_monomial(p)),
-            leading_monomial(p),
-            len(p.terms),
-            p.total_degree(),
-        ),
-    )
-    kept: list[Poly] = []
-    for p in ordered:
-        lm = leading_monomial(p)
-        if any(mono_divides(leading_monomial(q), lm) for q in kept):
-            continue
-        kept.append(p)
-    return [monic(p) for p in kept]
+    # lowest-degree representative (least ecart); tails of the discarded ones
+    # carry junk.
+    ordered = sorted(reducers, key=lambda r: (mono_degree(r[0]), r[0], len(r[2]), r[1]))
+    kept: list[tuple] = []
+    for r in ordered:
+        if not any(mono_divides(k[0], r[0]) for k in kept):
+            kept.append(r)
+    return kept
 
 
-def _strip_by_monomials(p: Poly, monos: Sequence[Mono], keep_leading: bool) -> Poly:
-    """Drop terms divisible by a monomial known to generate part of the ideal.
-
-    Dropping such a term subtracts an exact multiple of a single-term ideal
-    element, so the result differs from p by ideal members.  Unlike general
-    tail reduction under a local order this always terminates.
-    """
-    lead = leading_monomial(p) if keep_leading else None
-    terms = {
-        m: c
-        for m, c in p.terms.items()
-        if m == lead or not any(mono_divides(mm, m) for mm in monos)
-    }
-    if len(terms) == len(p.terms):
-        return p
-    return Poly(terms)
-
-
-def _tail_strip(basis: list[Poly]) -> list[Poly]:
+def _tail_strip(reducers: list[tuple]) -> list[tuple]:
     """Erase tail terms divisible by single-term basis elements.
 
-    Leading monomials are untouched, so the result is still a standard basis
-    of the same ideal; the point is to keep tails from dragging high-degree
-    junk into later seeded completions.  Stripping can expose new single-term
-    elements, so the pass iterates until the term count stops dropping.
+    Dropping such a term subtracts an exact multiple of a single-term ideal
+    element, so leading monomials stay and the result is still a standard
+    basis of the same ideal; the point is to keep tails from dragging
+    high-degree junk into later seeded completions.  The ecart is recomputed
+    from what is left.  Stripping can expose new single-term elements, so
+    the pass iterates until the term count stops dropping.
     """
-    out = list(basis)
+    out = reducers
     while True:
-        monos = [leading_monomial(g) for g in out if len(g.terms) == 1]
+        monos = [lm for lm, _, tail in out if not tail]
         if not monos:
             return out
-        stripped = [
-            g if len(g.terms) == 1 else _strip_by_monomials(g, monos, True)
-            for g in out
-        ]
-        if sum(len(g.terms) for g in stripped) == sum(len(g.terms) for g in out):
+        stripped = []
+        for lm, ecart, tail in out:
+            kept = [t for t in tail if not any(mono_divides(mm, t[:4]) for mm in monos)]
+            if len(kept) < len(tail):
+                ecart = max(t[4] for t in kept) - mono_degree(lm) if kept else 0
+            stripped.append((lm, ecart, kept))
+        if sum(len(r[2]) for r in stripped) == sum(len(r[2]) for r in out):
             return stripped
         out = stripped
 
@@ -334,9 +320,10 @@ def _tail_strip(basis: list[Poly]) -> list[Poly]:
 class LocalIdeal:
     """Finitely generated ideal in the local ring at the origin.
 
-    The standard basis is computed lazily and cached, together with the
-    reducer of each element that nf_mora reads, so a membership query pays
-    no setup; once computed the object is immutable.  Completion and
+    The standard basis is computed lazily and cached.  It is completed,
+    minimalized and tail-stripped as the reducers that nf_mora reads, so a
+    membership query pays no setup, and its public Poly form is built from
+    them once; once computed the object is immutable.  Completion and
     reduce_modulo run under DEFAULT_STEP_BUDGET steps.  A basis of None
     means that budget ran out and membership queries answer UNDECIDED.
     """
@@ -344,7 +331,7 @@ class LocalIdeal:
     def __init__(
         self,
         generators: Iterable[Poly],
-        _seed: Optional[tuple[Poly, ...]] = None,
+        _seed: Optional[list[tuple]] = None,
     ):
         # Exact duplicates collapse, keeping the first occurrence; scalar
         # multiples stay distinct generators.
@@ -359,13 +346,17 @@ class LocalIdeal:
     @property
     def basis(self) -> Optional[tuple[Poly, ...]]:
         if self._basis is None and not self._basis_failed:
-            start = self.generators if self._seed is None else self._seed
+            start = _prepare(self.generators) if self._seed is None else self._seed
             try:
                 computed = _buchberger(start, _Budget(DEFAULT_STEP_BUDGET))
-                self._basis = tuple(_tail_strip(_minimalize(computed)))
-                self._reducers = _prepare(self._basis)
             except BudgetExhausted:
                 self._basis_failed = True
+                return None
+            self._reducers = _tail_strip(_minimalize(computed))
+            self._basis = tuple(
+                Poly({lm: GaussRational.one(), **{t[:4]: _from_triple(*t[5:]) for t in tail}})
+                for lm, _, tail in self._reducers
+            )
         return self._basis
 
     def membership(self, p: Poly, step_budget: Optional[int] = None) -> Membership:
@@ -376,7 +367,7 @@ class LocalIdeal:
         if step_budget is None:
             step_budget = DEFAULT_STEP_BUDGET
         try:
-            nf = nf_mora(p, self._reducers, _Budget(step_budget))
+            nf = nf_mora(_triples(p), self._reducers, _Budget(step_budget))
         except BudgetExhausted:
             return Membership.UNDECIDED
         return Membership.NO if nf else Membership.YES
@@ -391,17 +382,15 @@ class LocalIdeal:
         """
         if p.is_zero() or self.basis is None:
             return p
-        basis = self.basis
+        h = _triples(p)
         try:
-            h = _as_poly(nf_mora(p, self._reducers, _Budget(DEFAULT_STEP_BUDGET)))
+            h = nf_mora(h, self._reducers, _Budget(DEFAULT_STEP_BUDGET))
         except BudgetExhausted:
-            h = p
-        if h.is_zero():
-            return h
-        monos = [leading_monomial(g) for g in basis if len(g.terms) == 1]
-        if monos:
-            h = _strip_by_monomials(h, monos, False)
-        return h
+            pass
+        monos = [lm for lm, _, tail in self._reducers if not tail]
+        return _as_poly({
+            m: c for m, c in h.items() if not any(mono_divides(mm, m) for mm in monos)
+        })
 
     def unit_witness(self) -> Optional[Poly]:
         """The first generator that is a unit, or None for a proper ideal."""
@@ -423,7 +412,7 @@ class LocalIdeal:
         more = list(more)
         seed = None
         if self._basis is not None:
-            seed = tuple(list(self._basis) + more)
+            seed = self._reducers + _prepare(more)
         return LocalIdeal(list(self.generators) + more, _seed=seed)
 
     def generator_strings(self) -> tuple[str, ...]:

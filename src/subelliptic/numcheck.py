@@ -33,6 +33,14 @@ class BoundarySolveError(RuntimeError):
     """The fixed-point solve for the boundary point did not converge."""
 
 
+def _divergence(radius: float) -> BoundarySolveError:
+    return BoundarySolveError(
+        f"solving 2*Re(z) = -(|f|^2 - |g|^2) did not converge in "
+        f"{FIXED_POINT_CAP} iterations at radius {radius}; "
+        f"retry with a smaller radius"
+    )
+
+
 @dataclass
 class SampleReport:
     """Outcome of one sampling pass; fields unused by a check stay None."""
@@ -160,11 +168,6 @@ def boundary_pseudoconvexity(
     for _ in range(n):
         w = _disc_point(rng, radius)
         y = rng.uniform(-radius, radius)
-        divergence = BoundarySolveError(
-            f"solving 2*Re(z) = -(|f|^2 - |g|^2) did not converge in "
-            f"{FIXED_POINT_CAP} iterations at radius {radius}; "
-            f"retry with a smaller radius"
-        )
         x = 0.0
         for _ in range(FIXED_POINT_CAP):
             z = complex(x, y)
@@ -173,15 +176,15 @@ def boundary_pseudoconvexity(
                     _squared_norm(f_ev, z, w) - _squared_norm(g_ev, z, w)
                 )
             except OverflowError:
-                raise divergence from None
+                target = math.inf
             if not math.isfinite(target):
-                raise divergence
+                raise _divergence(radius)
             if abs(target - x) < FIXED_POINT_TOL:
                 x = target
                 break
             x = target
         else:
-            raise divergence
+            raise _divergence(radius)
         z = complex(x, y)
         value = lam(z, w).real
         report.min_lambda_on_boundary = min(report.min_lambda_on_boundary, value)

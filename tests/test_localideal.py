@@ -9,8 +9,12 @@ from subelliptic import localideal
 from subelliptic.polyring import (
     GaussRational,
     Poly,
+    _from_triple,
     canonical_str,
+    display_key,
     mono_degree,
+    mono_div,
+    mono_divides,
     mono_lcm,
     mono_mul,
     parse_poly,
@@ -26,9 +30,7 @@ from subelliptic.localideal import (
     _lead_ecart,
     _power_sweep,
     _prepare,
-    _spoly,
     hermitian_square_rows,
-    leading_monomial,
     min_algebraic_radical_order,
     monic,
     nf_mora,
@@ -39,6 +41,24 @@ from linear_oracle import certify_membership
 
 def certs_view(certs):
     return [(c.rule, c.order, canonical_str(c.element)) for c in certs]
+
+
+def leading_monomial(p):
+    return _lead_ecart(p.terms)[0]
+
+
+def triples(p):
+    """The triple map {monomial: (a, b, d)} that nf_mora reads."""
+    return {m: (c.a, c.b, c.d) for m, c in p.terms.items()}
+
+
+def element(reducer):
+    """The monic polynomial a reducer stands for."""
+    lm, _, tail = reducer
+    terms = {lm: GaussRational.one()}
+    for m0, m1, m2, m3, _, a, b, d in tail:
+        terms[m0, m1, m2, m3] = _from_triple(a, b, d)
+    return Poly(terms)
 
 
 class TestLocalOrder:
@@ -59,6 +79,18 @@ class TestLocalOrder:
     def test_monic_normalizes_display_leader(self):
         p = parse_poly("3*w^2 + 2*z^5*w")
         assert canonical_str(monic(p)) == "w^2 + 2/3*z^5*w"
+
+    def test_a_reducer_stands_for_the_monic_element(self):
+        """The leading monomial is the display leader, and the reducer of p
+        is monic(p) itself: lead coefficient 1, every other term divided."""
+        rng = random.Random(20261021)
+        for _ in range(200):
+            coeff = rng.choice([gauss_integer, gauss_fraction])
+            p = random_poly(rng, 4, coeff=coeff)
+            assert leading_monomial(p) == min(p.terms, key=display_key)
+            (reducer,) = _prepare([p])
+            assert element(reducer) == monic(p)
+            assert reducer[1] == p.total_degree() - mono_degree(reducer[0])
 
 
 class TestStandardBasis:
@@ -588,13 +620,15 @@ def _reference_nf(f, basis, budget):
 
 
 def _prepared_nf(f, basis, budget):
-    """nf_mora through reducers prepared once, which it must leave unchanged."""
-    reducers = _prepare(basis)
-    prepared = list(reducers)
+    """nf_mora on f's triple map through reducers prepared once; it must
+    leave both unchanged."""
+    reducers, f_map = _prepare(basis), triples(f)
+    prepared, f_kept = list(reducers), dict(f_map)
     try:
-        return _as_poly(nf_mora(f, reducers, budget))
+        return _as_poly(nf_mora(f_map, reducers, budget))
     finally:
         assert reducers == prepared
+        assert f_map == f_kept
 
 
 def _run_nf(nf, f, basis, steps):
@@ -668,8 +702,20 @@ class TestMoraNormalForm:
         }
 
 
+# The completion pipeline on Poly, as it was before a basis was completed as
+# reducers: it is the reference the reducer pipeline must reproduce.
+
+
+def _reference_spoly(f, g):
+    mf, mg = leading_monomial(f), leading_monomial(g)
+    gamma = mono_lcm(mf, mg)
+    left = Poly.monomial(GaussRational.one() / f.terms[mf], mono_div(gamma, mf)) * f
+    right = Poly.monomial(GaussRational.one() / g.terms[mg], mono_div(gamma, mg)) * g
+    return left - right
+
+
 def _reference_buchberger(gens, budget):
-    """Completion as written with a pair list re-sorted before every pop."""
+    """Completion with a pair list re-sorted before every pop."""
     basis = [p for p in gens if not p.is_zero()]
     leads = [leading_monomial(p) for p in basis]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
@@ -684,7 +730,8 @@ def _reference_buchberger(gens, budget):
         mi, mj = leads[i], leads[j]
         if mono_lcm(mi, mj) == mono_mul(mi, mj):
             continue
-        h = _as_poly(nf_mora(_spoly(basis[i], basis[j]), _prepare(basis), budget))
+        spoly = _reference_spoly(basis[i], basis[j])
+        h = _as_poly(nf_mora(triples(spoly), _prepare(basis), budget))
         if not h.is_zero():
             basis.append(h)
             leads.append(leading_monomial(h))
@@ -692,9 +739,77 @@ def _reference_buchberger(gens, budget):
     return basis
 
 
+def _reference_monic(p):
+    return p.scale(GaussRational.one() / p.terms[min(p.terms, key=display_key)])
+
+
+def _reference_minimalize(basis):
+    ordered = sorted(
+        basis,
+        key=lambda p: (
+            mono_degree(leading_monomial(p)),
+            leading_monomial(p),
+            len(p.terms),
+            p.total_degree(),
+        ),
+    )
+    kept = []
+    for p in ordered:
+        lm = leading_monomial(p)
+        if any(mono_divides(leading_monomial(q), lm) for q in kept):
+            continue
+        kept.append(p)
+    return [_reference_monic(p) for p in kept]
+
+
+def _reference_tail_strip(basis):
+    out = list(basis)
+    while True:
+        monos = [leading_monomial(g) for g in out if len(g.terms) == 1]
+        if not monos:
+            return out
+        stripped = []
+        for g in out:
+            lead = leading_monomial(g)
+            stripped.append(Poly({
+                m: c for m, c in g.terms.items()
+                if m == lead or not any(mono_divides(mm, m) for mm in monos)
+            }))
+        if sum(len(g.terms) for g in stripped) == sum(len(g.terms) for g in out):
+            return stripped
+        out = stripped
+
+
+def _reference_basis(gens, steps, outcomes):
+    """The finished basis the Poly pipeline gives, or None when it runs out."""
+    try:
+        computed = _reference_buchberger(gens, _Budget(steps))
+    except BudgetExhausted:
+        outcomes.add("exhausted")
+        return None
+    minimal = _reference_minimalize(computed)
+    stripped = _reference_tail_strip(minimal)
+    outcomes.add("stripped" if stripped != minimal else "complete")
+    return tuple(stripped)
+
+
+def _random_ideal(rng):
+    factors = [parse_poly(text) for text in ("z", "w", "z*w", "z + w")]
+    coeff = rng.choice([gauss_integer, gauss_fraction])
+    allow_conj = rng.random() < 0.25
+    return [
+        rng.choice(factors) * random_poly(rng, 3, allow_conj=allow_conj, coeff=coeff)
+        for _ in range(rng.randint(2, 3))
+    ]
+
+
 class TestBuchberger:
     def test_pair_heap_agrees_with_the_sorted_pair_list(self):
-        """Same basis list, same steps left, exhaustion at the same budget."""
+        """Same elements, same steps left, exhaustion at the same budget.
+
+        The completion starts from prepared reducers and returns reducers,
+        each of which stands for the monic form of the reference element.
+        """
         rng = random.Random(20261020)
         factors = [parse_poly(text) for text in ("z", "w", "z*w", "z + w")]
         outcomes = set()
@@ -705,12 +820,34 @@ class TestBuchberger:
             ]
             for steps in (10, 1000):
                 want = _complete(_reference_buchberger, gens, steps)
-                assert _complete(_buchberger, gens, steps) == want
+                got = _complete(
+                    lambda g, budget: _buchberger(_prepare(g), budget), gens, steps
+                )
                 if want[0] == "exhausted":
+                    assert got == want
                     outcomes.add("exhausted")
-                else:
-                    outcomes.add("grown" if len(want[0]) > len(gens) else "complete")
+                    continue
+                assert [element(r) for r in got[0]] == [monic(p) for p in want[0]]
+                assert got[1] == want[1]
+                outcomes.add("grown" if len(want[0]) > len(gens) else "complete")
         assert outcomes == {"exhausted", "grown", "complete"}
+
+    @pytest.mark.parametrize("steps", [10, 1000])
+    def test_reducer_pipeline_agrees_with_the_poly_pipeline(self, monkeypatch, steps):
+        """basis and with_extra(...).basis equal the Poly pipeline's, Poly for
+        Poly, and run out of budget exactly where it does."""
+        monkeypatch.setattr(localideal, "DEFAULT_STEP_BUDGET", steps)
+        rng = random.Random(20261022)
+        outcomes = set()
+        for _ in range(40):
+            gens, more = _random_ideal(rng), _random_ideal(rng)[:rng.randint(1, 2)]
+            ideal = LocalIdeal(gens)
+            want = _reference_basis(list(ideal.generators), steps, outcomes)
+            assert ideal.basis == want
+            bigger = ideal.with_extra(more)
+            seed = list(bigger.generators) if want is None else list(want) + more
+            assert bigger.basis == _reference_basis(seed, steps, outcomes)
+        assert outcomes == {"exhausted", "stripped", "complete"}
 
 
 def _complete(buchberger, gens, steps):
@@ -723,7 +860,12 @@ def _complete(buchberger, gens, steps):
 
 class TestPreparedReducers:
     def test_memberships_prepare_each_basis_element_once(self, monkeypatch):
-        """Homogeneous generators keep every ecart 0, so Mora's trick never fires."""
+        """An ideal prepares each generator once; its completed basis is never
+        prepared again, and with_extra prepares only the new generators.
+
+        Homogeneous generators keep every ecart 0, so Mora's trick never
+        fires outside completion.
+        """
         made, completing = {"completion": 0, "ideal": 0}, []
         reducer, buchberger = localideal._reducer, localideal._buchberger
 
@@ -741,15 +883,15 @@ class TestPreparedReducers:
         monkeypatch.setattr(localideal, "_reducer", counted_reducer)
         monkeypatch.setattr(localideal, "_buchberger", counted_buchberger)
         ideal = LocalIdeal([parse_poly("z^3 - w^3"), parse_poly("z*w^2 + 2*z^2*w")])
-        answers = {
-            ideal.membership(parse_poly(text) ** k)
-            for text in ("z", "w", "z + w", "z - 2*w")
-            for k in range(1, 11)
-        }
+        probes = [parse_poly(text) ** k for text in ("z", "w", "z + w", "z - 2*w")
+                  for k in range(1, 11)]
+        answers = {ideal.membership(p) for p in probes}
         assert answers == {Membership.YES, Membership.NO}
         assert made["completion"] > 0
-        assert made["ideal"] == len(ideal.basis) > 2
-
+        assert len(ideal.basis) > made["ideal"] == len(ideal.generators) == 2
+        bigger = ideal.with_extra([parse_poly("z^2*w - w^3")])
+        assert {bigger.membership(p) for p in probes} == {Membership.YES, Membership.NO}
+        assert len(bigger.basis) > 1 and made["ideal"] == 3
     def test_a_no_answer_builds_no_remainder(self, monkeypatch):
         ideal = LocalIdeal([parse_poly("w^2 - z^3"), parse_poly("z^5")])
         ideal.basis
