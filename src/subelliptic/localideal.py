@@ -7,12 +7,13 @@ reduction-step budget, which the constants DEFAULT_STEP_BUDGET, PROBE_BUDGET
 and PRUNE_BUDGET below set and a query reads when it runs; exhausting it
 yields an honest "undecided", never a wrong answer.  The normal form is
 the hot loop: inside it the remainder is bucketed by degree, and
-coefficients are the coprime integer triples that Gaussian rationals store.
-A standard basis is its reducers: each monic element as its leading
-monomial, its ecart and its tail of triples.  Generators are prepared once,
-and completion, minimalization and tail stripping all run on the reducers,
-so a finished basis is never prepared again and a membership query pays no
-setup.  A remainder becomes a Poly only where a caller needs one.
+coefficients are coprime integer triples, which is what a Gaussian rational
+is, so a Poly's term map goes in as it is.  A standard basis is its
+reducers: each monic element as its leading monomial, its ecart and its
+tail of triples.  Generators are prepared once, and completion,
+minimalization and tail stripping all run on the reducers, so a finished
+basis is never prepared again and a membership query pays no setup.  A
+remainder becomes a Poly only where a caller needs one.
 
 The radical machinery implements four sound certificate rules (conjugation,
 hermitian squares via an exact rational LDL* decomposition of the Gram
@@ -121,11 +122,6 @@ def monic(p: Poly) -> Poly:
 # Mora weak normal form
 
 
-def _triples(p: Poly) -> dict:
-    """The map {monomial: (a, b, d)} of p's coefficient triples."""
-    return {m: (c.a, c.b, c.d) for m, c in p.terms.items()}
-
-
 def _reducer(lm: Mono, ecart: int, terms: dict) -> tuple:
     """(lm, ecart, tail) with every tail term divided by the lead coefficient.
 
@@ -147,7 +143,7 @@ def _reducer(lm: Mono, ecart: int, terms: dict) -> tuple:
 
 def _prepare(polys: Iterable[Poly]) -> list[tuple]:
     """The reducer of each nonzero polynomial, in order, ready for nf_mora."""
-    return [_reducer(*_lead_ecart(g.terms), _triples(g)) for g in polys if not g.is_zero()]
+    return [_reducer(*_lead_ecart(g.terms), g.terms) for g in polys if not g.is_zero()]
 
 
 def _as_poly(remainder: dict) -> Poly:
@@ -158,7 +154,8 @@ def _as_poly(remainder: dict) -> Poly:
 def nf_mora(f: dict, reducers: Sequence[tuple], budget: _Budget) -> dict:
     """Weak normal form of f against a basis under the local order.
 
-    f is the triple map {monomial: (a, b, d)} of a polynomial, the basis
+    f is a term map {monomial: (a, b, d)}: a Poly's terms, whose
+    GaussRational coefficients are such triples, or a remainder.  The basis
     comes as its reducers and the result is again a triple map; _as_poly
     turns it into a Poly where one is needed.  There is a local unit u with
     u*f = (combination of basis) + result; the result is empty exactly
@@ -171,8 +168,8 @@ def nf_mora(f: dict, reducers: Sequence[tuple], budget: _Budget) -> dict:
     Inside the loop the remainder is a map {degree: {monomial: coefficient}}.
     Its least degree holds the leading monomial (ties to the larger exponent
     tuple) and its degree spread is the ecart, so a step never scans the
-    whole remainder.  A coefficient is the triple (a, b, d) its
-    GaussRational stores, for (a + b*i)/d with d > 0 and gcd(a, b, d) = 1:
+    whole remainder.  A coefficient is the triple (a, b, d) that a
+    GaussRational is, for (a + b*i)/d with d > 0 and gcd(a, b, d) = 1:
     every step keeps it in lowest terms, and the result returns it as it
     is.  A reducer's tail is divided by its leading coefficient once, when
     it is prepared or joins.  The triple is unique for its value and every
@@ -239,7 +236,7 @@ def _spoly(f: tuple, g: tuple) -> dict:
         for m0, m1, m2, m3, _, a, b, d in tail:
             m = (m0 + s0, m1 + s1, m2 + s2, m3 + s3)
             terms[m] = terms.get(m, zero) + _from_triple(sign * a, sign * b, d)
-    return {m: (c.a, c.b, c.d) for m, c in terms.items() if not c.is_zero()}
+    return {m: c for m, c in terms.items() if not c.is_zero()}
 
 
 def _buchberger(reducers: Sequence[tuple], budget: _Budget) -> list[tuple]:
@@ -320,12 +317,12 @@ def _tail_strip(reducers: list[tuple]) -> list[tuple]:
 class LocalIdeal:
     """Finitely generated ideal in the local ring at the origin.
 
-    The standard basis is computed lazily and cached.  It is completed,
-    minimalized and tail-stripped as the reducers that nf_mora reads, so a
-    membership query pays no setup, and its public Poly form is built from
-    them once; once computed the object is immutable.  Completion and
-    reduce_modulo run under DEFAULT_STEP_BUDGET steps.  A basis of None
-    means that budget ran out and membership queries answer UNDECIDED.
+    The standard basis is its reducers (lm, ecart, tail), the form nf_mora
+    reads, so a membership query pays no setup.  The first read of basis
+    completes, minimalizes and tail-strips it under DEFAULT_STEP_BUDGET
+    steps and keeps the result; once computed the object is immutable.  A
+    basis of None means that budget ran out, and membership queries then
+    answer UNDECIDED.  reduce_modulo also runs under DEFAULT_STEP_BUDGET.
     """
 
     def __init__(
@@ -339,24 +336,17 @@ class LocalIdeal:
             dict.fromkeys(p for p in generators if not p.is_zero())
         )
         self._seed = _seed
-        self._basis: Optional[tuple[Poly, ...]] = None
-        self._reducers: list[tuple] = []
-        self._basis_failed = False
 
     @property
-    def basis(self) -> Optional[tuple[Poly, ...]]:
-        if self._basis is None and not self._basis_failed:
+    def basis(self) -> Optional[list[tuple]]:
+        # Completion runs on the first read, which sets the _basis attribute.
+        if "_basis" not in vars(self):
             start = _prepare(self.generators) if self._seed is None else self._seed
             try:
                 computed = _buchberger(start, _Budget(DEFAULT_STEP_BUDGET))
+                self._basis = _tail_strip(_minimalize(computed))
             except BudgetExhausted:
-                self._basis_failed = True
-                return None
-            self._reducers = _tail_strip(_minimalize(computed))
-            self._basis = tuple(
-                Poly({lm: GaussRational.one(), **{t[:4]: _from_triple(*t[5:]) for t in tail}})
-                for lm, _, tail in self._reducers
-            )
+                self._basis = None
         return self._basis
 
     def membership(self, p: Poly, step_budget: Optional[int] = None) -> Membership:
@@ -367,7 +357,7 @@ class LocalIdeal:
         if step_budget is None:
             step_budget = DEFAULT_STEP_BUDGET
         try:
-            nf = nf_mora(_triples(p), self._reducers, _Budget(step_budget))
+            nf = nf_mora(p.terms, self.basis, _Budget(step_budget))
         except BudgetExhausted:
             return Membership.UNDECIDED
         return Membership.NO if nf else Membership.YES
@@ -376,18 +366,21 @@ class LocalIdeal:
         """Best-effort reduction: returns p minus ideal elements, never None.
 
         The leading term is normalized with Mora's form and the tail is
-        stripped against single-term basis elements.  On a missing basis or
-        an exhausted budget the input (or a partial reduction) comes back
-        unchanged, which is always a sound answer.
+        stripped against single-term basis elements.  On a missing basis the
+        input comes back as it is.  When the normal form runs out of
+        DEFAULT_STEP_BUDGET its partial remainder is lost, and the input
+        comes back with only the terms divisible by single-term basis
+        elements stripped.  Either way the result differs from p by an
+        ideal element, which is always a sound answer.
         """
         if p.is_zero() or self.basis is None:
             return p
-        h = _triples(p)
+        h = p.terms
         try:
-            h = nf_mora(h, self._reducers, _Budget(DEFAULT_STEP_BUDGET))
+            h = nf_mora(h, self.basis, _Budget(DEFAULT_STEP_BUDGET))
         except BudgetExhausted:
             pass
-        monos = [lm for lm, _, tail in self._reducers if not tail]
+        monos = [lm for lm, _, tail in self.basis if not tail]
         return _as_poly({
             m: c for m, c in h.items() if not any(mono_divides(mm, m) for mm in monos)
         })
@@ -410,9 +403,8 @@ class LocalIdeal:
         rediscovering the old reductions.
         """
         more = list(more)
-        seed = None
-        if self._basis is not None:
-            seed = self._reducers + _prepare(more)
+        basis = vars(self).get("_basis")
+        seed = None if basis is None else basis + _prepare(more)
         return LocalIdeal(list(self.generators) + more, _seed=seed)
 
     def generator_strings(self) -> tuple[str, ...]:
@@ -547,7 +539,7 @@ def hermitian_square_rows(p: Poly) -> Optional[list[tuple[Fraction, Poly]]]:
                 a[i][t] = a[i][t] - (a[i][j] * a[t][j].conj()) / d
     check = Poly.zero()
     for weight, row in rows:
-        check = check + (row * row.conj()).scale(GaussRational.of(weight))
+        check = check + (row * row.conj()).scale(GaussRational(weight))
     if check != p:
         raise AssertionError("LDL* reconstruction mismatch")
     return rows

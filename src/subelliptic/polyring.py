@@ -4,7 +4,9 @@ The four variables are formally independent; zb and wb play the role of the
 complex conjugates of z and w.  A polynomial is "real" precisely when it is
 fixed by the conjugation that swaps z with zb and w with wb while conjugating
 coefficients.  All arithmetic is exact: coefficients are Gaussian rationals
-(a + b*i)/d, stored as coprime integer triples (a, b, d), never floats.
+(a + b*i)/d, each of which is the coprime integer triple (a, b, d) itself, a
+tuple, never a float.  A polynomial's term map {monomial: coefficient} is
+thus already the map of triples that the normal form in localideal reads.
 
 Monomials are exponent tuples (a, b, c, d) for z^a zb^b w^c wb^d.  The
 canonical display order sorts terms by total degree, lowest first, breaking
@@ -18,8 +20,8 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 from numbers import Rational
-from operator import add, mul
-from typing import Callable, Mapping, Sequence, Union
+from operator import add, itemgetter, mul
+from typing import Callable, Mapping, Sequence
 
 
 def _power(base, n: int, one):
@@ -40,30 +42,35 @@ def _power(base, n: int, one):
 # Gaussian rationals
 
 
-class GaussRational:
-    """Exact complex number (a + b*i)/d with integers a, b, d.
+class GaussRational(tuple):
+    """Exact complex number (a + b*i)/d, which is the integer triple (a, b, d).
 
     The triple is kept in lowest terms, d > 0 and gcd(a, b, d) = 1, so it is
-    unique for its value: equality and hashing compare triples, and every
-    operation works on integers with one gcd to normalise its result.  The
-    real and imaginary parts read back as ``Fraction``s.
+    unique for its value: a coefficient is this tuple, equality and hashing
+    are the tuple's, and a map {monomial: coefficient} is already the triple
+    map that the normal form reads.  Every operation works on integers with
+    one gcd to normalise its result.  a, b and d read the items back, and
+    the real and imaginary parts read back as ``Fraction``s.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ()
 
-    def __init__(self, re: Rational = 0, im: Rational = 0):
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    d = property(itemgetter(2))
+
+    # A coefficient is no sequence: int * c and tuple + c do not repeat or
+    # concatenate it, and coefficients have no order.  Each raises TypeError.
+    __rmul__ = __radd__ = None
+    __lt__ = __le__ = __gt__ = __ge__ = None
+
+    def __new__(cls, re: Rational = 0, im: Rational = 0):
         p, q = re.numerator, re.denominator
         r, s = im.numerator, im.denominator
         # Over the lcm of two reduced denominators the numerators stay
         # coprime to it, so the triple needs no gcd.
         d = q * s // gcd(q, s)
-        _set_a(self, p * (d // q))
-        _set_b(self, r * (d // s))
-        _set_d(self, d)
-
-    @staticmethod
-    def of(re: Union[int, Fraction], im: Union[int, Fraction] = 0) -> "GaussRational":
-        return GaussRational(Fraction(re), Fraction(im))
+        return tuple.__new__(cls, (p * (d // q), r * (d // s), d))
 
     @staticmethod
     def zero() -> "GaussRational":
@@ -73,75 +80,68 @@ class GaussRational:
     def one() -> "GaussRational":
         return _GR_ONE
 
-    def __setattr__(self, *_):
-        raise AttributeError("GaussRational is immutable")
-
     def __reduce__(self):
         return GaussRational, (self.re, self.im)
 
     @property
     def re(self) -> Fraction:
-        return Fraction(self.a, self.d)
+        return Fraction(self[0], self[2])
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self.b, self.d)
+        return Fraction(self[1], self[2])
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b)
+        return not (self[0] or self[1])
 
     def conj(self) -> "GaussRational":
-        return _from_triple(self.a, -self.b, self.d)
+        a, b, d = self
+        return _from_triple(a, -b, d)
 
     def abs_sq(self) -> Fraction:
-        a, b, d = self.a, self.b, self.d
+        a, b, d = self
         return Fraction(a * a + b * b, d * d)
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
-        d1, d2 = self.d, other.d
+        (a, b, d1), (p, q, d2) = self, other
         k = gcd(d1, d2)
         u, v = d2 // k, d1 // k
-        return _reduced(self.a * u + other.a * v, self.b * u + other.b * v, d1 * u)
+        return _reduced(a * u + p * v, b * u + q * v, d1 * u)
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
-        d1, d2 = self.d, other.d
+        (a, b, d1), (p, q, d2) = self, other
         k = gcd(d1, d2)
         u, v = d2 // k, d1 // k
-        return _reduced(self.a * u - other.a * v, self.b * u - other.b * v, d1 * u)
+        return _reduced(a * u - p * v, b * u - q * v, d1 * u)
 
     def __neg__(self) -> "GaussRational":
-        return _from_triple(-self.a, -self.b, self.d)
+        a, b, d = self
+        return _from_triple(-a, -b, d)
 
     def __mul__(self, other: "GaussRational") -> "GaussRational":
-        a, b, p, q = self.a, self.b, other.a, other.b
-        return _reduced(a * p - b * q, a * q + b * p, self.d * other.d)
+        (a, b, d), (p, q, e) = self, other
+        return _reduced(a * p - b * q, a * q + b * p, d * e)
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
         # (a + b*i)/d / ((p + q*i)/e) = e*(a + b*i)*(p - q*i) / (d*(p^2 + q^2))
-        a, b, p, q, e = self.a, self.b, other.a, other.b, other.d
+        (a, b, d), (p, q, e) = self, other
         norm = p * p + q * q
         if not norm:
             raise ZeroDivisionError("division by zero GaussRational")
-        return _reduced(e * (a * p + b * q), e * (b * p - a * q), self.d * norm)
+        return _reduced(e * (a * p + b * q), e * (b * p - a * q), d * norm)
 
     def scale(self, q: Rational) -> "GaussRational":
+        a, b, d = self
         n = q.numerator
-        return _reduced(self.a * n, self.b * n, self.d * q.denominator)
+        return _reduced(a * n, b * n, d * q.denominator)
 
     def __pow__(self, n: int) -> "GaussRational":
         return _power(self, n, _GR_ONE)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaussRational):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.d == other.d
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.d))
-
     def to_complex(self) -> complex:
         # Integer true division rounds correctly, as float(Fraction) does.
-        return complex(self.a / self.d, self.b / self.d)
+        a, b, d = self
+        return complex(a / d, b / d)
 
     def __repr__(self) -> str:
         return f"GaussRational(re={self.re!r}, im={self.im!r})"
@@ -150,19 +150,9 @@ class GaussRational:
         return coeff_str(self)
 
 
-_set_a = GaussRational.a.__set__
-_set_b = GaussRational.b.__set__
-_set_d = GaussRational.d.__set__
-_new = object.__new__
-
-
 def _from_triple(a: int, b: int, d: int) -> GaussRational:
     """The GaussRational (a + b*i)/d of a triple already in lowest terms."""
-    c = _new(GaussRational)
-    _set_a(c, a)
-    _set_b(c, b)
-    _set_d(c, d)
-    return c
+    return tuple.__new__(GaussRational, (a, b, d))
 
 
 def _reduced(a: int, b: int, d: int) -> GaussRational:
@@ -482,7 +472,7 @@ def _ratio_str(n: int, d: int) -> str:
 
 def coeff_str(c: GaussRational) -> str:
     """Standalone rendering of a coefficient, used for constants."""
-    a, b, d = c.a, c.b, c.d
+    a, b, d = c
     if not b:
         return _ratio_str(a, d)
     mag = "" if abs(b) == d else _ratio_str(abs(b), d) + "*"
@@ -595,7 +585,10 @@ def parse_poly(text: str) -> Poly:
     such as "(1 + 2*i)".
     """
     tk = _Tokens(text)
-    p = _parse_expr(tk)
+    try:
+        p = _parse_expr(tk)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", text, tk.peek()[2]) from None
     t = tk.peek()
     if t[0] != "end":
         raise ParseError(f"unexpected '{t[1]}'", text, t[2])

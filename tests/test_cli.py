@@ -1,6 +1,7 @@
 """Command line behavior: spec parsing, exit codes, JSON artifacts."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -166,6 +167,15 @@ class TestExitCodes:
         code = main(["levi", str(path)])
         assert code == EXIT_INPUT
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_deeply_nested_component_exits_one(self, tmp_path, capsys):
+        depth = sys.getrecursionlimit()
+        spec = write_spec(tmp_path, {"f": ["(" * depth + "w" + ")" * depth]})
+        assert main(["levi", spec]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: f\[0\]: expression nested too deeply \(line 1, column \d+\)\n", err
+        )
 
     @pytest.mark.parametrize(
         "radius", ["Infinity", "1e400", pytest.param("1" + "0" * 400, id="int-1e400")]

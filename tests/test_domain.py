@@ -230,7 +230,7 @@ class TestTypeLowerBound:
         assert str(bound.witness) == "(0, t)"
 
     def test_no_monomial_curve_beats_the_vertical(self):
-        coeffs = [GaussRational.of(*c) for c in
+        coeffs = [GaussRational(*c) for c in
                   [(1,), (-1,), (0, 1), (0, -1), (2,), (1, 1), (Fraction(1, 2), -3)]]
         rng = random.Random(20261018)
         specs = [flat_domain(), borderline_domain(5), cross_power_domain(3, 2, 5)]

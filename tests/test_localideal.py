@@ -47,11 +47,6 @@ def leading_monomial(p):
     return _lead_ecart(p.terms)[0]
 
 
-def triples(p):
-    """The triple map {monomial: (a, b, d)} that nf_mora reads."""
-    return {m: (c.a, c.b, c.d) for m, c in p.terms.items()}
-
-
 def element(reducer):
     """The monic polynomial a reducer stands for."""
     lm, _, tail = reducer
@@ -59,6 +54,12 @@ def element(reducer):
     for m0, m1, m2, m3, _, a, b, d in tail:
         terms[m0, m1, m2, m3] = _from_triple(a, b, d)
     return Poly(terms)
+
+
+def basis_elements(ideal):
+    """The basis of an ideal as a tuple of Polys, or None when it ran out."""
+    basis = ideal.basis
+    return None if basis is None else tuple(map(element, basis))
 
 
 class TestLocalOrder:
@@ -100,7 +101,7 @@ class TestStandardBasis:
         )
 
     def test_basis_elements(self):
-        got = {canonical_str(g) for g in self.ideal.basis}
+        got = {canonical_str(g) for g in basis_elements(self.ideal)}
         assert got == {"w + 1/3*z^5", "z^10"}
 
     @pytest.mark.parametrize(
@@ -270,6 +271,16 @@ class TestReduceModulo:
             member = random_poly(rng, 2) * self.gens[0] + random_poly(rng, 2) * self.gens[1]
             assert self.ideal.reduce_modulo(member).is_zero()
 
+    def test_an_exhausted_normal_form_only_strips_the_input(self, monkeypatch):
+        """With the basis complete, a normal form that runs out loses its
+        partial remainder: the input comes back with only its terms
+        divisible by single-term basis elements stripped."""
+        ideal = LocalIdeal([parse_poly("w - z^2"), parse_poly("z^3")])
+        p = parse_poly("w + z^4")
+        assert canonical_str(ideal.reduce_modulo(p)) == "z^2"
+        monkeypatch.setattr(localideal, "DEFAULT_STEP_BUDGET", 0)
+        assert canonical_str(ideal.reduce_modulo(p)) == "w"
+
     def test_failed_basis_returns_the_input(self, monkeypatch):
         monkeypatch.setattr(localideal, "DEFAULT_STEP_BUDGET", 0)
         starving = LocalIdeal([parse_poly("z*w + w^3"), parse_poly("z^2 - w^2")])
@@ -289,8 +300,8 @@ class TestHermitianSquares:
         assert canonical_str(row) == "w^2 + 2/3*z^5*w"
 
     def test_scaled_variable_square(self):
-        p = parse_poly("w").scale(GaussRational.of(2)) * parse_poly("wb").scale(
-            GaussRational.of(2)
+        p = parse_poly("w").scale(GaussRational(2)) * parse_poly("wb").scale(
+            GaussRational(2)
         )
         rows = hermitian_square_rows(p)
         assert [(w, canonical_str(r)) for w, r in rows] == [(Fraction(4), "w")]
@@ -307,7 +318,7 @@ class TestHermitianSquares:
         assert hermitian_square_rows(parse_poly("z*wb + zb*w")) is None
 
     def test_negative_square_is_rejected(self):
-        p = parse_poly("z*zb").scale(GaussRational.of(-1))
+        p = parse_poly("z*zb").scale(GaussRational(-1))
         assert hermitian_square_rows(p) is None
 
     def test_non_real_input_is_rejected(self):
@@ -335,7 +346,7 @@ class TestHermitianSquares:
             p = Poly.zero()
             for row in rows_in:
                 p = p + (row * row.conj()).scale(
-                    GaussRational.of(Fraction(rng.randint(1, 4)))
+                    GaussRational(Fraction(rng.randint(1, 4)))
                 )
             if p.is_zero():
                 continue
@@ -343,7 +354,7 @@ class TestHermitianSquares:
             assert rows_out is not None
             rebuilt = Poly.zero()
             for weight, row in rows_out:
-                rebuilt = rebuilt + (row * row.conj()).scale(GaussRational.of(weight))
+                rebuilt = rebuilt + (row * row.conj()).scale(GaussRational(weight))
             assert rebuilt == p
 
     def test_pointwise_domination_is_exact(self):
@@ -620,9 +631,9 @@ def _reference_nf(f, basis, budget):
 
 
 def _prepared_nf(f, basis, budget):
-    """nf_mora on f's triple map through reducers prepared once; it must
+    """nf_mora on f's term map through reducers prepared once; it must
     leave both unchanged."""
-    reducers, f_map = _prepare(basis), triples(f)
+    reducers, f_map = _prepare(basis), f.terms
     prepared, f_kept = list(reducers), dict(f_map)
     try:
         return _as_poly(nf_mora(f_map, reducers, budget))
@@ -657,7 +668,7 @@ def _check_against_reference(rng, coeff, monkeypatch):
     for _ in range(60):
         basis = [random_poly(rng, 3, coeff=coeff) for _ in range(rng.randint(1, 3))]
         if rng.random() < 0.5:
-            basis = list(LocalIdeal(basis).basis or basis)
+            basis = list(basis_elements(LocalIdeal(basis)) or basis)
         f = random_poly(rng, 5, coeff=coeff) * random_poly(rng, 2, coeff=coeff)
         if rng.random() < 0.5:
             f = f + random_poly(rng, 2, coeff=coeff) * basis[0]
@@ -731,7 +742,7 @@ def _reference_buchberger(gens, budget):
         if mono_lcm(mi, mj) == mono_mul(mi, mj):
             continue
         spoly = _reference_spoly(basis[i], basis[j])
-        h = _as_poly(nf_mora(triples(spoly), _prepare(basis), budget))
+        h = _as_poly(nf_mora(spoly.terms, _prepare(basis), budget))
         if not h.is_zero():
             basis.append(h)
             leads.append(leading_monomial(h))
@@ -843,10 +854,10 @@ class TestBuchberger:
             gens, more = _random_ideal(rng), _random_ideal(rng)[:rng.randint(1, 2)]
             ideal = LocalIdeal(gens)
             want = _reference_basis(list(ideal.generators), steps, outcomes)
-            assert ideal.basis == want
+            assert basis_elements(ideal) == want
             bigger = ideal.with_extra(more)
             seed = list(bigger.generators) if want is None else list(want) + more
-            assert bigger.basis == _reference_basis(seed, steps, outcomes)
+            assert basis_elements(bigger) == _reference_basis(seed, steps, outcomes)
         assert outcomes == {"exhausted", "stripped", "complete"}
 
 
@@ -935,11 +946,11 @@ class TestOracleCrossChecks:
         ideal = LocalIdeal([g1, g2])
         for _ in range(15):
             a = Poly.monomial(
-                GaussRational.of(rng.randint(1, 3)),
+                GaussRational(rng.randint(1, 3)),
                 (rng.randint(0, 2), 0, rng.randint(0, 1), 0),
             )
             b = Poly.monomial(
-                GaussRational.of(rng.randint(-3, -1)),
+                GaussRational(rng.randint(-3, -1)),
                 (rng.randint(0, 1), 0, rng.randint(0, 2), 0),
             )
             combo = a * g1 + b * g2

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ Z = Poly.variable("z")
 ZB = Poly.variable("zb")
 W = Poly.variable("w")
 WB = Poly.variable("wb")
-GR = GaussRational.of
+GR = GaussRational
 
 
 def random_gauss(rng: random.Random) -> GaussRational:
@@ -166,7 +167,7 @@ class TestGaussRationalAgainstFractionPairs:
         halves = [
             GaussRational(Fraction(2, 4)),
             GaussRational(Fraction(1, 2), 0),
-            GaussRational.of(Fraction(1, 2)),
+            GaussRational(Fraction(1, 2)),
             GaussRational(Fraction(3, 4)) * GaussRational(Fraction(2, 3)),
             GaussRational(Fraction(1, 2), Fraction(1, 2))
             * GaussRational(Fraction(1, 2), Fraction(-1, 2)),
@@ -179,6 +180,27 @@ class TestGaussRationalAgainstFractionPairs:
         assert len(set(halves)) == 1
         assert GaussRational(0) == GaussRational(Fraction(0, 5), 0) == GaussRational.zero()
         assert GaussRational(Fraction(1, 2)) != GaussRational(0, Fraction(1, 2))
+
+    def test_a_coefficient_is_its_triple(self):
+        """The tuple's hash and equality are the value's; its sequence
+        arithmetic and ordering are off, and the items cannot be set."""
+        rng = random.Random(20261023)
+        seen = set()
+        for _ in range(200):
+            c = GaussRational(*random_pair(rng))
+            seen.add("zero" if c.is_zero() else "negative" if c.a < 0 or c.b < 0
+                     else "positive")
+            assert tuple(c) == (c.a, c.b, c.d)
+            assert hash(c) == hash((c.a, c.b, c.d))
+            assert c == GaussRational(c.re, c.im)
+            for operation in (lambda: 3 * c, lambda: (1, 0) + c, lambda: c < c):
+                with pytest.raises(TypeError):
+                    operation()
+            with pytest.raises(AttributeError):
+                setattr(c, "a", 1)
+            for twin in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+                assert type(twin) is GaussRational and twin == c
+        assert seen == {"zero", "negative", "positive"}
 
     def test_to_complex_is_bit_identical(self):
         rng = random.Random(20261021)
@@ -537,6 +559,16 @@ class TestParsing:
             parse_poly("(z + w")
         with pytest.raises(ParseError):
             parse_poly("1/0")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        """Nesting beyond the interpreter's recursion limit is reported as a
+        ParseError at the token reached, not as a RecursionError."""
+        depth = sys.getrecursionlimit()
+        text = "(" * depth + "w" + ")" * depth
+        with pytest.raises(ParseError, match=r"^expression nested too deeply \(line 1, ") as err:
+            parse_poly(text)
+        assert 1 <= err.value.column <= len(text)
+        assert parse_poly("(" * 50 + "w" + ")" * 50) == W
 
     def test_digits_that_int_rejects_are_unexpected(self):
         """'²'.isdigit() is True, yet int('²') fails."""
