@@ -19,9 +19,14 @@ The radical machinery implements four sound certificate rules (conjugation,
 hermitian squares via an exact rational LDL* decomposition of the Gram
 matrix, monomial roots via ascending power probes, and algebraic powers) and
 iterates them to a fixpoint.  A power sweep probes the two lowest powers
-before it asks whether the cap power rules a base out.  Certificates record
-enough context (probe ideal snapshots, membership logs) for traces to be
-replayed and audited.
+before it asks whether the cap power rules a base out, and it asks that on
+the conjugate side first: whether conj(b)^cap lies in J = I + conj(I).
+Conjugation (swap z and zb, w and wb, conjugate the coefficients) is a ring
+automorphism of the local ring, and J contains I with conj(J) = J, so b^cap
+in I implies conj(b)^cap in J; a NO there is exact for b^cap.  Only a YES
+or an undecided answer there leads to the direct question, b^cap in I.
+Certificates record enough context (probe ideal snapshots, membership logs)
+for traces to be replayed and audited.
 """
 
 from __future__ import annotations
@@ -415,6 +420,18 @@ class LocalIdeal:
         return f"LocalIdeal({inner})"
 
 
+def _conjugate_closure(ideal: LocalIdeal) -> LocalIdeal:
+    """I + conj(I): the ideal extended by the conjugates of its generators.
+
+    Only the conjugates that are not generators already join, and an ideal
+    that holds all of them comes back as it is, so it builds no second
+    standard basis.
+    """
+    conjugates = (g.conj() for g in ideal.generators)
+    missing = [c for c in conjugates if c not in ideal.generators]
+    return ideal.with_extra(missing) if missing else ideal
+
+
 def _power_sweep(
     bases: dict[str, Poly],
     ideal: LocalIdeal,
@@ -433,15 +450,24 @@ def _power_sweep(
     defaults to DEFAULT_STEP_BUDGET.
 
     When neither b^first nor b^(first+1) wins, each base still alive is
-    probed once at b^cap, under at most PRUNE_BUDGET steps, before the sweep
-    goes on from b^(first+2).  Since b^m in the ideal implies b^cap in it, a
-    NO there is exact for every higher power and drops the base, whose log
-    ends with (cap, "no"); a YES or an undecided answer leaves the sweep as
-    it was.  The bound keeps a costly YES at the cap from outweighing the
-    sweep, and the two low powers spare the cap probe wherever one of them
-    wins.  When b^(first+2) is b^cap itself the sweep asks it next anyway,
-    so no cap probe is made.  A dropped base never joins a cohort, so the
-    power, the cohort and the cohort's logs are those of the plain sweep.
+    probed once at the cap, under at most PRUNE_BUDGET steps per question,
+    before the sweep goes on from b^(first+2).  The probe first asks whether
+    conj(b)^cap lies in J = I + conj(I), which is built once, here, and is
+    I itself when I holds the conjugate of every generator.  Conjugation is
+    a ring automorphism of the local ring, J contains I and conj(J) = J, so
+    b^cap in I implies conj(b)^cap in J, and a NO from J is exact for b^cap.
+    Only a YES or an undecided answer from J leads to the direct question,
+    b^cap in I.  Since b^m in the ideal implies b^cap in it, a NO from
+    either side is exact for every lower power too and drops the base, whose
+    log ends with (cap, "no"); otherwise the sweep goes on as it was.  The
+    conjugate side is cheap where the local order's tie-break picks z over
+    zb as a lead: conj(b)^cap is antiholomorphic and such a lead never
+    divides it.  The bound keeps a costly YES at the cap from outweighing
+    the sweep, and the two low powers spare the cap probe wherever one of
+    them wins.  When b^(first+2) is b^cap itself the sweep asks it next
+    anyway, so no cap probe is made.  A dropped base never joins a cohort,
+    so the power, the cohort and the cohort's logs are those of the plain
+    sweep.
     """
     if step_budget is None:
         step_budget = DEFAULT_STEP_BUDGET
@@ -451,8 +477,11 @@ def _power_sweep(
     for m in range(first, cap + 1):
         if m == first + 2 and m < cap:
             prune = min(PRUNE_BUDGET, step_budget)
+            closure = _conjugate_closure(ideal)
             for name in list(alive):
-                if ideal.membership(bases[name] ** cap, step_budget=prune) is Membership.NO:
+                power = bases[name] ** cap
+                if (closure.membership(power.conj(), step_budget=prune) is Membership.NO
+                        or ideal.membership(power, step_budget=prune) is Membership.NO):
                     logs[name].append((cap, Membership.NO.value))
                     alive.remove(name)
         cohort = []

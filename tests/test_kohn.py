@@ -46,7 +46,7 @@ TRACE_DIGESTS = {
 
 # Mora reduction steps spent by run_kohn on the same grid: the
 # machine-independent count that sits beside every timing of these runs.
-MORA_STEPS = {(3, 2, 4): 595, (3, 2, 5): 683, (3, 2, 6): 772, (4, 3, 6): 826}
+MORA_STEPS = {(3, 2, 4): 253, (3, 2, 5): 279, (3, 2, 6): 306, (4, 3, 6): 362}
 
 
 @pytest.fixture(scope="module")

@@ -27,6 +27,7 @@ from subelliptic.localideal import (
     _as_poly,
     _Budget,
     _buchberger,
+    _conjugate_closure,
     _lead_ecart,
     _power_sweep,
     _prepare,
@@ -165,6 +166,14 @@ def random_poly(rng, degree, allow_conj=True, coeff=gauss_integer):
         if not c.is_zero():
             terms[tuple(exps)] = c
     return Poly(terms) if terms else Poly.one()
+
+
+def vanishing_poly(rng, degree):
+    """A random_poly with conjugate variables and no constant term."""
+    while True:
+        p = random_poly(rng, degree)
+        if p.constant_term().is_zero():
+            return p
 
 
 class TestMembershipProperties:
@@ -511,12 +520,41 @@ class TestPowerSweep:
         assert logs["w"] == [(1, "no"), (2, "no"), (3, "no"), (4, "undecided")]
         assert logs["z"] == [(m, "no") for m in range(1, 5)] + [(5, "yes")]
 
-    def test_base_outside_at_the_cap_is_dropped_after_two_low_powers(self):
+    def test_base_outside_on_the_conjugate_side_skips_the_direct_probe(self):
+        """wb^8 is not in (z^3, zb^3), so w^8 is never asked of (z^3)."""
         ideal = LocalIdeal([parse_poly("z^3")])
         calls = _count_memberships(ideal)
         result = _power_sweep({"w": parse_poly("w")}, ideal, 1, 8)
         assert result == (None, [], {"w": [(1, "no"), (2, "no"), (8, "no")]})
+        assert calls == ["w", "w^2"]
+
+    def test_conjugate_side_yes_falls_back_to_the_direct_probe(self):
+        """wb^8 lies in (wb, w), so only the direct probe rules w^8 out of (wb)."""
+        ideal = LocalIdeal([parse_poly("wb")])
+        assert _conjugate_closure(ideal).membership(parse_poly("wb^8")) is Membership.YES
+        calls = _count_memberships(ideal)
+        result = _power_sweep({"w": parse_poly("w")}, ideal, 1, 8)
+        assert result == (None, [], {"w": [(1, "no"), (2, "no"), (8, "no")]})
         assert calls == ["w", "w^2", "w^8"]
+
+    @pytest.mark.parametrize(
+        "generators,bases_built",
+        [(("z^3", "zb^3"), 1), (("z^3",), 2)],
+        ids=["closed", "open"],
+    )
+    def test_closed_ideal_builds_no_second_basis(self, monkeypatch, generators, bases_built):
+        """An ideal holding every conjugate is its own I + conj(I)."""
+        buchberger, built = localideal._buchberger, []
+
+        def counting_buchberger(reducers, budget):
+            built.append(len(reducers))
+            return buchberger(reducers, budget)
+
+        monkeypatch.setattr(localideal, "_buchberger", counting_buchberger)
+        ideal = LocalIdeal([parse_poly(text) for text in generators])
+        result = _power_sweep({"w": parse_poly("w")}, ideal, 1, 8)
+        assert result == (None, [], {"w": [(1, "no"), (2, "no"), (8, "no")]})
+        assert len(built) == bases_built
 
     def test_base_in_the_ideal_at_the_second_power_never_probes_the_cap(self):
         ideal = LocalIdeal([parse_poly("z^2"), parse_poly("w^5")])
@@ -565,6 +603,43 @@ class TestPowerSweep:
             outcomes.add(power is None)
             outcomes.add("short" if cap < first + 2 else "long")
         assert outcomes == {True, False, "short", "long"}
+
+    def test_agrees_with_the_ascending_sweep_with_conjugate_variables(self):
+        rng = random.Random(20261019)
+        bases = {"z": parse_poly("z"), "w": parse_poly("w")}
+        outcomes = set()
+        for _ in range(60):
+            ideal = LocalIdeal(vanishing_poly(rng, 3) for _ in range(rng.randint(1, 3)))
+            step_budget = rng.choice([None, 0, 1, 3])
+            first = rng.choice([1, 2])
+            cap = rng.randint(first - 1, 8)
+            want = _ascending_sweep(bases, ideal, first, cap, step_budget)
+            power, cohort, logs = _power_sweep(bases, ideal, first, cap, step_budget)
+            assert (power, cohort) == want[:2]
+            assert {v: logs[v] for v in cohort} == {v: want[2][v] for v in cohort}
+            assert all(answer != "undecided" for v in cohort for _, answer in logs[v])
+            outcomes.add(power is None)
+            outcomes.add("short" if cap < first + 2 else "long")
+        assert outcomes == {True, False, "short", "long"}
+
+    def test_a_conjugate_side_no_is_never_contradicted(self):
+        """conj(b)^cap outside I + conj(I) means b^cap is outside I."""
+        rng = random.Random(20261020)
+        answers = []
+        for _ in range(40):
+            ideal = LocalIdeal(vanishing_poly(rng, 2) for _ in range(rng.randint(1, 2)))
+            b = vanishing_poly(rng, 2)
+            cap = rng.randint(2, 4)
+            power = b ** cap
+            answer = _conjugate_closure(ideal).membership(
+                power.conj(), step_budget=localideal.PRUNE_BUDGET
+            )
+            answers.append(answer)
+            if answer is Membership.NO:
+                assert ideal.membership(power) is not Membership.YES
+                assert not certify_membership(power, list(ideal.generators), 2)
+        assert answers.count(Membership.NO) >= 10
+        assert Membership.YES in answers
 
 
 def _count_memberships(ideal):
