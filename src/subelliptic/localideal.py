@@ -20,11 +20,17 @@ hermitian squares via an exact rational LDL* decomposition of the Gram
 matrix, monomial roots via ascending power probes, and algebraic powers) and
 iterates them to a fixpoint.  A power sweep probes the two lowest powers
 before it asks whether the cap power rules a base out, and it asks that on
-the conjugate side first: whether conj(b)^cap lies in J = I + conj(I).
+the conjugate side only: whether conj(b)^cap lies in J = I + conj(I).
 Conjugation (swap z and zb, w and wb, conjugate the coefficients) is a ring
 automorphism of the local ring, and J contains I with conj(J) = J, so b^cap
-in I implies conj(b)^cap in J; a NO there is exact for b^cap.  Only a YES
-or an undecided answer there leads to the direct question, b^cap in I.
+in I implies conj(b)^cap in J; a NO there is exact for b^cap.  A YES or an
+undecided answer leaves the base in the sweep.  A variable ruled out this
+way stays out of the later sweeps of the same closure while every commit
+since has been a conjugate:
+- the current ideal starts inside J and holds every element it conjugates,
+  so with conj(J) = J each such commit lies in J and the ideal stays inside;
+- hence b^m lies outside the current ideal for every m <= cap;
+- so the variable could never join a cohort, and no certificate changes.
 Certificates record enough context (probe ideal snapshots, membership logs)
 for traces to be replayed and audited.
 """
@@ -113,14 +119,20 @@ def monic(p: Poly) -> Poly:
     monic forms are equal, so monic(p) is the key wherever that identity
     matters (radical closure, the multiplier ledger, kept row children).
     The leading monomial of the local order is also the first in display
-    order, and monic(p) is the element a reducer of p stands for.
+    order, and monic(p) is the element a reducer of p stands for.  The form
+    is computed once and kept in p's _monic slot, None when p is monic.
     """
-    if p.is_zero():
-        return p
-    c = p.terms[_lead_ecart(p.terms)[0]]
-    if c == GaussRational.one():
-        return p
-    return p.scale(GaussRational.one() / c)
+    try:
+        q = p._monic
+    except AttributeError:
+        q = None
+        if not p.is_zero():
+            c = p.terms[_lead_ecart(p.terms)[0]]
+            if c != GaussRational.one():
+                q = p.scale(GaussRational.one() / c)
+                object.__setattr__(q, "_monic", None)
+        object.__setattr__(p, "_monic", q)
+    return p if q is None else q
 
 
 # ---------------------------------------------------------------------------
@@ -438,52 +450,53 @@ def _power_sweep(
     first: int,
     cap: int,
     step_budget: Optional[int] = None,
-) -> tuple[Optional[int], list[str], dict[str, list[tuple[int, str]]]]:
+) -> tuple[Optional[int], list[str], dict[str, list[tuple[int, str]]], list[str]]:
     """Probe b^first, b^(first+1), ..., b^cap for every base b in lockstep.
 
     The first power at which any base lies in the ideal wins; it is returned
-    with the cohort of bases that lie in the ideal at that power and the
-    membership log of every base.  Probing cheapest-first keeps certificate
-    orders (and hence the order ledger) as strong as the ideal allows.  An
-    undecided membership retires its base: no certificate is ever issued on
-    uncertain evidence.  step_budget bounds each membership query and
-    defaults to DEFAULT_STEP_BUDGET.
+    with the cohort of bases that lie in the ideal at that power, the
+    membership log of every base and the bases that the cap probe dropped.
+    Probing cheapest-first keeps certificate orders (and hence the order
+    ledger) as strong as the ideal allows.  An undecided membership retires
+    its base: no certificate is ever issued on uncertain evidence.
+    step_budget bounds each membership query and defaults to
+    DEFAULT_STEP_BUDGET.
 
     When neither b^first nor b^(first+1) wins, each base still alive is
-    probed once at the cap, under at most PRUNE_BUDGET steps per question,
-    before the sweep goes on from b^(first+2).  The probe first asks whether
-    conj(b)^cap lies in J = I + conj(I), which is built once, here, and is
-    I itself when I holds the conjugate of every generator.  Conjugation is
-    a ring automorphism of the local ring, J contains I and conj(J) = J, so
-    b^cap in I implies conj(b)^cap in J, and a NO from J is exact for b^cap.
-    Only a YES or an undecided answer from J leads to the direct question,
-    b^cap in I.  Since b^m in the ideal implies b^cap in it, a NO from
-    either side is exact for every lower power too and drops the base, whose
-    log ends with (cap, "no"); otherwise the sweep goes on as it was.  The
-    conjugate side is cheap where the local order's tie-break picks z over
-    zb as a lead: conj(b)^cap is antiholomorphic and such a lead never
-    divides it.  The bound keeps a costly YES at the cap from outweighing
-    the sweep, and the two low powers spare the cap probe wherever one of
-    them wins.  When b^(first+2) is b^cap itself the sweep asks it next
-    anyway, so no cap probe is made.  A dropped base never joins a cohort,
-    so the power, the cohort and the cohort's logs are those of the plain
-    sweep.
+    probed once at the cap, under at most PRUNE_BUDGET steps, before the
+    sweep goes on from b^(first+2).  The probe asks whether conj(b)^cap lies
+    in J = I + conj(I), which is built once, here, and is I itself when I
+    holds the conjugate of every generator.  Conjugation is a ring
+    automorphism of the local ring and conj(J) = J, so a NO means that b^cap
+    lies outside J, hence outside every ideal inside J, I among them.  Since
+    b^m in an ideal implies b^cap in it, the NO is exact for every lower
+    power too and drops the base, whose log ends with (cap, "no").  A YES or
+    an undecided answer leaves the base alive, and the sweep goes on as it
+    was.  The conjugate side is cheap where the local order's tie-break
+    picks z over zb as a lead: conj(b)^cap is antiholomorphic and such a
+    lead never divides it.  The bound keeps a costly YES at the cap from
+    outweighing the sweep, and the two low powers spare the cap probe
+    wherever one of them wins.  When b^(first+2) is b^cap itself the sweep
+    asks it next anyway, so no cap probe is made.  A dropped base never
+    joins a cohort, so the power, the cohort and the cohort's logs are those
+    of the plain sweep.
     """
     if step_budget is None:
         step_budget = DEFAULT_STEP_BUDGET
     logs: dict[str, list[tuple[int, str]]] = {name: [] for name in bases}
     alive = list(bases)
+    dropped: list[str] = []
     powers = {name: bases[name] ** (first - 1) for name in alive}
     for m in range(first, cap + 1):
         if m == first + 2 and m < cap:
             prune = min(PRUNE_BUDGET, step_budget)
             closure = _conjugate_closure(ideal)
             for name in list(alive):
-                power = bases[name] ** cap
-                if (closure.membership(power.conj(), step_budget=prune) is Membership.NO
-                        or ideal.membership(power, step_budget=prune) is Membership.NO):
+                power = (bases[name] ** cap).conj()
+                if closure.membership(power, step_budget=prune) is Membership.NO:
                     logs[name].append((cap, Membership.NO.value))
                     alive.remove(name)
+                    dropped.append(name)
         cohort = []
         for name in list(alive):
             powers[name] = powers[name] * bases[name]
@@ -494,10 +507,10 @@ def _power_sweep(
             elif answer is Membership.UNDECIDED:
                 alive.remove(name)
         if cohort:
-            return m, cohort, logs
+            return m, cohort, logs, dropped
         if not alive:
             break
-    return None, [], logs
+    return None, [], logs, dropped
 
 
 def min_algebraic_radical_order(g: Poly, ideal: LocalIdeal, cap: int) -> Optional[int]:
@@ -638,6 +651,16 @@ def radical_extend(
     at order_cap may drop a base, so a root or candidate that lies in the
     ideal at one of those powers never pays for the probe at order_cap.
 
+    A variable v that a sweep drops stays out of later sweeps for as long as
+    every commit since has been a conjugation certificate; any other commit
+    lets it back in.  The drop means that v^cap lies outside J = I + conj(I)
+    for the swept ideal I, and conj(J) = J:
+    - the current ideal starts inside J and holds every element of work, so
+      the conjugate of an element of work lies in J and it stays inside J;
+    - hence v^m lies outside the current ideal for every m <= order_cap;
+    - so v could never join a cohort, and leaving it out changes no power,
+      cohort, log or certificate.
+
     The known set only grows, so revisiting an element could never commit
     anything: rules (2) and (3) visit each element once, in order, through
     one cursor each.  The loop ends because every pass but the last commits
@@ -655,9 +678,12 @@ def radical_extend(
     used_candidates: set[Poly] = set()
     conj_cursor = square_cursor = 0
     current = ideal  # reuse its cached standard basis across commits
+    ruled_out: set[str] = set()  # dropped by J since the last non-conjugate commit
 
     def commit(cert: RadicalCertificate) -> None:
         nonlocal current
+        if cert.rule != "conjugation":
+            ruled_out.clear()
         certificates.append(cert)
         work.append(cert.element)
         keys.add(monic(cert.element))
@@ -678,22 +704,26 @@ def radical_extend(
         changed = False
 
         # Variables are monic, so each is its own key.
-        pending = {v: Poly.variable(v) for v in VARIABLES if Poly.variable(v) not in keys}
-        if pending:
-            m, cohort, logs = _power_sweep(pending, current, 1, order_cap, PROBE_BUDGET)
-            if m is not None:
-                snapshot = current.generator_strings()
-                for v in cohort:
-                    commit(RadicalCertificate(
-                        element=Poly.variable(v),
-                        order=m,
-                        rule="monomial-root",
-                        witness=f"{v}^{m} reduces to 0 against the ideal; "
-                                f"|{v}|^{m} <= C*sum|generators| near 0",
-                        probe_ideal=snapshot,
-                        probe_log=tuple(logs[v]),
-                    ))
-                changed = True
+        pending = {
+            v: Poly.variable(v)
+            for v in VARIABLES
+            if v not in ruled_out and Poly.variable(v) not in keys
+        }
+        m, cohort, logs, dropped = _power_sweep(pending, current, 1, order_cap, PROBE_BUDGET)
+        ruled_out.update(dropped)
+        if m is not None:
+            snapshot = current.generator_strings()
+            for v in cohort:
+                commit(RadicalCertificate(
+                    element=Poly.variable(v),
+                    order=m,
+                    rule="monomial-root",
+                    witness=f"{v}^{m} reduces to 0 against the ideal; "
+                            f"|{v}|^{m} <= C*sum|generators| near 0",
+                    probe_ideal=snapshot,
+                    probe_log=tuple(logs[v]),
+                ))
+            changed = True
 
         while conj_cursor < len(work):
             q = work[conj_cursor]
@@ -747,7 +777,7 @@ def radical_extend(
                 continue
             if current.membership(g) is Membership.YES:
                 continue
-            found, _, logs = _power_sweep({"g": g}, current, 2, order_cap)
+            found, _, logs, _ = _power_sweep({"g": g}, current, 2, order_cap)
             used_candidates.add(gkey)
             if found is None:
                 continue

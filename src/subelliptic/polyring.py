@@ -65,6 +65,11 @@ class GaussRational(tuple):
     __lt__ = __le__ = __gt__ = __ge__ = None
 
     def __new__(cls, re: Rational = 0, im: Rational = 0):
+        for part in (re, im):
+            if not isinstance(part, Rational):
+                raise TypeError(
+                    f"GaussRational parts must be rational, not {type(part).__name__}"
+                )
         p, q = re.numerator, re.denominator
         r, s = im.numerator, im.denominator
         # Over the lcm of two reduced denominators the numerators stay
@@ -229,10 +234,15 @@ def mono_str(m: Mono) -> str:
 class Poly:
     """Immutable sparse polynomial with GaussRational coefficients.
 
-    The hash is computed on first use and kept in the _hash slot.
+    Derived forms are computed on first use and kept in private slots: the
+    hash in _hash, the canonical string in _str (canonical_str), the
+    conjugate in _conj (conj) and the monic form in _monic
+    (localideal.monic).  A polynomial that is its own monic form keeps None
+    there, and a conjugate is not linked back to its source, so no Poly
+    refers to itself through a slot.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_str", "_conj", "_monic")
 
     def __init__(self, terms: Mapping[Mono, GaussRational] | None = None):
         clean: dict[Mono, GaussRational] = {}
@@ -343,7 +353,12 @@ class Poly:
         return _power(self, n, Poly.one())
 
     def conj(self) -> "Poly":
-        return Poly({mono_conj(m): c.conj() for m, c in self.terms.items()})
+        try:
+            return self._conj
+        except AttributeError:
+            out = Poly({mono_conj(m): c.conj() for m, c in self.terms.items()})
+            object.__setattr__(self, "_conj", out)
+            return out
 
     # -- calculus
 
@@ -493,9 +508,14 @@ def _term_str(c: GaussRational, m: Mono) -> tuple[int, str]:
 
 
 def canonical_str(p: Poly) -> str:
-    """Deterministic textual form; round-trips through parse_poly."""
-    if p.is_zero():
-        return "0"
+    """Deterministic textual form; round-trips through parse_poly.
+
+    The string is built on the first call and kept in the Poly's _str slot.
+    """
+    try:
+        return p._str
+    except AttributeError:
+        pass
     pieces = []
     for m, c in p.sorted_terms():
         sign, body = _term_str(c, m)
@@ -503,7 +523,9 @@ def canonical_str(p: Poly) -> str:
             pieces.append(("-" if sign < 0 else "") + body)
         else:
             pieces.append((" - " if sign < 0 else " + ") + body)
-    return "".join(pieces)
+    text = "".join(pieces) or "0"
+    object.__setattr__(p, "_str", text)
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,23 @@ TRACE_DIGESTS = {
 
 # Mora reduction steps spent by run_kohn on the same grid: the
 # machine-independent count that sits beside every timing of these runs.
-MORA_STEPS = {(3, 2, 4): 253, (3, 2, 5): 279, (3, 2, 6): 306, (4, 3, 6): 362}
+MORA_STEPS = {(3, 2, 4): 181, (3, 2, 5): 206, (3, 2, 6): 232, (4, 3, 6): 288}
+
+
+def mora_steps(monkeypatch, spec):
+    """Reduction steps of run_kohn on spec, counted as the traced benchmark counts them."""
+    nf_mora, spent = localideal.nf_mora, []
+
+    def counting_nf_mora(f, reducers, budget):
+        before = budget.remaining
+        try:
+            return nf_mora(f, reducers, budget)
+        finally:
+            spent.append(before - max(budget.remaining, 0))
+
+    monkeypatch.setattr(localideal, "nf_mora", counting_nf_mora)
+    run_kohn(spec)
+    return sum(spent)
 
 
 @pytest.fixture(scope="module")
@@ -244,19 +260,7 @@ class TestCrossPowerFamily:
         "params", sorted(MORA_STEPS), ids=lambda p: "".join(map(str, p))
     )
     def test_mora_step_count(self, monkeypatch, params):
-        """Reduction steps are counted as the traced benchmark counts them."""
-        nf_mora, spent = localideal.nf_mora, []
-
-        def counting_nf_mora(f, reducers, budget):
-            before = budget.remaining
-            try:
-                return nf_mora(f, reducers, budget)
-            finally:
-                spent.append(before - max(budget.remaining, 0))
-
-        monkeypatch.setattr(localideal, "nf_mora", counting_nf_mora)
-        run_kohn(cross_power_domain(*params))
-        assert sum(spent) == MORA_STEPS[params]
+        assert mora_steps(monkeypatch, cross_power_domain(*params)) == MORA_STEPS[params]
 
     def test_ineffectiveness_divergence(self, family_runs):
         """Fixed type 6, yet the certified order degrades as k grows."""
@@ -274,6 +278,10 @@ class TestBorderlineDomain:
         result = run_kohn(borderline_domain())
         assert result.summary() == "unit found, step 2, order 1/32, max radical order 4"
         assert audit_trace(result) == []
+
+    def test_mora_step_count(self, monkeypatch):
+        """No cap probe of w^32 asks the direct side, whose YES cost 757 steps."""
+        assert mora_steps(monkeypatch, borderline_domain()) == 448
 
 
 class TestLedger:

@@ -507,16 +507,16 @@ class TestPowerSweep:
     def test_bases_in_the_ideal_at_one_power_share_the_cohort(self):
         ideal = LocalIdeal([parse_poly("z^3"), parse_poly("w^3")])
         bases = {"z": parse_poly("z"), "w": parse_poly("w")}
-        power, cohort, logs = _power_sweep(bases, ideal, 1, 8)
-        assert (power, cohort) == (3, ["z", "w"])
+        power, cohort, logs, dropped = _power_sweep(bases, ideal, 1, 8)
+        assert (power, cohort, dropped) == (3, ["z", "w"], [])
         assert logs["z"] == logs["w"] == [(1, "no"), (2, "no"), (3, "yes")]
 
     def test_undecided_base_retires_while_the_others_go_on(self):
         """w^4 needs three reduction steps, z^1..z^5 at most one each."""
         ideal = LocalIdeal([parse_poly("z^5"), parse_poly("w^2 - z^3")])
         bases = {"w": parse_poly("w"), "z": parse_poly("z")}
-        power, cohort, logs = _power_sweep(bases, ideal, 1, 8, step_budget=1)
-        assert (power, cohort) == (5, ["z"])
+        power, cohort, logs, dropped = _power_sweep(bases, ideal, 1, 8, step_budget=1)
+        assert (power, cohort, dropped) == (5, ["z"], [])
         assert logs["w"] == [(1, "no"), (2, "no"), (3, "no"), (4, "undecided")]
         assert logs["z"] == [(m, "no") for m in range(1, 5)] + [(5, "yes")]
 
@@ -525,17 +525,19 @@ class TestPowerSweep:
         ideal = LocalIdeal([parse_poly("z^3")])
         calls = _count_memberships(ideal)
         result = _power_sweep({"w": parse_poly("w")}, ideal, 1, 8)
-        assert result == (None, [], {"w": [(1, "no"), (2, "no"), (8, "no")]})
+        assert result == (None, [], {"w": [(1, "no"), (2, "no"), (8, "no")]}, ["w"])
         assert calls == ["w", "w^2"]
 
-    def test_conjugate_side_yes_falls_back_to_the_direct_probe(self):
-        """wb^8 lies in (wb, w), so only the direct probe rules w^8 out of (wb)."""
+    def test_conjugate_side_yes_keeps_the_base_alive(self, monkeypatch):
+        """wb^8 lies in (wb, w), so w is swept on up to w^8 against (wb)."""
         ideal = LocalIdeal([parse_poly("wb")])
         assert _conjugate_closure(ideal).membership(parse_poly("wb^8")) is Membership.YES
         calls = _count_memberships(ideal)
+        closure_calls = _count_closure_memberships(monkeypatch)
         result = _power_sweep({"w": parse_poly("w")}, ideal, 1, 8)
-        assert result == (None, [], {"w": [(1, "no"), (2, "no"), (8, "no")]})
-        assert calls == ["w", "w^2", "w^8"]
+        assert result == (None, [], {"w": [(m, "no") for m in range(1, 9)]}, [])
+        assert calls == ["w"] + [f"w^{m}" for m in range(2, 9)]
+        assert closure_calls == ["wb^8"]
 
     @pytest.mark.parametrize(
         "generators,bases_built",
@@ -553,15 +555,15 @@ class TestPowerSweep:
         monkeypatch.setattr(localideal, "_buchberger", counting_buchberger)
         ideal = LocalIdeal([parse_poly(text) for text in generators])
         result = _power_sweep({"w": parse_poly("w")}, ideal, 1, 8)
-        assert result == (None, [], {"w": [(1, "no"), (2, "no"), (8, "no")]})
+        assert result == (None, [], {"w": [(1, "no"), (2, "no"), (8, "no")]}, ["w"])
         assert len(built) == bases_built
 
     def test_base_in_the_ideal_at_the_second_power_never_probes_the_cap(self):
         ideal = LocalIdeal([parse_poly("z^2"), parse_poly("w^5")])
         calls = _count_memberships(ideal)
         bases = {"z": parse_poly("z"), "w": parse_poly("w")}
-        power, cohort, logs = _power_sweep(bases, ideal, 1, 8)
-        assert (power, cohort) == (2, ["z"])
+        power, cohort, logs, dropped = _power_sweep(bases, ideal, 1, 8)
+        assert (power, cohort, dropped) == (2, ["z"], [])
         assert logs == {"z": [(1, "no"), (2, "yes")], "w": [(1, "no"), (2, "no")]}
         assert calls == ["z", "w", "z^2", "w^2"]
 
@@ -569,19 +571,22 @@ class TestPowerSweep:
         ideal = LocalIdeal([parse_poly("z^3")])
         calls = _count_memberships(ideal)
         result = _power_sweep({"w": parse_poly("w")}, ideal, 1, 3)
-        assert result == (None, [], {"w": [(1, "no"), (2, "no"), (3, "no")]})
+        assert result == (None, [], {"w": [(1, "no"), (2, "no"), (3, "no")]}, [])
         assert calls == ["w", "w^2", "w^3"]
 
-    def test_undecided_prune_probe_leaves_the_sweep_as_it_was(self):
-        """(z + w)^8 needs more than one step, (z + w)^3 exactly one."""
+    def test_undecided_prune_probe_leaves_the_sweep_as_it_was(self, monkeypatch):
+        """(zb + wb)^8 needs more than one step against J, (z + w)^3 exactly one."""
         b = parse_poly("z + w")
         ideal = LocalIdeal([b ** 3])
-        assert ideal.membership(b ** 8, step_budget=1) is Membership.UNDECIDED
+        closure = _conjugate_closure(ideal)
+        assert closure.membership(b.conj() ** 8, step_budget=1) is Membership.UNDECIDED
         calls = _count_memberships(ideal)
-        power, cohort, logs = _power_sweep({"b": b}, ideal, 1, 8, step_budget=1)
-        assert (power, cohort) == (3, ["b"])
+        closure_calls = _count_closure_memberships(monkeypatch)
+        power, cohort, logs, dropped = _power_sweep({"b": b}, ideal, 1, 8, step_budget=1)
+        assert (power, cohort, dropped) == (3, ["b"], [])
         assert logs["b"] == [(1, "no"), (2, "no"), (3, "yes")]
-        assert calls[2] == canonical_str(b ** 8)
+        assert closure_calls == [canonical_str(b.conj() ** 8)]
+        assert calls == [canonical_str(b ** m) for m in (1, 2, 3)]
 
     def test_agrees_with_the_ascending_sweep_on_random_ideals(self):
         rng = random.Random(20261018)
@@ -595,8 +600,9 @@ class TestPowerSweep:
             first = rng.choice([1, 2])
             cap = rng.randint(first - 1, 8)
             want = _ascending_sweep(bases, ideal, first, cap, step_budget)
-            power, cohort, logs = _power_sweep(bases, ideal, first, cap, step_budget)
+            power, cohort, logs, dropped = _power_sweep(bases, ideal, first, cap, step_budget)
             assert (power, cohort) == want[:2]
+            assert all(logs[v][-1] == (cap, "no") and v not in cohort for v in dropped)
             assert {v: logs[v] for v in cohort} == {v: want[2][v] for v in cohort}
             # An undecided base retires, so no cohort log records one.
             assert all(answer != "undecided" for v in cohort for _, answer in logs[v])
@@ -614,8 +620,9 @@ class TestPowerSweep:
             first = rng.choice([1, 2])
             cap = rng.randint(first - 1, 8)
             want = _ascending_sweep(bases, ideal, first, cap, step_budget)
-            power, cohort, logs = _power_sweep(bases, ideal, first, cap, step_budget)
+            power, cohort, logs, dropped = _power_sweep(bases, ideal, first, cap, step_budget)
             assert (power, cohort) == want[:2]
+            assert all(logs[v][-1] == (cap, "no") and v not in cohort for v in dropped)
             assert {v: logs[v] for v in cohort} == {v: want[2][v] for v in cohort}
             assert all(answer != "undecided" for v in cohort for _, answer in logs[v])
             outcomes.add(power is None)
@@ -642,9 +649,93 @@ class TestPowerSweep:
         assert Membership.YES in answers
 
 
-def _count_memberships(ideal):
+class TestRuledOutCarry:
+    """A variable that a sweep drops on the conjugate side stays out of later ones."""
+
+    @staticmethod
+    def memberships(monkeypatch, text):
+        calls = []
+        membership = LocalIdeal.membership
+
+        def counted(ideal, p, step_budget=None):
+            calls.append(canonical_str(p))
+            return membership(ideal, p, step_budget=step_budget)
+
+        monkeypatch.setattr(LocalIdeal, "membership", counted)
+        certs = radical_extend(LocalIdeal([parse_poly(text)]), order_cap=8)
+        return certs_view(certs), calls
+
+    def test_a_pass_that_only_conjugates_sweeps_nothing_again(self, monkeypatch):
+        """zb^8 and wb^8 lie outside (z - w^2, zb - wb^2), which holds the conjugate."""
+        certs, calls = self.memberships(monkeypatch, "z - w^2")
+        assert certs == [("conjugation", 1, "zb - wb^2")]
+        assert calls == ["z", "w", "z^2", "w^2", "zb^8", "wb^8"]
+
+    def test_any_other_commit_lets_the_variable_back_in(self, monkeypatch):
+        """J answers YES for zb^8, so z is swept to the cap; w is dropped.
+
+        The second pass sweeps z alone and commits it as a monomial root,
+        so the third pass sweeps w again.
+        """
+        certs, calls = self.memberships(monkeypatch, "z + zb*w")
+        assert certs == [
+            ("conjugation", 1, "zb + z*wb"),
+            ("monomial-root", 1, "z"),
+            ("conjugation", 1, "zb"),
+        ]
+        first_pass = ["z", "w", "z^2", "w^2", "zb^8", "wb^8"] + [f"z^{m}" for m in range(3, 9)]
+        assert calls == first_pass + ["z"] + ["w", "w^2", "wb^8"]
+
+    def test_a_skipped_variable_is_outside_at_every_power(self, monkeypatch):
+        """Each variable left out of a sweep is known, or its cap power is outside.
+
+        The certificates are also those of a run whose sweeps report no drop,
+        so that no variable is ever left out.
+        """
+        rng = random.Random(20261021)
+        sweep, reduce_modulo = localideal._power_sweep, LocalIdeal.reduce_modulo
+        events = []
+
+        def recording_sweep(bases, ideal, first, cap, step_budget=None):
+            events.append(("sweep", set(bases), ideal))
+            return sweep(bases, ideal, first, cap, step_budget)
+
+        def recording_reduce_modulo(ideal, p):
+            events.append(("commit", p))
+            return reduce_modulo(ideal, p)
+
+        def sweep_without_drops(bases, ideal, first, cap, step_budget=None):
+            return (*sweep(bases, ideal, first, cap, step_budget)[:3], [])
+
+        monkeypatch.setattr(LocalIdeal, "reduce_modulo", recording_reduce_modulo)
+        skipped = 0
+        for _ in range(30):
+            generators = [vanishing_poly(rng, 2) for _ in range(rng.randint(1, 2))]
+            cap = rng.randint(3, 5)
+            events.clear()
+            monkeypatch.setattr(localideal, "_power_sweep", recording_sweep)
+            certs = radical_extend(LocalIdeal(generators), order_cap=cap)
+            monkeypatch.setattr(localideal, "_power_sweep", sweep_without_drops)
+            assert radical_extend(LocalIdeal(generators), order_cap=cap) == certs
+            keys = {monic(g) for g in generators}
+            for event in events:
+                if event[0] == "commit":
+                    keys.add(monic(event[1]))
+                    continue
+                _, names, ideal = event
+                for v in localideal.VARIABLES:
+                    if v in names or Poly.variable(v) in keys:
+                        continue
+                    skipped += 1
+                    power = Poly.variable(v) ** cap
+                    assert ideal.membership(power) is not Membership.YES
+                    assert not certify_membership(power, list(ideal.generators), 2)
+        assert skipped >= 10
+
+
+def _count_memberships(ideal, calls=None):
     """Record the canonical string of every polynomial the ideal is asked about."""
-    calls = []
+    calls = [] if calls is None else calls
     membership = ideal.membership
 
     def counted(p, step_budget=None):
@@ -652,6 +743,20 @@ def _count_memberships(ideal):
         return membership(p, step_budget=step_budget)
 
     ideal.membership = counted
+    return calls
+
+
+def _count_closure_memberships(monkeypatch):
+    """Record what every J = I + conj(I) that a sweep builds is asked about."""
+    calls = []
+    closure = localideal._conjugate_closure
+
+    def counted_closure(ideal):
+        j = closure(ideal)
+        _count_memberships(j, calls)
+        return j
+
+    monkeypatch.setattr(localideal, "_conjugate_closure", counted_closure)
     return calls
 
 

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from subelliptic import polyring
+from subelliptic import localideal, polyring
+from subelliptic.localideal import monic
 from subelliptic.polyring import (
     GaussRational,
     ParseError,
@@ -78,6 +79,14 @@ class TestGaussRational:
             with pytest.raises(AttributeError):
                 setattr(a, name, 1)
         assert pickle.loads(pickle.dumps(a)) == a
+
+    @pytest.mark.parametrize("part", [0.5, "1", None, 1j])
+    def test_a_part_that_is_not_rational_is_a_type_error(self, part):
+        name = type(part).__name__
+        with pytest.raises(TypeError, match=f"must be rational, not {name}"):
+            GR(part)
+        with pytest.raises(TypeError, match=f"must be rational, not {name}"):
+            GR(1, part)
 
 
 # A reference Gaussian rational: a pair (re, im) of Fractions.
@@ -211,6 +220,59 @@ class TestGaussRationalAgainstFractionPairs:
             got = GaussRational(re, im).to_complex()
             want = complex(re) + 1j * complex(im)
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+class TestDerivedForms:
+    """The printed, conjugate and monic forms are computed once per Poly."""
+
+    @staticmethod
+    def twins():
+        built = Poly({(0, 0, 2, 0): GR(3), (1, 0, 0, 1): GR(0, -2)})
+        parsed = parse_poly("-2*i*z*wb + 3*w^2")
+        grown = (W - Z * WB.scale(GR(0, 2)) * Poly.one()) + W * W.scale(GR(3)) - W
+        return built, parsed, grown
+
+    def test_equal_polynomials_have_equal_forms(self):
+        built, parsed, grown = self.twins()
+        assert built == parsed == grown
+        for p in (built, parsed, grown):
+            assert canonical_str(p) == "-2*i*z*wb + 3*w^2"
+            assert p.conj() == parse_poly("2*i*zb*w + 3*wb^2")
+            assert monic(p) == parse_poly("z*wb + 3/2*i*w^2")
+
+    def test_a_second_call_does_no_new_work(self, monkeypatch):
+        p = self.twins()[0]
+        first = (canonical_str(p), p.conj(), monic(p))
+
+        def no_work(*_):
+            raise AssertionError("a derived form was computed twice")
+
+        monkeypatch.setattr(Poly, "sorted_terms", no_work)
+        monkeypatch.setattr(polyring, "mono_conj", no_work)
+        monkeypatch.setattr(localideal, "_lead_ecart", no_work)
+        again = (canonical_str(p), p.conj(), monic(p))
+        assert all(a is b for a, b in zip(first, again))
+        # A monic form is its own monic form, and knows it without a search.
+        assert monic(first[2]) is first[2]
+
+    def test_forms_are_still_immutable(self):
+        p = self.twins()[0]
+        canonical_str(p), p.conj(), monic(p)
+        for name in ("terms", "_hash", "_str", "_conj", "_monic", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
+
+    def test_a_pickle_round_trip_keeps_equality_and_hash(self):
+        p = self.twins()[1]
+        forms = (canonical_str(p), p.conj(), monic(p), hash(p))
+        for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert twin == p and hash(twin) == hash(p)
+            assert (canonical_str(twin), twin.conj(), monic(twin), hash(twin)) == forms
+
+    def test_zero_and_monic_polynomials_are_their_own_monic_form(self):
+        zero, one = Poly.zero(), Poly.one()
+        assert canonical_str(zero) == "0" and zero.conj() == zero
+        assert monic(zero) is zero and monic(W) is W and monic(one) is one
 
 
 class TestPolyArithmetic:
