@@ -340,8 +340,14 @@ def audit_trace(result: KohnResult) -> list[str]:
                         )
                         continue
                     expected = orders[source] / cert["order"]
-                else:
+                elif cert["rule"] == "monomial-root":
                     expected = epsilon / cert["order"]
+                else:
+                    problems.append(
+                        f"certificate for {cert['element']} names an unknown rule "
+                        f"{cert['rule']}"
+                    )
+                    continue
                 if claimed != expected:
                     problems.append(
                         f"{cert['rule']} certificate for {cert['element']}: claimed "

@@ -15,12 +15,13 @@ minimalization and tail stripping all run on the reducers, so a finished
 basis is never prepared again and a membership query pays no setup.  A
 remainder becomes a Poly only where a caller needs one.
 
-The radical machinery implements four sound certificate rules (conjugation,
-hermitian squares via an exact rational LDL* decomposition of the Gram
-matrix, monomial roots via ascending power probes, and algebraic powers) and
-iterates them to a fixpoint.  A power sweep probes the two lowest powers
-before it asks whether the cap power rules a base out, and it asks that on
-the conjugate side only: whether conj(b)^cap lies in J = I + conj(I).
+The radical machinery implements three sound certificate rules
+(conjugation, hermitian squares via an exact rational LDL* decomposition of
+the Gram matrix, and monomial roots via ascending power probes) and iterates
+them to a fixpoint.  A power sweep probes the two lowest powers before it
+asks whether the cap power rules a base out, and it asks that on the
+conjugate side only: whether conj(b)^cap lies in J = I + conj(I), whose
+standard basis, like the question, gets at most PRUNE_BUDGET steps.
 Conjugation (swap z and zb, w and wb, conjugate the coefficients) is a ring
 automorphism of the local ring, and J contains I with conj(J) = J, so b^cap
 in I implies conj(b)^cap in J; a NO there is exact for b^cap.  A YES or an
@@ -337,7 +338,8 @@ class LocalIdeal:
     The standard basis is its reducers (lm, ecart, tail), the form nf_mora
     reads, so a membership query pays no setup.  The first read of basis
     completes, minimalizes and tail-strips it under DEFAULT_STEP_BUDGET
-    steps and keeps the result; once computed the object is immutable.  A
+    steps and keeps the result (a power sweep completes its J = I + conj(I)
+    under PRUNE_BUDGET instead); once computed the object is immutable.  A
     basis of None means that budget ran out, and membership queries then
     answer UNDECIDED.  reduce_modulo also runs under DEFAULT_STEP_BUDGET.
     """
@@ -358,13 +360,16 @@ class LocalIdeal:
     def basis(self) -> Optional[list[tuple]]:
         # Completion runs on the first read, which sets the _basis attribute.
         if "_basis" not in vars(self):
-            start = _prepare(self.generators) if self._seed is None else self._seed
-            try:
-                computed = _buchberger(start, _Budget(DEFAULT_STEP_BUDGET))
-                self._basis = _tail_strip(_minimalize(computed))
-            except BudgetExhausted:
-                self._basis = None
+            self._basis = self._complete(DEFAULT_STEP_BUDGET)
         return self._basis
+
+    def _complete(self, steps: int) -> Optional[list[tuple]]:
+        """The completed, minimal, tail-stripped basis, or None past steps."""
+        start = _prepare(self.generators) if self._seed is None else self._seed
+        try:
+            return _tail_strip(_minimalize(_buchberger(start, _Budget(steps))))
+        except BudgetExhausted:
+            return None
 
     def membership(self, p: Poly, step_budget: Optional[int] = None) -> Membership:
         if p.is_zero():
@@ -447,11 +452,10 @@ def _conjugate_closure(ideal: LocalIdeal) -> LocalIdeal:
 def _power_sweep(
     bases: dict[str, Poly],
     ideal: LocalIdeal,
-    first: int,
     cap: int,
     step_budget: Optional[int] = None,
 ) -> tuple[Optional[int], list[str], dict[str, list[tuple[int, str]]], list[str]]:
-    """Probe b^first, b^(first+1), ..., b^cap for every base b in lockstep.
+    """Probe b, b^2, b^3, ..., b^cap for every base b in lockstep.
 
     The first power at which any base lies in the ideal wins; it is returned
     with the cohort of bases that lie in the ideal at that power, the
@@ -462,11 +466,13 @@ def _power_sweep(
     step_budget bounds each membership query and defaults to
     DEFAULT_STEP_BUDGET.
 
-    When neither b^first nor b^(first+1) wins, each base still alive is
-    probed once at the cap, under at most PRUNE_BUDGET steps, before the
-    sweep goes on from b^(first+2).  The probe asks whether conj(b)^cap lies
-    in J = I + conj(I), which is built once, here, and is I itself when I
-    holds the conjugate of every generator.  Conjugation is a ring
+    When neither b nor b^2 wins, each base still alive is probed once at the
+    cap before the sweep goes on from b^3.  The probe asks whether
+    conj(b)^cap lies in J = I + conj(I), which is built once, here, and is I
+    itself when I holds the conjugate of every generator.  A J that is not I
+    completes its standard basis under at most PRUNE_BUDGET steps, and each
+    question to it runs under at most PRUNE_BUDGET steps too; a basis that
+    runs out makes every answer undecided.  Conjugation is a ring
     automorphism of the local ring and conj(J) = J, so a NO means that b^cap
     lies outside J, hence outside every ideal inside J, I among them.  Since
     b^m in an ideal implies b^cap in it, the NO is exact for every lower
@@ -474,9 +480,9 @@ def _power_sweep(
     an undecided answer leaves the base alive, and the sweep goes on as it
     was.  The conjugate side is cheap where the local order's tie-break
     picks z over zb as a lead: conj(b)^cap is antiholomorphic and such a
-    lead never divides it.  The bound keeps a costly YES at the cap from
-    outweighing the sweep, and the two low powers spare the cap probe
-    wherever one of them wins.  When b^(first+2) is b^cap itself the sweep
+    lead never divides it.  The bound keeps a costly J or a costly YES at
+    the cap from outweighing the sweep, and the two low powers spare the cap
+    probe wherever one of them wins.  When b^3 is b^cap itself the sweep
     asks it next anyway, so no cap probe is made.  A dropped base never
     joins a cohort, so the power, the cohort and the cohort's logs are those
     of the plain sweep.
@@ -486,11 +492,13 @@ def _power_sweep(
     logs: dict[str, list[tuple[int, str]]] = {name: [] for name in bases}
     alive = list(bases)
     dropped: list[str] = []
-    powers = {name: bases[name] ** (first - 1) for name in alive}
-    for m in range(first, cap + 1):
-        if m == first + 2 and m < cap:
+    powers = {name: Poly.one() for name in alive}
+    for m in range(1, cap + 1):
+        if m == 3 and m < cap:
             prune = min(PRUNE_BUDGET, step_budget)
             closure = _conjugate_closure(ideal)
+            if closure is not ideal:
+                closure._basis = closure._complete(prune)
             for name in list(alive):
                 power = (bases[name] ** cap).conj()
                 if closure.membership(power, step_budget=prune) is Membership.NO:
@@ -515,7 +523,7 @@ def _power_sweep(
 
 def min_algebraic_radical_order(g: Poly, ideal: LocalIdeal, cap: int) -> Optional[int]:
     """Smallest m <= cap with g**m in the ideal, or None."""
-    return _power_sweep({"g": g}, ideal, 1, cap)[0]
+    return _power_sweep({"g": g}, ideal, cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +605,11 @@ class RadicalCertificate:
 
     order is the certificate order (the exponent in the defining inequality
     |element|^order <= C * |witness data| near the origin); rule is one of
-    conjugation, hermitian-square, monomial-root, algebraic-power.  source
-    is the polynomial whose multiplier order the new element inherits from
-    (None for rules whose bound runs through the whole ideal).  Probe rules
-    keep a snapshot of the ideal they ran against and the per-power
-    membership log, so traces can be audited and replayed.
+    conjugation, hermitian-square, monomial-root.  source is the polynomial
+    whose multiplier order the new element inherits from (None for a rule
+    whose bound runs through the whole ideal).  A monomial root keeps a
+    snapshot of the ideal it was probed against and the per-power membership
+    log, so traces can be audited and replayed.
     """
 
     element: Poly
@@ -632,24 +640,21 @@ def _rebalance(row: Poly) -> list[tuple[str, Poly, int]]:
 def radical_extend(
     ideal: LocalIdeal,
     order_cap: int = DEFAULT_ORDER_CAP,
-    power_candidates: Sequence[Poly] = (),
 ) -> list[RadicalCertificate]:
     """Certified elements of the restricted real radical of the ideal.
 
-    Passes over four rules until a pass commits nothing: (1) monomial-root
+    Passes over three rules until a pass commits nothing: (1) monomial-root
     probes commit the cheapest available variable powers first; (2)
     conjugates of known elements join at order 1 (a conjugate of an ideal
     element is always in the real radical, so no membership pre-check is
     needed); (3) real elements that decompose into hermitian squares
     contribute their rows at order 2 (2e after rebalancing a pure power
-    v^e); (4) explicit power candidates g with g(0) = 0 whose smallest power
-    m <= order_cap lies in the ideal join at order 2m via Cauchy-Schwarz.
-    An element is new when its monic form is not yet known.  Monomial-root
-    probes run under the smaller PROBE_BUDGET so a hopeless high-power sweep
-    degrades to an honest "undecided" quickly.  Both probe rules sweep
+    v^e).  An element is new when its monic form is not yet known.
+    Monomial-root probes run under the smaller PROBE_BUDGET so a hopeless
+    high-power sweep degrades to an honest "undecided" quickly.  They sweep
     through _power_sweep, which tries the two lowest powers before a probe
-    at order_cap may drop a base, so a root or candidate that lies in the
-    ideal at one of those powers never pays for the probe at order_cap.
+    at order_cap may drop a base, so a root that lies in the ideal at one
+    of those powers never pays for the probe at order_cap.
 
     A variable v that a sweep drops stays out of later sweeps for as long as
     every commit since has been a conjugation certificate; any other commit
@@ -665,17 +670,15 @@ def radical_extend(
     anything: rules (2) and (3) visit each element once, in order, through
     one cursor each.  The loop ends because every pass but the last commits
     something and only finitely many commits are possible.  Monomial roots
-    commit at most the two variables; each power candidate is swept once;
-    each element has one conjugate; and only conj-symmetric elements
-    decompose, into finitely many rows.  Beyond the generators and the
-    candidates no committed element is conj-symmetric unless it is a
+    commit at most the two variables; each element has one conjugate; and
+    only conj-symmetric elements decompose, into finitely many rows.  Beyond
+    the generators no committed element is conj-symmetric unless it is a
     constant, whose only row 1 is already known: a conjugate q' of q with
     q' != q is not, and rows, rebalanced rows and roots are holomorphic.
     """
     work: list[Poly] = list(ideal.generators)
     keys: set[Poly] = {monic(p) for p in work}
     certificates: list[RadicalCertificate] = []
-    used_candidates: set[Poly] = set()
     conj_cursor = square_cursor = 0
     current = ideal  # reuse its cached standard basis across commits
     ruled_out: set[str] = set()  # dropped by J since the last non-conjugate commit
@@ -709,7 +712,7 @@ def radical_extend(
             for v in VARIABLES
             if v not in ruled_out and Poly.variable(v) not in keys
         }
-        m, cohort, logs, dropped = _power_sweep(pending, current, 1, order_cap, PROBE_BUDGET)
+        m, cohort, logs, dropped = _power_sweep(pending, current, order_cap, PROBE_BUDGET)
         ruled_out.update(dropped)
         if m is not None:
             snapshot = current.generator_strings()
@@ -768,29 +771,5 @@ def radical_extend(
                         source=q,
                     ))
                     changed = True
-
-        for g in power_candidates:
-            gkey = monic(g)
-            if gkey in keys or gkey in used_candidates:
-                continue
-            if not g.constant_term().is_zero():
-                continue
-            if current.membership(g) is Membership.YES:
-                continue
-            found, _, logs, _ = _power_sweep({"g": g}, current, 2, order_cap)
-            used_candidates.add(gkey)
-            if found is None:
-                continue
-            snapshot = current.generator_strings()
-            commit(RadicalCertificate(
-                element=g,
-                order=2 * found,
-                rule="algebraic-power",
-                witness=f"g^{found} = sum a_i*f_i in the ideal; Cauchy-Schwarz gives "
-                        f"|g|^{2*found} <= (sum|a_i|^2)(sum|f_i|^2)",
-                probe_ideal=snapshot,
-                probe_log=tuple(logs["g"]),
-            ))
-            changed = True
 
     return certificates

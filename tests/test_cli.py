@@ -372,6 +372,13 @@ class TestJsonArtifacts:
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validate(trace, trace_schema())
 
+    def test_a_certificate_with_an_unknown_rule_fails_validation(self, trace):
+        jsonschema = pytest.importorskip("jsonschema")
+        doctored = json.loads(json.dumps(trace))
+        doctored["certificates"][0]["rule"] = "algebraic-power"
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doctored, trace_schema())
+
     def test_trace_brackets_and_config_echo(self, trace):
         assert trace["events"][0]["kind"] == "init"
         assert trace["events"][-1]["kind"] == "outcome"

@@ -376,19 +376,24 @@ class TestTraceMachinery:
                 assert canonical_str(apply_L(parent, data)) == child["child"]
 
     def test_audit_flags_a_doctored_order(self, run_325):
-        events = json.loads(serialize_trace(run_325))
-        doctored = run_325.__class__(
-            outcome=run_325.outcome,
-            steps_used=run_325.steps_used,
-            final_order=run_325.final_order,
-            max_radical_order=run_325.max_radical_order,
-            multipliers=run_325.multipliers,
-            unit_witness=run_325.unit_witness,
-            reason=run_325.reason,
-            events=events,
-        )
-        for event in doctored.events:
-            if event["kind"] == "radical" and event["step"] == 2:
-                event["certificates"][0]["multiplier_order"] = "1/2"
-        problems = audit_trace(doctored)
-        assert problems and "claimed" in problems[0]
+        """A doctored order, and a rule the audit does not know, are flagged."""
+        for field, value, complaint in [
+            ("multiplier_order", "1/2", "claimed"),
+            ("rule", "algebraic-power", "unknown rule"),
+        ]:
+            events = json.loads(serialize_trace(run_325))
+            doctored = run_325.__class__(
+                outcome=run_325.outcome,
+                steps_used=run_325.steps_used,
+                final_order=run_325.final_order,
+                max_radical_order=run_325.max_radical_order,
+                multipliers=run_325.multipliers,
+                unit_witness=run_325.unit_witness,
+                reason=run_325.reason,
+                events=events,
+            )
+            for event in doctored.events:
+                if event["kind"] == "radical" and event["step"] == 2:
+                    event["certificates"][0][field] = value
+            problems = audit_trace(doctored)
+            assert problems and complaint in problems[0]

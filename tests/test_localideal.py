@@ -440,23 +440,6 @@ class TestRadicalExtend:
         deep = radical_extend(LocalIdeal([parse_poly("z^5")]), order_cap=5)
         assert any(c.rule == "monomial-root" for c in deep)
 
-    def test_algebraic_power_candidate(self):
-        g = parse_poly("z + w")
-        ideal = LocalIdeal([g * g * g])
-        assert ideal.membership(g * g * g) is Membership.YES
-        assert ideal.membership(g * g) is Membership.NO
-        certs = radical_extend(ideal, power_candidates=[g])
-        power = [c for c in certs if c.rule == "algebraic-power"]
-        assert len(power) == 1
-        assert power[0].order == 6
-        assert canonical_str(power[0].element) == "z + w"
-        assert power[0].probe_log == ((2, "no"), (3, "yes"))
-
-    def test_candidates_already_inside_are_skipped(self):
-        g = parse_poly("z + w")
-        certs = radical_extend(LocalIdeal([g]), power_candidates=[g])
-        assert all(c.rule != "algebraic-power" for c in certs)
-
     def test_conjugation_closure(self):
         ideal = LocalIdeal([parse_poly("z^5"), parse_poly("w^2 + z*w")])
         certs = radical_extend(ideal)
@@ -507,7 +490,7 @@ class TestPowerSweep:
     def test_bases_in_the_ideal_at_one_power_share_the_cohort(self):
         ideal = LocalIdeal([parse_poly("z^3"), parse_poly("w^3")])
         bases = {"z": parse_poly("z"), "w": parse_poly("w")}
-        power, cohort, logs, dropped = _power_sweep(bases, ideal, 1, 8)
+        power, cohort, logs, dropped = _power_sweep(bases, ideal, 8)
         assert (power, cohort, dropped) == (3, ["z", "w"], [])
         assert logs["z"] == logs["w"] == [(1, "no"), (2, "no"), (3, "yes")]
 
@@ -515,7 +498,7 @@ class TestPowerSweep:
         """w^4 needs three reduction steps, z^1..z^5 at most one each."""
         ideal = LocalIdeal([parse_poly("z^5"), parse_poly("w^2 - z^3")])
         bases = {"w": parse_poly("w"), "z": parse_poly("z")}
-        power, cohort, logs, dropped = _power_sweep(bases, ideal, 1, 8, step_budget=1)
+        power, cohort, logs, dropped = _power_sweep(bases, ideal, 8, step_budget=1)
         assert (power, cohort, dropped) == (5, ["z"], [])
         assert logs["w"] == [(1, "no"), (2, "no"), (3, "no"), (4, "undecided")]
         assert logs["z"] == [(m, "no") for m in range(1, 5)] + [(5, "yes")]
@@ -524,7 +507,7 @@ class TestPowerSweep:
         """wb^8 is not in (z^3, zb^3), so w^8 is never asked of (z^3)."""
         ideal = LocalIdeal([parse_poly("z^3")])
         calls = _count_memberships(ideal)
-        result = _power_sweep({"w": parse_poly("w")}, ideal, 1, 8)
+        result = _power_sweep({"w": parse_poly("w")}, ideal, 8)
         assert result == (None, [], {"w": [(1, "no"), (2, "no"), (8, "no")]}, ["w"])
         assert calls == ["w", "w^2"]
 
@@ -534,7 +517,7 @@ class TestPowerSweep:
         assert _conjugate_closure(ideal).membership(parse_poly("wb^8")) is Membership.YES
         calls = _count_memberships(ideal)
         closure_calls = _count_closure_memberships(monkeypatch)
-        result = _power_sweep({"w": parse_poly("w")}, ideal, 1, 8)
+        result = _power_sweep({"w": parse_poly("w")}, ideal, 8)
         assert result == (None, [], {"w": [(m, "no") for m in range(1, 9)]}, [])
         assert calls == ["w"] + [f"w^{m}" for m in range(2, 9)]
         assert closure_calls == ["wb^8"]
@@ -554,7 +537,7 @@ class TestPowerSweep:
 
         monkeypatch.setattr(localideal, "_buchberger", counting_buchberger)
         ideal = LocalIdeal([parse_poly(text) for text in generators])
-        result = _power_sweep({"w": parse_poly("w")}, ideal, 1, 8)
+        result = _power_sweep({"w": parse_poly("w")}, ideal, 8)
         assert result == (None, [], {"w": [(1, "no"), (2, "no"), (8, "no")]}, ["w"])
         assert len(built) == bases_built
 
@@ -562,7 +545,7 @@ class TestPowerSweep:
         ideal = LocalIdeal([parse_poly("z^2"), parse_poly("w^5")])
         calls = _count_memberships(ideal)
         bases = {"z": parse_poly("z"), "w": parse_poly("w")}
-        power, cohort, logs, dropped = _power_sweep(bases, ideal, 1, 8)
+        power, cohort, logs, dropped = _power_sweep(bases, ideal, 8)
         assert (power, cohort, dropped) == (2, ["z"], [])
         assert logs == {"z": [(1, "no"), (2, "yes")], "w": [(1, "no"), (2, "no")]}
         assert calls == ["z", "w", "z^2", "w^2"]
@@ -570,7 +553,7 @@ class TestPowerSweep:
     def test_no_cap_probe_when_the_third_power_is_the_cap(self):
         ideal = LocalIdeal([parse_poly("z^3")])
         calls = _count_memberships(ideal)
-        result = _power_sweep({"w": parse_poly("w")}, ideal, 1, 3)
+        result = _power_sweep({"w": parse_poly("w")}, ideal, 3)
         assert result == (None, [], {"w": [(1, "no"), (2, "no"), (3, "no")]}, [])
         assert calls == ["w", "w^2", "w^3"]
 
@@ -582,11 +565,44 @@ class TestPowerSweep:
         assert closure.membership(b.conj() ** 8, step_budget=1) is Membership.UNDECIDED
         calls = _count_memberships(ideal)
         closure_calls = _count_closure_memberships(monkeypatch)
-        power, cohort, logs, dropped = _power_sweep({"b": b}, ideal, 1, 8, step_budget=1)
+        power, cohort, logs, dropped = _power_sweep({"b": b}, ideal, 8, step_budget=1)
         assert (power, cohort, dropped) == (3, ["b"], [])
         assert logs["b"] == [(1, "no"), (2, "no"), (3, "yes")]
         assert closure_calls == [canonical_str(b.conj() ** 8)]
         assert calls == [canonical_str(b ** m) for m in (1, 2, 3)]
+
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            ("(-2 + i)*z*wb + (-2 + i)*z*w^2", "-wb + (-3 - i)*w*wb + 2*z^2*wb"),
+            ("(-2 - i)*wb + (1 + i)*w^2*wb", "-2*wb - zb*w + (-1 - i)*z*zb^2"),
+        ],
+        ids=["draw-9", "draw-46"],
+    )
+    def test_the_prune_budget_bounds_the_standard_basis_of_j(self, monkeypatch, generators):
+        """J = I + conj(I) is completed under PRUNE_BUDGET steps, and no more.
+
+        The ideals are draws 9 and 46 of the conjugate-variables differential
+        test.  Completing either J takes thousands of steps, so its basis runs
+        out, every cap probe answers undecided and both bases are swept to
+        the cap.  Each of I's own memberships here costs no step.
+        """
+        ideal = LocalIdeal(parse_poly(text) for text in generators)
+        assert ideal.basis is not None
+        spent = []
+        spend = localideal._Budget.spend
+
+        def counted(budget):
+            spent.append(budget)
+            assert len(spent) <= localideal.PRUNE_BUDGET + 1, "outran the prune budget"
+            spend(budget)
+
+        monkeypatch.setattr(localideal._Budget, "spend", counted)
+        bases = {"z": parse_poly("z"), "w": parse_poly("w")}
+        result = _power_sweep(bases, ideal, 32, localideal.PROBE_BUDGET)
+        logs = {v: [(m, "no") for m in range(1, 33)] for v in bases}
+        assert result == (None, [], logs, [])
+        assert len(spent) == localideal.PRUNE_BUDGET + 1
 
     def test_agrees_with_the_ascending_sweep_on_random_ideals(self):
         rng = random.Random(20261018)
@@ -597,17 +613,16 @@ class TestPowerSweep:
                 random_poly(rng, 4, allow_conj=False) for _ in range(rng.randint(1, 3))
             )
             step_budget = rng.choice([None, 0, 1, 3])
-            first = rng.choice([1, 2])
-            cap = rng.randint(first - 1, 8)
-            want = _ascending_sweep(bases, ideal, first, cap, step_budget)
-            power, cohort, logs, dropped = _power_sweep(bases, ideal, first, cap, step_budget)
+            cap = rng.randint(0, 8)
+            want = _ascending_sweep(bases, ideal, cap, step_budget)
+            power, cohort, logs, dropped = _power_sweep(bases, ideal, cap, step_budget)
             assert (power, cohort) == want[:2]
             assert all(logs[v][-1] == (cap, "no") and v not in cohort for v in dropped)
             assert {v: logs[v] for v in cohort} == {v: want[2][v] for v in cohort}
             # An undecided base retires, so no cohort log records one.
             assert all(answer != "undecided" for v in cohort for _, answer in logs[v])
             outcomes.add(power is None)
-            outcomes.add("short" if cap < first + 2 else "long")
+            outcomes.add("short" if cap < 3 else "long")
         assert outcomes == {True, False, "short", "long"}
 
     def test_agrees_with_the_ascending_sweep_with_conjugate_variables(self):
@@ -617,16 +632,15 @@ class TestPowerSweep:
         for _ in range(60):
             ideal = LocalIdeal(vanishing_poly(rng, 3) for _ in range(rng.randint(1, 3)))
             step_budget = rng.choice([None, 0, 1, 3])
-            first = rng.choice([1, 2])
-            cap = rng.randint(first - 1, 8)
-            want = _ascending_sweep(bases, ideal, first, cap, step_budget)
-            power, cohort, logs, dropped = _power_sweep(bases, ideal, first, cap, step_budget)
+            cap = rng.randint(0, 8)
+            want = _ascending_sweep(bases, ideal, cap, step_budget)
+            power, cohort, logs, dropped = _power_sweep(bases, ideal, cap, step_budget)
             assert (power, cohort) == want[:2]
             assert all(logs[v][-1] == (cap, "no") and v not in cohort for v in dropped)
             assert {v: logs[v] for v in cohort} == {v: want[2][v] for v in cohort}
             assert all(answer != "undecided" for v in cohort for _, answer in logs[v])
             outcomes.add(power is None)
-            outcomes.add("short" if cap < first + 2 else "long")
+            outcomes.add("short" if cap < 3 else "long")
         assert outcomes == {True, False, "short", "long"}
 
     def test_a_conjugate_side_no_is_never_contradicted(self):
@@ -696,16 +710,16 @@ class TestRuledOutCarry:
         sweep, reduce_modulo = localideal._power_sweep, LocalIdeal.reduce_modulo
         events = []
 
-        def recording_sweep(bases, ideal, first, cap, step_budget=None):
+        def recording_sweep(bases, ideal, cap, step_budget=None):
             events.append(("sweep", set(bases), ideal))
-            return sweep(bases, ideal, first, cap, step_budget)
+            return sweep(bases, ideal, cap, step_budget)
 
         def recording_reduce_modulo(ideal, p):
             events.append(("commit", p))
             return reduce_modulo(ideal, p)
 
-        def sweep_without_drops(bases, ideal, first, cap, step_budget=None):
-            return (*sweep(bases, ideal, first, cap, step_budget)[:3], [])
+        def sweep_without_drops(bases, ideal, cap, step_budget=None):
+            return (*sweep(bases, ideal, cap, step_budget)[:3], [])
 
         monkeypatch.setattr(LocalIdeal, "reduce_modulo", recording_reduce_modulo)
         skipped = 0
@@ -760,11 +774,11 @@ def _count_closure_memberships(monkeypatch):
     return calls
 
 
-def _ascending_sweep(bases, ideal, first, cap, step_budget):
-    """The sweep without the prune probe: b^first, b^(first+1), ... up to b^cap."""
+def _ascending_sweep(bases, ideal, cap, step_budget):
+    """The sweep without the prune probe: b, b^2, ... up to b^cap."""
     logs = {name: [] for name in bases}
     alive = list(bases)
-    for m in range(first, cap + 1):
+    for m in range(1, cap + 1):
         cohort = []
         for name in list(alive):
             answer = ideal.membership(bases[name] ** m, step_budget=step_budget)
