@@ -14,6 +14,24 @@ The run succeeds at the step where the ideal contains a unit; the order of
 subellipticity certified by the run is the minimum order in the multiplier
 ledger at that point.  Every move is recorded in a serializable trace that
 can be replayed bit-for-bit and audited rule by rule.
+
+The ideal only grows, so work whose answer is already known is not redone:
+
+  * after a radical step the ideal is the entry ideal I plus the
+    certificate elements e_1, ..., e_n.  The closure that radical_extend
+    returns ends on that same ideal: each commit adds e_i or its reduction
+    modulo the ideal so far, which equals u*e_i minus an element of that
+    ideal for a local unit u, or adds nothing when the reduction is zero;
+    by induction over the commits the closure's ideal is I + (e_1, ...,
+    e_n).  So its standard basis is adopted as it is, not completed a
+    second time.  The generators stay I's plus the e_i, which the ledger
+    and the trace name.
+  * each parent is differentiated once: L(h) and h_w are kept for the whole
+    run.  A child that a membership query put inside, or that joined the
+    ideal as a kept child after an exact NO, lies in every later ideal, so
+    it is recorded as absorbed without a second query; likewise r_w, once
+    inside, switches the d/dw shortcut on for good.  A kept-unverified
+    child is asked again.
 """
 
 from __future__ import annotations
@@ -125,6 +143,9 @@ def run_kohn(
     saw_undecided = False
 
     current = LocalIdeal([data.r, data.lam])
+    expanded: dict[Poly, tuple[Poly, Poly]] = {}  # parent -> (L(parent), parent_w)
+    inside: set[Poly] = set()  # children proven to lie in the ideal
+    shortcut = False
 
     def finish(step: int, witness: Optional[Poly], stall: str = "") -> KohnResult:
         """Record the outcome event and build the result.
@@ -203,7 +224,10 @@ def run_kohn(
             }
         )
         if certificates:
-            current = current.with_extra([c.element for c in certificates])
+            # The closure ended on this very ideal, so its basis is this one's.
+            elements = tuple(c.element for c in certificates)
+            current = LocalIdeal(current.generators + elements)
+            current._basis = certificates.ideal.basis
         if current.basis is None:
             saw_undecided = True
 
@@ -216,16 +240,18 @@ def run_kohn(
         #    shortcut, L(h) = r_z*h_w - r_w*h_z generates the same ideal
         #    as h_w alone, so the trace records it as subsumed and only
         #    h_w enters the pool; a subsumed child never carries its own
-        #    ledger entry.
-        shortcut = current.membership(data.r_w) is Membership.YES
+        #    ledger entry.  Once r_w is inside it stays inside.
+        shortcut = shortcut or current.membership(data.r_w) is Membership.YES
         child_events = []
         kept: dict[Poly, Poly] = {}  # monic form -> first child with it
+        refused: list[Poly] = []  # children answered NO
         for parent in current.generators:
             parent_order = ledger.order_of(parent)
             child_order = parent_order / 2
-            moves = [("L", apply_L(parent, data))]
-            if shortcut:
-                moves.append(("dw", parent.wirtinger("w")))
+            if parent not in expanded:
+                expanded[parent] = (apply_L(parent, data), parent.wirtinger("w"))
+            l_child, w_child = expanded[parent]
+            moves = [("L", l_child), ("dw", w_child)] if shortcut else [("L", l_child)]
             for via, child in moves:
                 record = {
                     "parent": canonical_str(parent),
@@ -241,12 +267,17 @@ def run_kohn(
                         record["order"] = str(child_order)
                         child_events.append(record)
                         continue
-                    answer = current.membership(child)
+                    answer = (
+                        Membership.YES if child in inside else current.membership(child)
+                    )
                     if answer is Membership.YES:
+                        inside.add(child)
                         record["status"] = "absorbed"
                     else:
                         if answer is Membership.UNDECIDED:
                             saw_undecided = True
+                        else:
+                            refused.append(child)
                         ledger.add(child, child_order)
                         record["status"] = (
                             "kept" if answer is Membership.NO else "kept-unverified"
@@ -264,6 +295,7 @@ def run_kohn(
         )
         if kept:
             current = current.with_extra(kept.values())
+            inside.update(refused)
 
         witness = check_unit(step, "after-row", current)
         if witness is not None:

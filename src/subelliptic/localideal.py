@@ -637,10 +637,25 @@ def _rebalance(row: Poly) -> list[tuple[str, Poly, int]]:
     return splits
 
 
+class Closure(list):
+    """The certificates of one radical closure, in commit order.
+
+    ideal is the ideal the closure ended on: the input ideal plus every
+    certificate element, though its generators may differ from those
+    elements (see radical_extend).  Its standard basis is seeded with the
+    one before each commit, and completed on first read if no probe of the
+    closure has read it.
+    """
+
+    def __init__(self, ideal: LocalIdeal):
+        super().__init__()
+        self.ideal = ideal
+
+
 def radical_extend(
     ideal: LocalIdeal,
     order_cap: int = DEFAULT_ORDER_CAP,
-) -> list[RadicalCertificate]:
+) -> Closure:
     """Certified elements of the restricted real radical of the ideal.
 
     Passes over three rules until a pass commits nothing: (1) monomial-root
@@ -675,10 +690,18 @@ def radical_extend(
     the generators no committed element is conj-symmetric unless it is a
     constant, whose only row 1 is already known: a conjugate q' of q with
     q' != q is not, and rows, rebalanced rows and roots are holomorphic.
+
+    The result's ideal is the input ideal I plus (e_1, ..., e_n), where e_i
+    are the certificate elements; run_kohn adopts its standard basis.  Each
+    commit adds monic(e_i) or monic(reduce_modulo(e_i)) to the current
+    ideal, or nothing when e_i reduces to zero.  The reduction equals u*e_i
+    minus an element of the current ideal for a local unit u, so either
+    generator, like the zero case, gives current + (e_i).  The current ideal
+    starts as I, so by induction it ends as I + (e_1, ..., e_n).
     """
     work: list[Poly] = list(ideal.generators)
     keys: set[Poly] = {monic(p) for p in work}
-    certificates: list[RadicalCertificate] = []
+    certificates = Closure(ideal)
     conj_cursor = square_cursor = 0
     current = ideal  # reuse its cached standard basis across commits
     ruled_out: set[str] = set()  # dropped by J since the last non-conjugate commit
@@ -772,4 +795,5 @@ def radical_extend(
                     ))
                     changed = True
 
+    certificates.ideal = current
     return certificates

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from subelliptic import localideal
+from subelliptic import kohn, localideal
 from subelliptic.polyring import parse_poly, canonical_str
 from subelliptic.localideal import LocalIdeal, min_algebraic_radical_order
 from subelliptic.domain import (
@@ -44,9 +44,34 @@ TRACE_DIGESTS = {
     (4, 3, 6): "aad2ad28d3157acb9586b405118c43b93ab617397ad6b4edcd37e3061e342e5b",
 }
 
+# SHA-256 of serialize_trace for more specs under the default arguments.
+# Their traces also pass through the tails of the standard bases (the
+# reduced commits of radical_extend appear in probe_ideal snapshots), so
+# these pins show a change in which basis a step works with.
+MORE_TRACE_DIGESTS = [
+    (cross_power_domain(4, 2, 5),
+     "e326d9677fb2cb70b262bd723be3011c4a855f4e480a83e1d1d4f97e0e56f0b0"),
+    (cross_power_domain(5, 3, 7),
+     "42710fc8112db9a1e2dc368bbc46e26a3cea59a327adb80500c246da8f4bb3e0"),
+    (cross_power_domain(6, 4, 8),
+     "8f5ff323898bfe71a1a82544a7e092176380f1ec08049ab964f0fbd1159a0974"),
+    (cross_power_domain(5, 2, 8),
+     "4253d7754ccf22a669197d3aed34525062394a1dc3e59d6ff9be26187a0c8c66"),
+    (borderline_domain(),
+     "2cf64a52b21fc47a811ab88e4c766114537069005d9d3b6efd85ac09ae7de96d"),
+    (
+        DomainSpec(
+            name="two-component",
+            f=(parse_poly("w^2 + z*w^2"), parse_poly("w^3")),
+            g=(parse_poly("z*w^2"),),
+        ),
+        "419e24fd7e1bffbcba0fdd33d547c0cec0ae08917c3672c2fcb0c25702d30c51",
+    ),
+]
+
 # Mora reduction steps spent by run_kohn on the same grid: the
 # machine-independent count that sits beside every timing of these runs.
-MORA_STEPS = {(3, 2, 4): 181, (3, 2, 5): 206, (3, 2, 6): 232, (4, 3, 6): 288}
+MORA_STEPS = {(3, 2, 4): 124, (3, 2, 5): 141, (3, 2, 6): 159, (4, 3, 6): 204}
 
 
 def mora_steps(monkeypatch, spec):
@@ -281,7 +306,7 @@ class TestBorderlineDomain:
 
     def test_mora_step_count(self, monkeypatch):
         """No cap probe of w^32 asks the direct side, whose YES cost 757 steps."""
-        assert mora_steps(monkeypatch, borderline_domain()) == 448
+        assert mora_steps(monkeypatch, borderline_domain()) == 435
 
 
 class TestLedger:
@@ -342,6 +367,78 @@ class TestStalling:
         assert audit_trace(result) == []
 
 
+class TestWorkDoneOnce:
+    """The ideal only grows, so run_kohn reuses what an earlier move proved."""
+
+    @pytest.mark.parametrize(
+        "params", sorted(TRACE_DIGESTS) + [(4, 2, 5)], ids=lambda p: "".join(map(str, p))
+    )
+    def test_adopted_basis_is_the_same_ideal(self, monkeypatch, params):
+        """The closure's basis spans the ideal of the entry generators plus
+        the certificate elements: a fresh basis of that ideal has the same
+        leading monomials (unique for a minimal standard basis) and gives
+        the same answer on every row child of the step."""
+        closures, radical_extend = [], kohn.radical_extend
+
+        def recording_radical_extend(ideal, **kwargs):
+            closure = radical_extend(ideal, **kwargs)
+            closures.append((ideal, closure))
+            return closure
+
+        monkeypatch.setattr(kohn, "radical_extend", recording_radical_extend)
+        result = run_kohn(cross_power_domain(*params))
+        rows = {e["step"]: e["children"] for e in result.events if e["kind"] == "row"}
+        asked = 0
+        for step, (entry, closure) in enumerate(closures, start=1):
+            assert closure
+            fresh = LocalIdeal(entry.generators + tuple(c.element for c in closure))
+            assert {r[0] for r in closure.ideal.basis} == {r[0] for r in fresh.basis}
+            for record in rows.get(step, ()):
+                if record["child"] is not None:
+                    child = parse_poly(record["child"])
+                    assert closure.ideal.membership(child) is fresh.membership(child)
+                    asked += 1
+        assert len(closures) == 2 and asked
+
+    def test_each_parent_expanded_and_each_basis_completed_once(self, monkeypatch):
+        """apply_L runs once per distinct parent, and outside radical_extend
+        run_kohn completes no basis but a closure's, which it adopts."""
+        expanded, apply = [], kohn.apply_L
+        closed, radical_extend = [], kohn.radical_extend
+        outside, complete = [], LocalIdeal._complete
+
+        def counting_apply_L(h, data):
+            expanded.append(canonical_str(h))
+            return apply(h, data)
+
+        def marking_radical_extend(ideal, **kwargs):
+            closed.append(None)  # while the closure runs
+            closure = radical_extend(ideal, **kwargs)
+            closed[-1] = closure.ideal
+            return closure
+
+        def recording_complete(ideal, steps):
+            if not closed or closed[-1] is not None:
+                outside.append(ideal)
+            return complete(ideal, steps)
+
+        monkeypatch.setattr(kohn, "apply_L", counting_apply_L)
+        monkeypatch.setattr(kohn, "radical_extend", marking_radical_extend)
+        monkeypatch.setattr(LocalIdeal, "_complete", recording_complete)
+        result = run_kohn(cross_power_domain(4, 3, 6))
+        parents = [
+            record["parent"]
+            for event in result.events
+            if event["kind"] == "row"
+            for record in event["children"]
+            if record["via"] == "L"
+        ]
+        assert len(parents) > len(set(parents))
+        assert sorted(expanded) == sorted(set(parents))
+        assert len(closed) == 2
+        assert all(any(ideal is c for c in closed) for ideal in outside)
+
+
 def _row_statuses(result):
     return {
         child["status"]
@@ -354,6 +451,13 @@ def _row_statuses(result):
 class TestTraceMachinery:
     def test_replay_is_bit_exact(self, run_325):
         assert replay_matches(cross_power_domain(3, 2, 5), run_325)
+
+    @pytest.mark.parametrize(
+        "spec,digest", MORE_TRACE_DIGESTS, ids=[s.name for s, _ in MORE_TRACE_DIGESTS]
+    )
+    def test_more_traces_are_byte_identical(self, spec, digest):
+        text = serialize_trace(run_kohn(spec))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_serialization_round_trips(self, run_325):
         text = serialize_trace(run_325)
