@@ -23,6 +23,17 @@ status is the machine interface: 0 for success, 1 for malformed input
 (usage errors included), 2 when a run stalls or a check remains undecided,
 and 3 when the requested computation is refused because its hypothesis
 failed on samples.
+
+Most of a short command's wall time is interpreter start and import, so a
+subcommand imports only the engine modules it runs.  At module level this
+file loads `polyring` and `domain`, which every subcommand needs to read a
+spec.  `levi` and `type` need nothing more.  `check-hypo` and `verify` load
+the samplers in `numcheck`; `effective` loads `effective` and `numcheck`;
+`kohn` loads `kohn` with its ideal layer `localideal`; `compare` loads all
+of them.  The entry points of those modules stay names of this module
+(`run_kohn`, `zeta_chain`, `sample_hypo`, `finite_diff_levi`,
+`boundary_pseudoconvexity`), each a stand-in that imports its module on the
+first call, so a caller can still patch them here.
 """
 
 from __future__ import annotations
@@ -31,30 +42,48 @@ import argparse
 import json
 import math
 import sys
-from importlib import resources
+from importlib import import_module
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .polyring import ParseError, canonical_str, parse_poly
 from .domain import DomainError, DomainSpec, expand_r, type_lower_bound
-from .kohn import DEFAULT_MAX_STEPS, KohnError, Outcome, run_kohn
-from .localideal import DEFAULT_ORDER_CAP
-from .effective import (
-    HypoStatus,
-    HypothesisFailedError,
-    InfiniteTypeError,
-    compare_orders,
-    zeta_chain,
-)
-from .numcheck import (
-    HYPO_GATE,
-    BoundarySolveError,
-    boundary_pseudoconvexity,
-    finite_diff_levi,
-    hypothesis_holds,
-    polydisc_points,
-    sample_hypo,
-)
+
+if TYPE_CHECKING:
+    from .effective import HypoStatus
+
+
+def _on_first_call(module: str, name: str):
+    """A stand-in for module.name that imports the module when first called."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+run_kohn = _on_first_call("kohn", "run_kohn")
+zeta_chain = _on_first_call("effective", "zeta_chain")
+sample_hypo = _on_first_call("numcheck", "sample_hypo")
+finite_diff_levi = _on_first_call("numcheck", "finite_diff_levi")
+boundary_pseudoconvexity = _on_first_call("numcheck", "boundary_pseudoconvexity")
+
+
+def _loaded(*names: str) -> tuple:
+    """The classes among "module.Class" names whose module has been imported.
+
+    A class whose module never loaded cannot have been raised, so an except
+    clause over this tuple catches what one over every class would.
+    """
+    found = []
+    for dotted in names:
+        module, _, attr = dotted.partition(".")
+        owner = sys.modules.get(f"{__package__}.{module}")
+        if owner is not None:
+            found.append(getattr(owner, attr))
+    return tuple(found)
+
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -150,10 +179,14 @@ def load_spec(path: str) -> DomainSpec:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SpecFileError(f"cannot read spec file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"{path}: not UTF-8 text: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SpecFileError(f"{path}: invalid JSON: nested too deeply") from None
     return spec_from_dict(data, default_name=Path(path).stem)
 
 
@@ -169,6 +202,8 @@ def spec_echo(spec: DomainSpec) -> dict:
 
 def trace_schema() -> dict:
     """The published schema for the kohn trace artifact."""
+    from importlib import resources
+
     text = resources.files("subelliptic").joinpath("trace_schema.json").read_text()
     return json.loads(text)
 
@@ -207,6 +242,9 @@ def _flatten_certificates(events) -> list[dict]:
 
 def _hypothesis_status(spec: DomainSpec, args) -> tuple[HypoStatus, Optional[object]]:
     """Sample the comparison hypothesis, or take it on faith with the flag."""
+    from .effective import HypoStatus
+    from .numcheck import HYPO_GATE, hypothesis_holds
+
     if args.assert_hypo:
         print("hypothesis asserted by flag, sampling skipped")
         return HypoStatus.ASSERTED, None
@@ -242,7 +280,21 @@ def cmd_type(spec: DomainSpec, args) -> tuple[int, Artifact]:
     return EXIT_OK, {"type": {"value": value, "witness": bound.witness}, "summary": line}
 
 
+def _resolve_run_flags(args) -> None:
+    """Fill in the run flags left unset with the engine's own defaults."""
+    from .kohn import DEFAULT_MAX_STEPS
+    from .localideal import DEFAULT_ORDER_CAP
+
+    if args.max_steps is None:
+        args.max_steps = DEFAULT_MAX_STEPS
+    if args.radical_cap is None:
+        args.radical_cap = DEFAULT_ORDER_CAP
+
+
 def cmd_kohn(spec: DomainSpec, args) -> tuple[int, Artifact]:
+    from .kohn import Outcome
+
+    _resolve_run_flags(args)
     result = run_kohn(spec, max_steps=args.max_steps, radical_cap=args.radical_cap)
     print(result.summary())
     code = EXIT_OK if result.outcome is Outcome.SUCCESS else EXIT_UNDECIDED
@@ -254,6 +306,8 @@ def cmd_kohn(spec: DomainSpec, args) -> tuple[int, Artifact]:
 
 
 def cmd_effective(spec: DomainSpec, args) -> tuple[int, Artifact]:
+    from .effective import HypothesisFailedError
+
     status, report = _hypothesis_status(spec, args)
     try:
         result = zeta_chain(spec, status, force=args.force)
@@ -275,6 +329,8 @@ def cmd_effective(spec: DomainSpec, args) -> tuple[int, Artifact]:
 
 
 def cmd_check_hypo(spec: DomainSpec, args) -> tuple[int, Artifact]:
+    from .numcheck import HYPO_GATE, hypothesis_holds
+
     report = sample_hypo(spec, radius=args.radius, n=args.samples, seed=args.seed)
     holds = hypothesis_holds(report)
     print(
@@ -292,6 +348,8 @@ def cmd_check_hypo(spec: DomainSpec, args) -> tuple[int, Artifact]:
 
 
 def cmd_verify(spec: DomainSpec, args) -> tuple[int, Artifact]:
+    from .numcheck import polydisc_points
+
     radius = args.radius if args.radius is not None else spec.sample_radius
     points = polydisc_points(radius, args.samples, args.seed)
     worst = finite_diff_levi(spec, points)
@@ -321,6 +379,9 @@ def cmd_verify(spec: DomainSpec, args) -> tuple[int, Artifact]:
 
 
 def cmd_compare(spec: DomainSpec, args) -> tuple[int, Artifact]:
+    from .effective import HypothesisFailedError, compare_orders
+
+    _resolve_run_flags(args)
     classic = run_kohn(spec, max_steps=args.max_steps, radical_cap=args.radical_cap)
     status, _ = _hypothesis_status(spec, args)
     effective = None
@@ -387,13 +448,13 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-steps",
         type=_AT_LEAST_ONE,
-        default=DEFAULT_MAX_STEPS,
+        default=None,
         help="step budget for the chain",
     )
     parser.add_argument(
         "--radical-cap",
         type=_AT_LEAST_ONE,
-        default=DEFAULT_ORDER_CAP,
+        default=None,
         help="largest root power probed",
     )
 
@@ -469,10 +530,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT
     try:
         code, fields = args.func(spec, args)
-    except (KohnError, InfiniteTypeError) as exc:
+    except _loaded("kohn.KohnError", "effective.InfiniteTypeError") as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except (BoundarySolveError, DomainError, ParseError) as exc:
+    except (DomainError, ParseError, *_loaded("numcheck.BoundarySolveError")) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.json and fields is not None:

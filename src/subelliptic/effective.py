@@ -14,11 +14,13 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .polyring import Poly, canonical_str
 from .domain import DomainSpec, type_lower_bound, vertical_order
-from .kohn import KohnResult, Outcome
+
+if TYPE_CHECKING:  # the Kohn engine loads only when a classic run is compared
+    from .kohn import KohnResult
 
 
 class EffectiveError(RuntimeError):
@@ -128,6 +130,8 @@ def compare_orders(
     when the type is infinite) and both runs.  Like the effective run, it
     raises InfiniteTypeError when no component of f has finite vertical order.
     """
+    from .kohn import Outcome
+
     select_component(spec)
     bound = type_lower_bound(spec).value
     row = {

@@ -29,6 +29,13 @@ def write_spec(tmp_path, data, name="spec.json"):
     return str(path)
 
 
+def run_module(*argv):
+    """Run `python -m subelliptic ARGV...` in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "subelliptic", *argv], capture_output=True, text=True
+    )
+
+
 FLAT = {"name": "flat", "f": ["w"]}
 CP325 = {"name": "cross-power(3,2,5)", "params": {"tau": 3, "l": 2, "k": 5}}
 CP324 = {"name": "cross-power(3,2,4)", "params": {"tau": 3, "l": 2, "k": 4}}
@@ -176,6 +183,21 @@ class TestExitCodes:
         assert re.fullmatch(
             r"error: f\[0\]: expression nested too deeply \(line 1, column \d+\)\n", err
         )
+
+    def test_spec_file_not_utf8_exits_one(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b'\xff\xfe{"f":["w"]}')
+        proc = run_module("levi", str(path))
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr.startswith(f"error: {path}: not UTF-8 text: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_deeply_nested_json_document_exits_one(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"f": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        proc = run_module("levi", str(path))
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr == f"error: {path}: invalid JSON: nested too deeply\n"
 
     @pytest.mark.parametrize(
         "radius", ["Infinity", "1e400", pytest.param("1" + "0" * 400, id="int-1e400")]
@@ -619,3 +641,35 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         for name in ("levi", "type", "kohn", "effective", "check-hypo", "verify", "compare"):
             assert name in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv, engine",
+        [
+            (["levi"], set()),
+            (["type"], set()),
+            (["check-hypo", "--samples", "20"], {"numcheck"}),
+            (["verify", "--samples", "20"], {"numcheck"}),
+            (["effective", "--samples", "20"], {"effective", "numcheck"}),
+            (["kohn"], {"kohn", "localideal"}),
+            (["compare", "--samples", "20"], {"kohn", "localideal", "effective", "numcheck"}),
+        ],
+        ids=["levi", "type", "check-hypo", "verify", "effective", "kohn", "compare"],
+    )
+    def test_subcommand_imports_only_the_engine_it_runs(self, tmp_path, argv, engine):
+        """Start-up time is mostly import, so levi and type skip the Kohn engine."""
+        child = (
+            "import json, sys\n"
+            "from subelliptic import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        spec = write_spec(tmp_path, FLAT)
+        proc = subprocess.run(
+            [sys.executable, "-c", child, argv[0], spec, *argv[1:]],
+            capture_output=True,
+            text=True,
+        )
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == EXIT_OK, proc.stderr
+        loaded = {name.rpartition(".")[2] for name in modules if name.startswith("subelliptic.")}
+        assert loaded & {"kohn", "localideal", "effective", "numcheck"} == engine
