@@ -34,6 +34,14 @@ of them.  The entry points of those modules stay names of this module
 (`run_kohn`, `zeta_chain`, `sample_hypo`, `finite_diff_levi`,
 `boundary_pseudoconvexity`), each a stand-in that imports its module on the
 first call, so a caller can still patch them here.
+
+The records these paths build (`DomainSpec`, `LeviData`, `TypeBound`,
+`SampleReport`, `ZetaStep`, `EffectiveResult`) are plain classes and named
+tuples, not dataclasses: importing `dataclasses` pulls in `inspect`, `ast`,
+`dis`, `tokenize` and `copy`, 13-16 ms under `python -X importtime` on one
+CPU, more than `argparse`.  So only `kohn` and `compare` load it, through
+`kohn.KohnResult`, which stays a dataclass because that path loads the Kohn
+engine anyway and callers rebuild results with `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -47,7 +55,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .polyring import ParseError, canonical_str, parse_poly
-from .domain import DomainError, DomainSpec, expand_r, type_lower_bound
+from .domain import (
+    DEFAULT_SAMPLE_RADIUS,
+    DomainError,
+    DomainSpec,
+    expand_r,
+    type_lower_bound,
+)
 
 if TYPE_CHECKING:
     from .effective import HypoStatus
@@ -160,7 +174,7 @@ def spec_from_dict(data, default_name: str = "spec") -> DomainSpec:
     else:
         raise SpecFileError("spec needs 'f' components or family 'params'")
     g = _parse_components(data.get("g", []), "g")
-    radius = data.get("sample_radius", DomainSpec.sample_radius)
+    radius = data.get("sample_radius", DEFAULT_SAMPLE_RADIUS)
     if isinstance(radius, bool) or not isinstance(radius, (int, float)):
         raise SpecFileError("'sample_radius' must be a positive number")
     try:

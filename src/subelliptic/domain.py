@@ -15,8 +15,7 @@ order of the vertical curve (0, t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .polyring import (
     Poly,
@@ -31,18 +30,27 @@ class DomainError(ValueError):
     """Raised when a domain description violates the model assumptions."""
 
 
-@dataclass(frozen=True)
+DEFAULT_SAMPLE_RADIUS = 0.1
+
+
 class DomainSpec:
-    """Holomorphic data defining the domain near the origin."""
+    """Holomorphic data defining the domain near the origin.
 
-    name: str
-    f: tuple[Poly, ...]
-    g: tuple[Poly, ...] = ()
-    params: Optional[dict] = None
-    sample_radius: float = 0.1
+    Validated when built and immutable after: it compares and hashes by
+    value over its five fields, in order (a dict `params` is unhashable).
+    """
 
-    def __post_init__(self):
-        for label, components in (("f", self.f), ("g", self.g)):
+    __slots__ = ("name", "f", "g", "params", "sample_radius")
+
+    def __init__(
+        self,
+        name: str,
+        f: tuple[Poly, ...],
+        g: tuple[Poly, ...] = (),
+        params: Optional[dict] = None,
+        sample_radius: float = DEFAULT_SAMPLE_RADIUS,
+    ):
+        for label, components in (("f", f), ("g", g)):
             for idx, p in enumerate(components):
                 require_holomorphic(p, f"{label}[{idx}]")
                 if not p.constant_term().is_zero():
@@ -50,8 +58,34 @@ class DomainSpec:
                         f"component {label}[{idx}] must vanish at the origin, "
                         f"got {canonical_str(p)}"
                     )
-        if not 0 < self.sample_radius < math.inf:
+        if not 0 < sample_radius < math.inf:
             raise DomainError("sample_radius must be positive and finite")
+        for attr, value in zip(self.__slots__, (name, f, g, params, sample_radius)):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, attr) for attr in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{a}={v!r}" for a, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
 
 
 def flat_domain() -> DomainSpec:
@@ -93,8 +127,7 @@ def defining_function(spec: DomainSpec) -> Poly:
     return r
 
 
-@dataclass(frozen=True)
-class LeviData:
+class LeviData(NamedTuple):
     """The defining function with its first derivatives and Levi determinant."""
 
     r: Poly
@@ -147,8 +180,7 @@ def vertical_order(p: Poly) -> Union[int, float]:
     )
 
 
-@dataclass(frozen=True)
-class TypeBound:
+class TypeBound(NamedTuple):
     """Contact order of r along the witness curve, a lower bound for the type."""
 
     value: Union[int, float]

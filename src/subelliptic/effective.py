@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .polyring import Poly, canonical_str
 from .domain import DomainSpec, type_lower_bound, vertical_order
@@ -41,15 +40,13 @@ class HypoStatus(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class ZetaStep:
+class ZetaStep(NamedTuple):
     index: int
     poly: Poly
     order: Fraction
 
 
-@dataclass(frozen=True)
-class EffectiveResult:
+class EffectiveResult(NamedTuple):
     component_index: int
     tau: int
     chain: tuple[ZetaStep, ...]
@@ -96,7 +93,7 @@ def zeta_chain(
     """
     if hypothesis is HypoStatus.FAILED and not force:
         raise HypothesisFailedError(
-            "comparison hypothesis failed on samples; pass force to run anyway "
+            "comparison hypothesis failed on samples; pass --force to run anyway "
             "(the certified order would be unsound)"
         )
     index, tau = select_component(spec)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .domain import DomainSpec, expand_r
@@ -41,17 +40,35 @@ def _divergence(radius: float) -> BoundarySolveError:
     )
 
 
-@dataclass
 class SampleReport:
     """Outcome of one sampling pass; fields unused by a check stay None."""
 
-    radius: float
-    n_samples: int
-    seed: int
-    delta_hat: Optional[float] = None
-    min_lambda_on_boundary: Optional[float] = None
-    degenerate: int = 0
-    violations: list = field(default_factory=list)
+    def __init__(
+        self,
+        radius: float,
+        n_samples: int,
+        seed: int,
+        delta_hat: Optional[float] = None,
+        min_lambda_on_boundary: Optional[float] = None,
+        degenerate: int = 0,
+        violations: Optional[list] = None,
+    ):
+        self.radius = radius
+        self.n_samples = n_samples
+        self.seed = seed
+        self.delta_hat = delta_hat
+        self.min_lambda_on_boundary = min_lambda_on_boundary
+        self.degenerate = degenerate
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
     def as_dict(self) -> dict:
         """The report as JSON values; an infinite float becomes a string."""

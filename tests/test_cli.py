@@ -221,6 +221,7 @@ class TestExitCodes:
         assert code == EXIT_REFUSED
         assert "hypothesis failed" in captured.out
         assert "refused" in captured.err
+        assert "pass --force to run anyway" in captured.err
 
     def test_effective_refuses_when_no_sample_is_informative(self, tmp_path, capsys):
         spec = {"f": ["w^3"], "g": ["w^2"], "sample_radius": 1e-9}
@@ -656,7 +657,8 @@ class TestConsoleEntry:
         ids=["levi", "type", "check-hypo", "verify", "effective", "kohn", "compare"],
     )
     def test_subcommand_imports_only_the_engine_it_runs(self, tmp_path, argv, engine):
-        """Start-up time is mostly import, so levi and type skip the Kohn engine."""
+        """Start-up time is mostly import, so levi and type skip the Kohn engine
+        and no subcommand but kohn and compare imports dataclasses."""
         child = (
             "import json, sys\n"
             "from subelliptic import cli\n"
@@ -673,3 +675,6 @@ class TestConsoleEntry:
         assert code == EXIT_OK, proc.stderr
         loaded = {name.rpartition(".")[2] for name in modules if name.startswith("subelliptic.")}
         assert loaded & {"kohn", "localideal", "effective", "numcheck"} == engine
+        # The records on the other paths are plain classes and named tuples;
+        # kohn's KohnResult is still a dataclass, so kohn and compare import it.
+        assert ("dataclasses" in modules) == ("kohn" in engine)

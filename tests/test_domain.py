@@ -1,6 +1,8 @@
 """Tests for domain construction, Levi determinant, and type bounds."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,8 @@ from subelliptic.polyring import GaussRational, Poly, canonical_str, parse_poly,
 from subelliptic.domain import (
     DomainError,
     DomainSpec,
+    LeviData,
+    TypeBound,
     apply_L,
     borderline_domain,
     cross_power_domain,
@@ -49,6 +53,45 @@ class TestValidation:
     def test_borderline_power_floor(self):
         with pytest.raises(DomainError):
             borderline_domain(1)
+
+
+class TestRecords:
+    def test_domain_spec_rejects_assignment(self):
+        spec = flat_domain()
+        with pytest.raises(AttributeError):
+            spec.sample_radius = 1.0
+        with pytest.raises(AttributeError):
+            del spec.name
+        with pytest.raises(AttributeError):
+            spec.extra = 1
+        assert spec == flat_domain()
+
+    def test_domain_spec_equal_and_hashable_by_value(self):
+        spec = DomainSpec(name="flat", f=(parse_poly("w"),))
+        assert spec == flat_domain() and hash(spec) == hash(flat_domain())
+        assert spec != DomainSpec(name="flat", f=(parse_poly("w"),), sample_radius=0.2)
+        assert spec != flat_domain().f
+        assert len({spec, flat_domain(), borderline_domain()}) == 2
+        assert repr(spec) == (
+            f"DomainSpec(name='flat', f=({parse_poly('w')!r},), g=(), "
+            "params=None, sample_radius=0.1)"
+        )
+
+    def test_domain_spec_with_params_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(cross_power_domain(3, 2, 5))
+
+    def test_domain_spec_copies_and_pickles(self):
+        spec = cross_power_domain(3, 2, 5)
+        for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert twin == spec
+
+    def test_result_records_take_keywords(self):
+        r, lam = parse_poly("z"), parse_poly("w")
+        data = LeviData(r=r, lam=lam, r_z=r, r_w=lam)
+        assert (data.r, data.lam, data.r_z, data.r_w) == (r, lam, r, lam)
+        assert TypeBound(value=3).witness == "(0, t)"
+        assert TypeBound(value=math.inf, witness="(t, 0)").witness == "(t, 0)"
 
 
 class TestDefiningFunction:

@@ -8,9 +8,11 @@ from subelliptic.polyring import parse_poly, canonical_str
 from subelliptic.domain import DomainSpec, flat_domain, cross_power_domain
 from subelliptic.kohn import run_kohn
 from subelliptic.effective import (
+    EffectiveResult,
     HypoStatus,
     HypothesisFailedError,
     InfiniteTypeError,
+    ZetaStep,
     select_component,
     zeta_chain,
     compare_orders,
@@ -86,6 +88,14 @@ class TestZetaChain:
     def test_asserted_hypothesis_counts_as_sound(self):
         result = zeta_chain(flat_domain(), HypoStatus.ASSERTED)
         assert result.sound is True
+
+    def test_records_take_keywords(self):
+        step = ZetaStep(index=1, poly=parse_poly("1"), order=Fraction(1, 4))
+        result = EffectiveResult(
+            component_index=0, tau=1, chain=(step,), final_order=step.order, sound=True
+        )
+        assert result == zeta_chain(flat_domain(), HypoStatus.VERIFIED)
+        assert result.chain[0].index == 1
 
 
 class TestCompareOrders:

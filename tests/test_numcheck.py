@@ -284,6 +284,24 @@ class TestStencilKernel:
 
 
 class TestReportSerialization:
+    def test_each_report_owns_its_violations(self):
+        first = SampleReport(radius=0.1, n_samples=5, seed=1)
+        second = SampleReport(radius=0.1, n_samples=5, seed=1)
+        assert first == second
+        first.violations.append({"value": 1.0})
+        assert second.violations == []
+        assert first != second
+
+    def test_report_compares_by_value_and_is_unhashable(self):
+        report = SampleReport(radius=0.1, n_samples=5, seed=1, degenerate=2)
+        assert report != SampleReport(radius=0.1, n_samples=5, seed=2, degenerate=2)
+        assert repr(report) == (
+            "SampleReport(radius=0.1, n_samples=5, seed=1, delta_hat=None, "
+            "min_lambda_on_boundary=None, degenerate=2, violations=[])"
+        )
+        with pytest.raises(TypeError):
+            hash(report)
+
     def test_infinities_are_encoded(self):
         report = SampleReport(radius=0.1, n_samples=5, seed=1, delta_hat=math.inf)
         encoded = report.as_dict()
