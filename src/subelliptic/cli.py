@@ -35,13 +35,13 @@ of them.  The entry points of those modules stay names of this module
 `boundary_pseudoconvexity`), each a stand-in that imports its module on the
 first call, so a caller can still patch them here.
 
-The records these paths build (`DomainSpec`, `LeviData`, `TypeBound`,
-`SampleReport`, `ZetaStep`, `EffectiveResult`) are plain classes and named
-tuples, not dataclasses: importing `dataclasses` pulls in `inspect`, `ast`,
-`dis`, `tokenize` and `copy`, 13-16 ms under `python -X importtime` on one
-CPU, more than `argparse`.  So only `kohn` and `compare` load it, through
-`kohn.KohnResult`, which stays a dataclass because that path loads the Kohn
-engine anyway and callers rebuild results with `dataclasses.replace`.
+The engine's records (`DomainSpec`, `LeviData`, `TypeBound`, `SampleReport`,
+`ZetaStep`, `EffectiveResult`, `RadicalCertificate`) are named tuples, not
+dataclasses: importing `dataclasses` pulls in `inspect`, `ast`, `dis`,
+`tokenize` and `copy`, 13-16 ms under `python -X importtime` on one CPU,
+more than `argparse`.  Only `kohn.KohnResult` is a dataclass, because the
+benchmark's tests rebuild results with `dataclasses.replace`; so only `kohn`
+and `compare` load it.
 """
 
 from __future__ import annotations

@@ -33,24 +33,27 @@ class DomainError(ValueError):
 DEFAULT_SAMPLE_RADIUS = 0.1
 
 
-class DomainSpec:
+class _DomainFields(NamedTuple):
+    name: str
+    f: tuple[Poly, ...]
+    g: tuple[Poly, ...] = ()
+    params: Optional[dict] = None
+    sample_radius: float = DEFAULT_SAMPLE_RADIUS
+
+
+class DomainSpec(_DomainFields):
     """Holomorphic data defining the domain near the origin.
 
-    Validated when built and immutable after: it compares and hashes by
-    value over its five fields, in order (a dict `params` is unhashable).
+    A named tuple of its five fields, validated on every construction path:
+    the constructor, `_make` and `_replace`, copy and pickle.  A dict
+    `params` makes the record unhashable.
     """
 
-    __slots__ = ("name", "f", "g", "params", "sample_radius")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        name: str,
-        f: tuple[Poly, ...],
-        g: tuple[Poly, ...] = (),
-        params: Optional[dict] = None,
-        sample_radius: float = DEFAULT_SAMPLE_RADIUS,
-    ):
-        for label, components in (("f", f), ("g", g)):
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        for label, components in (("f", spec.f), ("g", spec.g)):
             for idx, p in enumerate(components):
                 require_holomorphic(p, f"{label}[{idx}]")
                 if not p.constant_term().is_zero():
@@ -58,34 +61,13 @@ class DomainSpec:
                         f"component {label}[{idx}] must vanish at the origin, "
                         f"got {canonical_str(p)}"
                     )
-        if not 0 < sample_radius < math.inf:
+        if not 0 < spec.sample_radius < math.inf:
             raise DomainError("sample_radius must be positive and finite")
-        for attr, value in zip(self.__slots__, (name, f, g, params, sample_radius)):
-            object.__setattr__(self, attr, value)
+        return spec
 
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"cannot assign to field {attr!r}")
-
-    def __delattr__(self, attr):
-        raise AttributeError(f"cannot delete field {attr!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, attr) for attr in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{a}={v!r}" for a, v in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({fields})"
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def flat_domain() -> DomainSpec:

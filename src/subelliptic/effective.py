@@ -88,15 +88,17 @@ def zeta_chain(
     zeta_1 = d/dw of the component carries order 1/4 and every further
     derivative halves the order; after tau steps the chain must reach a
     nonvanishing constant, anything else indicates the selection was
-    inconsistent.  With a failed hypothesis the run refuses unless force is
+    inconsistent.  A spec of infinite vertical type raises
+    InfiniteTypeError before the hypothesis is looked at, since no force
+    could run it.  With a failed hypothesis the run refuses unless force is
     set, in which case the result is labeled unsound.
     """
+    index, tau = select_component(spec)
     if hypothesis is HypoStatus.FAILED and not force:
         raise HypothesisFailedError(
             "comparison hypothesis failed on samples; pass --force to run anyway "
             "(the certified order would be unsound)"
         )
-    index, tau = select_component(spec)
     component = spec.f[index]
     chain: list[ZetaStep] = []
     zeta = component

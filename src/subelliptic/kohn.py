@@ -17,15 +17,10 @@ can be replayed bit-for-bit and audited rule by rule.
 
 The ideal only grows, so work whose answer is already known is not redone:
 
-  * after a radical step the ideal is the entry ideal I plus the
-    certificate elements e_1, ..., e_n.  The closure that radical_extend
-    returns ends on that same ideal: each commit adds e_i or its reduction
-    modulo the ideal so far, which equals u*e_i minus an element of that
-    ideal for a local unit u, or adds nothing when the reduction is zero;
-    by induction over the commits the closure's ideal is I + (e_1, ...,
-    e_n).  So its standard basis is adopted as it is, not completed a
-    second time.  The generators stay I's plus the e_i, which the ledger
-    and the trace name.
+  * after a radical step the ideal is the one radical_extend hands back:
+    the entry generators followed by the certificate elements, which the
+    ledger and the trace name, with the standard basis the closure already
+    built for them, so it is not completed a second time.
   * each parent is differentiated once: L(h) and h_w are kept for the whole
     run.  A child that a membership query put inside, or that joined the
     ideal as a kept child after an exact NO, lies in every later ideal, so
@@ -223,11 +218,7 @@ def run_kohn(
                 "certificates": cert_events,
             }
         )
-        if certificates:
-            # The closure ended on this very ideal, so its basis is this one's.
-            elements = tuple(c.element for c in certificates)
-            current = LocalIdeal(current.generators + elements)
-            current._basis = certificates.ideal.basis
+        current = certificates.ideal
         if current.basis is None:
             saw_undecided = True
 

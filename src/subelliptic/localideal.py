@@ -41,10 +41,9 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .polyring import (
     GaussRational,
@@ -599,8 +598,7 @@ def hermitian_square_rows(p: Poly) -> Optional[list[tuple[Fraction, Poly]]]:
 # Radical certificates
 
 
-@dataclass(frozen=True)
-class RadicalCertificate:
+class RadicalCertificate(NamedTuple):
     """One sound step of real-radical closure.
 
     order is the certificate order (the exponent in the defining inequality
@@ -640,11 +638,10 @@ def _rebalance(row: Poly) -> list[tuple[str, Poly, int]]:
 class Closure(list):
     """The certificates of one radical closure, in commit order.
 
-    ideal is the ideal the closure ended on: the input ideal plus every
-    certificate element, though its generators may differ from those
-    elements (see radical_extend).  Its standard basis is seeded with the
-    one before each commit, and completed on first read if no probe of the
-    closure has read it.
+    ideal is the ideal the closure ended on: the input generators followed
+    by every certificate element, with the standard basis the closure built
+    for it (see radical_extend).  Without certificates it is the input
+    ideal.
     """
 
     def __init__(self, ideal: LocalIdeal):
@@ -692,12 +689,14 @@ def radical_extend(
     q' != q is not, and rows, rebalanced rows and roots are holomorphic.
 
     The result's ideal is the input ideal I plus (e_1, ..., e_n), where e_i
-    are the certificate elements; run_kohn adopts its standard basis.  Each
-    commit adds monic(e_i) or monic(reduce_modulo(e_i)) to the current
-    ideal, or nothing when e_i reduces to zero.  The reduction equals u*e_i
-    minus an element of the current ideal for a local unit u, so either
-    generator, like the zero case, gives current + (e_i).  The current ideal
-    starts as I, so by induction it ends as I + (e_1, ..., e_n).
+    are the certificate elements, generated by I's generators and the e_i
+    and carrying the standard basis of the current ideal the closure ended
+    on.  Both are the same ideal: each commit adds monic(e_i) or
+    monic(reduce_modulo(e_i)) to the current ideal, or nothing when e_i
+    reduces to zero.  The reduction equals u*e_i minus an element of the
+    current ideal for a local unit u, so either generator, like the zero
+    case, gives current + (e_i).  The current ideal starts as I, so by
+    induction it ends as I + (e_1, ..., e_n).
     """
     work: list[Poly] = list(ideal.generators)
     keys: set[Poly] = {monic(p) for p in work}
@@ -795,5 +794,7 @@ def radical_extend(
                     ))
                     changed = True
 
-    certificates.ideal = current
+    if certificates:
+        certificates.ideal = LocalIdeal(work)  # the generators, then the elements
+        certificates.ideal._basis = current.basis
     return certificates

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .domain import DomainSpec, expand_r
 
@@ -40,35 +40,29 @@ def _divergence(radius: float) -> BoundarySolveError:
     )
 
 
-class SampleReport:
-    """Outcome of one sampling pass; fields unused by a check stay None."""
+class _SampleFields(NamedTuple):
+    radius: float
+    n_samples: int
+    seed: int
+    delta_hat: Optional[float] = None
+    min_lambda_on_boundary: Optional[float] = None
+    degenerate: int = 0
+    violations: Optional[list] = None
 
-    def __init__(
-        self,
-        radius: float,
-        n_samples: int,
-        seed: int,
-        delta_hat: Optional[float] = None,
-        min_lambda_on_boundary: Optional[float] = None,
-        degenerate: int = 0,
-        violations: Optional[list] = None,
-    ):
-        self.radius = radius
-        self.n_samples = n_samples
-        self.seed = seed
-        self.delta_hat = delta_hat
-        self.min_lambda_on_boundary = min_lambda_on_boundary
-        self.degenerate = degenerate
-        self.violations = [] if violations is None else violations
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
+class SampleReport(_SampleFields):
+    """Outcome of one sampling pass; fields unused by a check stay None.
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{type(self).__name__}({fields})"
+    Each report owns its violations list, a fresh one unless one is passed.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        report = super().__new__(cls, *args, **kwargs)
+        if report.violations is None:
+            return report._replace(violations=[])
+        return report
 
     def as_dict(self) -> dict:
         """The report as JSON values; an infinite float becomes a string."""
@@ -78,18 +72,11 @@ class SampleReport:
                 return "infinity"
             return value
 
-        return {
-            "radius": self.radius,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "delta_hat": encode(self.delta_hat),
-            "min_lambda_on_boundary": encode(self.min_lambda_on_boundary),
-            "degenerate": self.degenerate,
-            "violations": [
-                {**record, "value": encode(record["value"])}
-                for record in self.violations
-            ],
-        }
+        fields = {name: encode(value) for name, value in self._asdict().items()}
+        fields["violations"] = [
+            {**record, "value": encode(record["value"])} for record in self.violations
+        ]
+        return fields
 
 
 def _disc_point(rng: random.Random, radius: float) -> complex:
@@ -133,21 +120,22 @@ def sample_hypo(
     radius = spec.sample_radius if radius is None else radius
     f_w = [c.wirtinger("w").compiled() for c in spec.f]
     g_w = [c.wirtinger("w").compiled() for c in spec.g]
-    report = SampleReport(radius=radius, n_samples=n, seed=seed, delta_hat=0.0)
+    delta_hat, degenerate, violations = 0.0, 0, []
     for z, w in polydisc_points(radius, n, seed):
         fw2 = _squared_norm(f_w, z, w)
         gw2 = _squared_norm(g_w, z, w)
         if fw2 < DEGENERATE_TOL:
-            report.degenerate += 1
+            degenerate += 1
             if gw2 > DEGENERATE_TOL:
-                report.delta_hat = math.inf
-                report.violations.append(_point_record(z, w, math.inf))
+                delta_hat = math.inf
+                violations.append(_point_record(z, w, math.inf))
             continue
         ratio = gw2 / fw2
-        report.delta_hat = max(report.delta_hat, ratio)
+        delta_hat = max(delta_hat, ratio)
         if ratio >= 1.0:
-            report.violations.append(_point_record(z, w, ratio))
-    return report
+            violations.append(_point_record(z, w, ratio))
+    return SampleReport(radius=radius, n_samples=n, seed=seed, delta_hat=delta_hat,
+                        degenerate=degenerate, violations=violations)
 
 
 def hypothesis_holds(report: SampleReport) -> bool:
@@ -179,9 +167,7 @@ def boundary_pseudoconvexity(
     f_ev = [c.compiled() for c in spec.f]
     g_ev = [c.compiled() for c in spec.g]
     rng = random.Random(seed)
-    report = SampleReport(
-        radius=radius, n_samples=n, seed=seed, min_lambda_on_boundary=math.inf
-    )
+    min_lambda, violations = math.inf, []
     for _ in range(n):
         w = _disc_point(rng, radius)
         y = rng.uniform(-radius, radius)
@@ -204,10 +190,11 @@ def boundary_pseudoconvexity(
             raise _divergence(radius)
         z = complex(x, y)
         value = lam(z, w).real
-        report.min_lambda_on_boundary = min(report.min_lambda_on_boundary, value)
+        min_lambda = min(min_lambda, value)
         if value < -FIXED_POINT_TOL:
-            report.violations.append(_point_record(z, w, value))
-    return report
+            violations.append(_point_record(z, w, value))
+    return SampleReport(radius=radius, n_samples=n, seed=seed,
+                        min_lambda_on_boundary=min_lambda, violations=violations)
 
 
 def finite_diff_levi(

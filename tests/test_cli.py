@@ -232,6 +232,17 @@ class TestExitCodes:
         assert "no informative sample: all 1000 points were degenerate" in captured.out
         assert "refused" in captured.err
 
+    def test_effective_on_infinite_type_is_undecided_without_force_advice(
+        self, tmp_path, capsys
+    ):
+        code = main(["effective", write_spec(tmp_path, {"f": ["z"]})])
+        captured = capsys.readouterr()
+        assert code == EXIT_UNDECIDED
+        assert "no informative sample" in captured.out
+        assert captured.err.startswith("undecided: ")
+        assert "infinite type" in captured.err
+        assert "--force" not in captured.err
+
     def test_effective_force_runs_but_marks_unsound(self, tmp_path, capsys):
         code = main(
             [
@@ -675,6 +686,6 @@ class TestConsoleEntry:
         assert code == EXIT_OK, proc.stderr
         loaded = {name.rpartition(".")[2] for name in modules if name.startswith("subelliptic.")}
         assert loaded & {"kohn", "localideal", "effective", "numcheck"} == engine
-        # The records on the other paths are plain classes and named tuples;
-        # kohn's KohnResult is still a dataclass, so kohn and compare import it.
+        # Every record is a named tuple but kohn's KohnResult, still a
+        # dataclass, so only kohn and compare import dataclasses.
         assert ("dataclasses" in modules) == ("kohn" in engine)

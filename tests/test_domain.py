@@ -86,6 +86,15 @@ class TestRecords:
         for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
             assert twin == spec
 
+    def test_domain_spec_validates_on_replace_and_make(self):
+        spec = flat_domain()
+        with pytest.raises(DomainError, match="sample_radius"):
+            spec._replace(sample_radius=0.0)
+        with pytest.raises(ValueError, match="must be holomorphic"):
+            DomainSpec._make(("bad", (parse_poly("w"),), (parse_poly("zb"),)))
+        assert spec._replace(name="flat") == DomainSpec._make(spec) == spec
+        assert type(DomainSpec._make(spec)) is DomainSpec
+
     def test_result_records_take_keywords(self):
         r, lam = parse_poly("z"), parse_poly("w")
         data = LeviData(r=r, lam=lam, r_z=r, r_w=lam)

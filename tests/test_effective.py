@@ -79,6 +79,14 @@ class TestZetaChain:
         with pytest.raises(HypothesisFailedError):
             zeta_chain(cross_power_domain(3, 2, 5), HypoStatus.FAILED)
 
+    def test_infinite_type_is_undecided_before_the_refusal(self):
+        """No force could run a spec of infinite vertical type, so a failed
+        hypothesis does not get it refused with advice to pass --force."""
+        spec = DomainSpec(name="z", f=(parse_poly("z"),))
+        for force in (False, True):
+            with pytest.raises(InfiniteTypeError):
+                zeta_chain(spec, HypoStatus.FAILED, force=force)
+
     def test_forced_run_is_marked_unsound(self):
         result = zeta_chain(cross_power_domain(3, 2, 5), HypoStatus.FAILED, force=True)
         assert result.sound is False

@@ -391,7 +391,9 @@ class TestWorkDoneOnce:
         asked = 0
         for step, (entry, closure) in enumerate(closures, start=1):
             assert closure
-            fresh = LocalIdeal(entry.generators + tuple(c.element for c in closure))
+            elements = tuple(c.element for c in closure)
+            fresh = LocalIdeal(entry.generators + elements)
+            assert closure.ideal.generators == tuple(dict.fromkeys(entry.generators + elements))
             assert {r[0] for r in closure.ideal.basis} == {r[0] for r in fresh.basis}
             for record in rows.get(step, ()):
                 if record["child"] is not None:

@@ -1,6 +1,8 @@
 """Tests for local ideal membership, standard bases, and radical certificates."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -384,6 +386,26 @@ class TestHermitianSquares:
 
 
 class TestRadicalExtend:
+    def test_equal_certificates_are_one_set_element(self):
+        def certificate():
+            return RadicalCertificate(
+                element=parse_poly("w"),
+                order=2,
+                rule="monomial-root",
+                witness="w^2 reduces to 0",
+                probe_ideal=("w^2",),
+                probe_log=((1, "no"), (2, "yes")),
+            )
+
+        assert len({certificate(), certificate()}) == 1
+
+    def test_import_leaves_dataclasses_out(self):
+        """The certificates are named tuples, so the ideal layer needs no
+        `dataclasses` (nor the `inspect` and `ast` it imports)."""
+        child = "import sys, subelliptic.localideal; print('dataclasses' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert proc.stdout == "False\n", proc.stderr
+
     def test_hermitian_square_generator(self):
         h = parse_poly("w") * parse_poly("w + z^2")
         certs = radical_extend(LocalIdeal([h * h.conj()]))

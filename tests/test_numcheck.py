@@ -292,6 +292,12 @@ class TestReportSerialization:
         assert second.violations == []
         assert first != second
 
+    def test_report_fields_cannot_be_assigned(self):
+        report = SampleReport(radius=0.1, n_samples=5, seed=1)
+        with pytest.raises(AttributeError):
+            report.degenerate = 3
+        assert report.degenerate == 0
+
     def test_report_compares_by_value_and_is_unhashable(self):
         report = SampleReport(radius=0.1, n_samples=5, seed=1, degenerate=2)
         assert report != SampleReport(radius=0.1, n_samples=5, seed=2, degenerate=2)
