@@ -22,7 +22,8 @@ Certified orders are printed as exact fractions, never as decimals.  Exit
 status is the machine interface: 0 for success, 1 for malformed input
 (usage errors included), 2 when a run stalls or a check remains undecided,
 and 3 when the requested computation is refused because its hypothesis
-failed on samples.
+failed on samples.  An engine error's class sets its status: a
+`domain.UndecidedError` exits 2, a `DomainError` or `ParseError` exits 1.
 
 Most of a short command's wall time is interpreter start and import, so a
 subcommand imports only the engine modules it runs.  At module level this
@@ -59,6 +60,7 @@ from .domain import (
     DEFAULT_SAMPLE_RADIUS,
     DomainError,
     DomainSpec,
+    UndecidedError,
     expand_r,
     type_lower_bound,
 )
@@ -82,21 +84,6 @@ zeta_chain = _on_first_call("effective", "zeta_chain")
 sample_hypo = _on_first_call("numcheck", "sample_hypo")
 finite_diff_levi = _on_first_call("numcheck", "finite_diff_levi")
 boundary_pseudoconvexity = _on_first_call("numcheck", "boundary_pseudoconvexity")
-
-
-def _loaded(*names: str) -> tuple:
-    """The classes among "module.Class" names whose module has been imported.
-
-    A class whose module never loaded cannot have been raised, so an except
-    clause over this tuple catches what one over every class would.
-    """
-    found = []
-    for dotted in names:
-        module, _, attr = dotted.partition(".")
-        owner = sys.modules.get(f"{__package__}.{module}")
-        if owner is not None:
-            found.append(getattr(owner, attr))
-    return tuple(found)
 
 
 EXIT_OK = 0
@@ -544,10 +531,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT
     try:
         code, fields = args.func(spec, args)
-    except _loaded("kohn.KohnError", "effective.InfiniteTypeError") as exc:
+    except UndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except (DomainError, ParseError, *_loaded("numcheck.BoundarySolveError")) as exc:
+    except (DomainError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.json and fields is not None:

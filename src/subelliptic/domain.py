@@ -30,6 +30,10 @@ class DomainError(ValueError):
     """Raised when a domain description violates the model assumptions."""
 
 
+class UndecidedError(RuntimeError):
+    """A run stalled or a check stayed undecided on valid input."""
+
+
 DEFAULT_SAMPLE_RADIUS = 0.1
 
 

@@ -16,9 +16,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .polyring import Poly, canonical_str
-from .domain import DomainSpec, type_lower_bound, vertical_order
+from .domain import DomainSpec, UndecidedError, type_lower_bound, vertical_order
 
-if TYPE_CHECKING:  # the Kohn engine loads only when a classic run is compared
+if TYPE_CHECKING:  # for annotations only: this module never runs the Kohn engine
     from .kohn import KohnResult
 
 
@@ -26,7 +26,7 @@ class EffectiveError(RuntimeError):
     """Base class for failures of the effective procedure."""
 
 
-class InfiniteTypeError(EffectiveError):
+class InfiniteTypeError(EffectiveError, UndecidedError):
     """Every component vanishes identically along the vertical curve."""
 
 
@@ -129,16 +129,12 @@ def compare_orders(
     when the type is infinite) and both runs.  Like the effective run, it
     raises InfiniteTypeError when no component of f has finite vertical order.
     """
-    from .kohn import Outcome
-
     select_component(spec)
     bound = type_lower_bound(spec).value
     row = {
         "type": bound,
         "optimal": None if bound == math.inf else Fraction(1, bound),
-        "classic": classic.final_order
-        if classic is not None and classic.outcome is Outcome.SUCCESS
-        else None,
+        "classic": classic.final_order if classic is not None else None,
         "effective": effective.final_order if effective is not None else None,
     }
     return row

@@ -42,15 +42,14 @@ from .localideal import (
     DEFAULT_ORDER_CAP,
     LocalIdeal,
     Membership,
-    monic,
     radical_extend,
 )
-from .domain import DomainSpec, expand_r, apply_L
+from .domain import DomainSpec, UndecidedError, expand_r, apply_L
 
 DEFAULT_MAX_STEPS = 16
 
 
-class KohnError(RuntimeError):
+class KohnError(UndecidedError):
     """Raised when a run reaches an internally inconsistent state."""
 
 
@@ -87,11 +86,11 @@ class _Ledger:
 
     def add(self, poly: Poly, order: Fraction) -> None:
         """Record order for poly unless a larger one is already known."""
-        key = monic(poly)
+        key = poly.monic()
         self.entries[key] = max(self.entries.get(key, order), order)
 
     def order_of(self, poly: Poly) -> Fraction:
-        key = monic(poly)
+        key = poly.monic()
         if key not in self.entries:
             raise KohnError(f"no ledger entry for {canonical_str(poly)}")
         return self.entries[key]
@@ -274,7 +273,7 @@ def run_kohn(
                             "kept" if answer is Membership.NO else "kept-unverified"
                         )
                         record["order"] = str(ledger.order_of(child))
-                        kept.setdefault(monic(child), child)
+                        kept.setdefault(child.monic(), child)
                 child_events.append(record)
         events.append(
             {

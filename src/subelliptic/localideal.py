@@ -112,29 +112,6 @@ def _lead_ecart(terms) -> tuple[Mono, int]:
     return lm, high - low
 
 
-def monic(p: Poly) -> Poly:
-    """Scale so the leading coefficient is 1.
-
-    Two polynomials are equal up to a nonzero scalar exactly when their
-    monic forms are equal, so monic(p) is the key wherever that identity
-    matters (radical closure, the multiplier ledger, kept row children).
-    The leading monomial of the local order is also the first in display
-    order, and monic(p) is the element a reducer of p stands for.  The form
-    is computed once and kept in p's _monic slot, None when p is monic.
-    """
-    try:
-        q = p._monic
-    except AttributeError:
-        q = None
-        if not p.is_zero():
-            c = p.terms[_lead_ecart(p.terms)[0]]
-            if c != GaussRational.one():
-                q = p.scale(GaussRational.one() / c)
-                object.__setattr__(q, "_monic", None)
-        object.__setattr__(p, "_monic", q)
-    return p if q is None else q
-
-
 # ---------------------------------------------------------------------------
 # Mora weak normal form
 
@@ -144,7 +121,7 @@ def _reducer(lm: Mono, ecart: int, terms: dict) -> tuple:
 
     A tail term is the flat tuple (m0, m1, m2, m3, degree, a, b, d) of its
     exponents, its degree and its coefficient triple.  The reducer thus
-    stands for the element monic(p) of the polynomial p with these terms.
+    stands for the element p.monic() of the polynomial p with these terms.
     """
     p, q, e = terms[lm]
     norm = p * p + q * q
@@ -691,15 +668,15 @@ def radical_extend(
     The result's ideal is the input ideal I plus (e_1, ..., e_n), where e_i
     are the certificate elements, generated by I's generators and the e_i
     and carrying the standard basis of the current ideal the closure ended
-    on.  Both are the same ideal: each commit adds monic(e_i) or
-    monic(reduce_modulo(e_i)) to the current ideal, or nothing when e_i
+    on.  Both are the same ideal: each commit adds e_i.monic() or
+    reduce_modulo(e_i).monic() to the current ideal, or nothing when e_i
     reduces to zero.  The reduction equals u*e_i minus an element of the
     current ideal for a local unit u, so either generator, like the zero
     case, gives current + (e_i).  The current ideal starts as I, so by
     induction it ends as I + (e_1, ..., e_n).
     """
     work: list[Poly] = list(ideal.generators)
-    keys: set[Poly] = {monic(p) for p in work}
+    keys: set[Poly] = {p.monic() for p in work}
     certificates = Closure(ideal)
     conj_cursor = square_cursor = 0
     current = ideal  # reuse its cached standard basis across commits
@@ -711,7 +688,7 @@ def radical_extend(
             ruled_out.clear()
         certificates.append(cert)
         work.append(cert.element)
-        keys.add(monic(cert.element))
+        keys.add(cert.element.monic())
         # The element and its reduction differ by members of the current
         # ideal, so either may stand in for the other as a new generator.
         # Committing the smaller of the two keeps standard bases from
@@ -722,7 +699,7 @@ def radical_extend(
             return
         size = lambda p: (len(p.terms), p.total_degree())
         chosen = reduced if size(reduced) < size(cert.element) else cert.element
-        current = current.with_extra([monic(chosen)])
+        current = current.with_extra([chosen.monic()])
 
     changed = True
     while changed:
@@ -754,7 +731,7 @@ def radical_extend(
             q = work[conj_cursor]
             conj_cursor += 1
             qc = q.conj()
-            if qc == q or monic(qc) in keys:
+            if qc == q or qc.monic() in keys:
                 continue
             commit(RadicalCertificate(
                 element=qc,
@@ -771,7 +748,7 @@ def radical_extend(
             if not q.is_conj_symmetric():
                 continue
             for _weight, row in hermitian_square_rows(q) or ():
-                if monic(row) not in keys:
+                if row.monic() not in keys:
                     commit(RadicalCertificate(
                         element=row,
                         order=2,
@@ -782,7 +759,7 @@ def radical_extend(
                     ))
                     changed = True
                 for v, reduced, e in _rebalance(row):
-                    if monic(reduced) in keys:
+                    if reduced.monic() in keys:
                         continue
                     commit(RadicalCertificate(
                         element=reduced,

@@ -20,7 +20,7 @@ import math
 import random
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .domain import DomainSpec, expand_r
+from .domain import DomainError, DomainSpec, expand_r
 
 DEGENERATE_TOL = 1e-14
 FIXED_POINT_TOL = 1e-12
@@ -28,8 +28,8 @@ FIXED_POINT_CAP = 100
 HYPO_GATE = 0.99
 
 
-class BoundarySolveError(RuntimeError):
-    """The fixed-point solve for the boundary point did not converge."""
+class BoundarySolveError(DomainError):
+    """The boundary solve did not converge: the sample radius is too large."""
 
 
 def _divergence(radius: float) -> BoundarySolveError:
@@ -113,9 +113,9 @@ def sample_hypo(
 
     delta_hat is the maximum sampled ratio.  Points where ||f_w||^2 falls
     below the degenerate threshold are counted separately; if g_w does not
-    vanish there too, no finite delta works and the ratio is infinite.
-    Points whose ratio reaches 1 are reported as violations since the
-    hypothesis requires delta < 1.
+    vanish there too, no finite delta works and the ratio is infinite, as is
+    a NaN ratio (an overflowing evaluation), which bounds nothing.  Points
+    whose ratio reaches 1 are violations since the hypothesis needs delta < 1.
     """
     radius = spec.sample_radius if radius is None else radius
     f_w = [c.wirtinger("w").compiled() for c in spec.f]
@@ -131,6 +131,8 @@ def sample_hypo(
                 violations.append(_point_record(z, w, math.inf))
             continue
         ratio = gw2 / fw2
+        if math.isnan(ratio):
+            ratio = math.inf
         delta_hat = max(delta_hat, ratio)
         if ratio >= 1.0:
             violations.append(_point_record(z, w, ratio))

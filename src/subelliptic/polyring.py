@@ -236,10 +236,10 @@ class Poly:
 
     Derived forms are computed on first use and kept in private slots: the
     hash in _hash, the canonical string in _str (canonical_str), the
-    conjugate in _conj (conj) and the monic form in _monic
-    (localideal.monic).  A polynomial that is its own monic form keeps None
-    there, and a conjugate is not linked back to its source, so no Poly
-    refers to itself through a slot.
+    conjugate in _conj (conj) and the monic form in _monic (monic).  A
+    polynomial that is its own monic form keeps None there, and a conjugate
+    is not linked back to its source, so no Poly refers to itself through a
+    slot.
     """
 
     __slots__ = ("terms", "_hash", "_str", "_conj", "_monic")
@@ -359,6 +359,26 @@ class Poly:
             out = Poly({mono_conj(m): c.conj() for m, c in self.terms.items()})
             object.__setattr__(self, "_conj", out)
             return out
+
+    def monic(self) -> "Poly":
+        """Scale so the leading coefficient is 1.
+
+        Two polynomials are equal up to a nonzero scalar exactly when their
+        monic forms are equal.  The leading monomial of the local term order
+        (least degree, ties to the larger exponent tuple) is the first one
+        in display order.
+        """
+        try:
+            q = self._monic
+        except AttributeError:
+            q = None
+            if self.terms:
+                c = self.terms[min(self.terms, key=display_key)]
+                if c != _GR_ONE:
+                    q = self.scale(_GR_ONE / c)
+                    object.__setattr__(q, "_monic", None)
+            object.__setattr__(self, "_monic", q)
+        return self if q is None else q
 
     # -- calculus
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from subelliptic import cli
 from subelliptic.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -18,8 +19,10 @@ from subelliptic.cli import (
     spec_from_dict,
     trace_schema,
 )
-from subelliptic.domain import DomainSpec
-from subelliptic.kohn import run_kohn
+from subelliptic.domain import DomainError, DomainSpec, UndecidedError
+from subelliptic.effective import EffectiveError, InfiniteTypeError
+from subelliptic.kohn import KohnError, run_kohn
+from subelliptic.numcheck import BoundarySolveError
 from subelliptic.polyring import canonical_str, parse_poly
 
 
@@ -275,6 +278,50 @@ class TestExitCodes:
         )
         assert bad == EXIT_REFUSED
         assert "hypothesis fails" in capsys.readouterr().out
+
+    def test_an_overflowing_hypothesis_sample_fails_the_gate(self, tmp_path, capsys):
+        """The ratio |g_w|^2/|f_w|^2 is 1 everywhere, and at radius 1e200
+        every sample of it is NaN: no sample verifies the hypothesis."""
+        spec = write_spec(
+            tmp_path,
+            {"name": "same", "f": ["w^3"], "g": ["w^3"], "sample_radius": 1e200},
+        )
+        out_path = tmp_path / "hypo.json"
+        code = main(["check-hypo", spec, "--samples", "20", "--json", str(out_path)])
+        assert code == EXIT_REFUSED
+        assert "delta_hat = infinity over 20 samples" in capsys.readouterr().out
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        assert payload["report"]["delta_hat"] == "infinity"
+        assert main(["effective", spec, "--samples", "20"]) == EXIT_REFUSED
+        assert "refused" in capsys.readouterr().err
+
+    def test_verify_at_a_radius_too_large_to_solve_exits_one(self, tmp_path, capsys):
+        code = main(["verify", write_spec(tmp_path, {"f": ["4*z"], "sample_radius": 0.5})])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.startswith("error: solving 2*Re(z) = -(|f|^2 - |g|^2)")
+        assert captured.err.endswith("; retry with a smaller radius\n")
+
+    def test_a_kohn_error_exits_two(self, tmp_path, capsys, monkeypatch):
+        def inconsistent(*_, **__):
+            raise KohnError("no ledger entry for z")
+
+        monkeypatch.setattr(cli, "run_kohn", inconsistent)
+        assert main(["kohn", write_spec(tmp_path, FLAT)]) == EXIT_UNDECIDED
+        assert capsys.readouterr().err == "undecided: no ledger entry for z\n"
+
+    @pytest.mark.parametrize(
+        "error,bases",
+        [
+            (KohnError, (UndecidedError,)),
+            (InfiniteTypeError, (EffectiveError, UndecidedError)),
+            (BoundarySolveError, (DomainError,)),
+        ],
+    )
+    def test_an_engine_error_carries_its_exit_status_in_its_class(self, error, bases):
+        """main catches UndecidedError for exit 2 and DomainError for exit 1,
+        both defined in `domain`, which every subcommand loads."""
+        assert all(issubclass(error, base) for base in bases)
 
     def test_verify_passes_on_flat(self, tmp_path, capsys):
         code = main(["verify", write_spec(tmp_path, FLAT), "--samples", "100"])

@@ -35,7 +35,6 @@ from subelliptic.localideal import (
     _prepare,
     hermitian_square_rows,
     min_algebraic_radical_order,
-    monic,
     nf_mora,
     radical_extend,
 )
@@ -82,19 +81,28 @@ class TestLocalOrder:
 
     def test_monic_normalizes_display_leader(self):
         p = parse_poly("3*w^2 + 2*z^5*w")
-        assert canonical_str(monic(p)) == "w^2 + 2/3*z^5*w"
+        assert canonical_str(p.monic()) == "w^2 + 2/3*z^5*w"
 
     def test_a_reducer_stands_for_the_monic_element(self):
-        """The leading monomial is the display leader, and the reducer of p
-        is monic(p) itself: lead coefficient 1, every other term divided."""
+        """The leading monomial is the display leader, which Poly.monic()
+        scales by, and the reducer of p is p.monic() itself: lead
+        coefficient 1, every other term divided."""
         rng = random.Random(20261021)
         for _ in range(200):
             coeff = rng.choice([gauss_integer, gauss_fraction])
             p = random_poly(rng, 4, coeff=coeff)
-            assert leading_monomial(p) == min(p.terms, key=display_key)
+            lead = leading_monomial(p)
+            assert lead == min(p.terms, key=display_key) == p.sorted_terms()[0][0]
+            assert p.monic().terms[lead] == GaussRational.one()
             (reducer,) = _prepare([p])
-            assert element(reducer) == monic(p)
+            assert element(reducer) == p.monic()
             assert reducer[1] == p.total_degree() - mono_degree(reducer[0])
+        # Many terms of few degrees: the local order breaks most ties here.
+        for _ in range(200):
+            terms = {tuple(rng.randint(0, 2) for _ in range(4)): gauss_fraction(rng)
+                     for _ in range(rng.randint(1, 8))}
+            p = Poly(terms) or Poly.one()
+            assert leading_monomial(p) == p.sorted_terms()[0][0]
 
 
 class TestStandardBasis:
@@ -465,10 +473,10 @@ class TestRadicalExtend:
     def test_conjugation_closure(self):
         ideal = LocalIdeal([parse_poly("z^5"), parse_poly("w^2 + z*w")])
         certs = radical_extend(ideal)
-        known = {monic(p) for p in ideal.generators}
-        known |= {monic(c.element) for c in certs}
+        known = {p.monic() for p in ideal.generators}
+        known |= {c.element.monic() for c in certs}
         for key_poly in list(ideal.generators) + [c.element for c in certs]:
-            assert monic(key_poly.conj()) in known
+            assert key_poly.conj().monic() in known
 
     def test_deterministic(self):
         gens = [parse_poly("z^5"), parse_poly("w^2 + z*w")]
@@ -753,10 +761,10 @@ class TestRuledOutCarry:
             certs = radical_extend(LocalIdeal(generators), order_cap=cap)
             monkeypatch.setattr(localideal, "_power_sweep", sweep_without_drops)
             assert radical_extend(LocalIdeal(generators), order_cap=cap) == certs
-            keys = {monic(g) for g in generators}
+            keys = {g.monic() for g in generators}
             for event in events:
                 if event[0] == "commit":
-                    keys.add(monic(event[1]))
+                    keys.add(event[1].monic())
                     continue
                 _, names, ideal = event
                 for v in localideal.VARIABLES:
@@ -1054,7 +1062,7 @@ class TestBuchberger:
                     assert got == want
                     outcomes.add("exhausted")
                     continue
-                assert [element(r) for r in got[0]] == [monic(p) for p in want[0]]
+                assert [element(r) for r in got[0]] == [p.monic() for p in want[0]]
                 assert got[1] == want[1]
                 outcomes.add("grown" if len(want[0]) > len(gens) else "complete")
         assert outcomes == {"exhausted", "grown", "complete"}

@@ -88,6 +88,16 @@ class TestSampleHypo:
         assert report.delta_hat == 0.0
         assert not hypothesis_holds(report)
 
+    def test_an_overflowing_ratio_is_infinite(self):
+        """f_w = g_w = 3w^2, so the ratio is 1 wherever it is a number; at
+        radius 1e200 w^2 overflows to NaN, which bounds nothing."""
+        spec = spec_of(["w^3"], g=["w^3"])
+        report = sample_hypo(spec, radius=1e200, n=50)
+        assert report.delta_hat == math.inf
+        assert len(report.violations) == 50
+        assert {v["value"] for v in report.violations} == {math.inf}
+        assert not hypothesis_holds(report)
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_no_samples_fail_the_gate(self, n):
         report = sample_hypo(borderline_domain(), radius=0.01, n=n)

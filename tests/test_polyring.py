@@ -4,13 +4,13 @@ import copy
 import math
 import pickle
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from subelliptic import localideal, polyring
-from subelliptic.localideal import monic
+from subelliptic import polyring
 from subelliptic.polyring import (
     GaussRational,
     ParseError,
@@ -238,41 +238,49 @@ class TestDerivedForms:
         for p in (built, parsed, grown):
             assert canonical_str(p) == "-2*i*z*wb + 3*w^2"
             assert p.conj() == parse_poly("2*i*zb*w + 3*wb^2")
-            assert monic(p) == parse_poly("z*wb + 3/2*i*w^2")
+            assert p.monic() == parse_poly("z*wb + 3/2*i*w^2")
 
     def test_a_second_call_does_no_new_work(self, monkeypatch):
         p = self.twins()[0]
-        first = (canonical_str(p), p.conj(), monic(p))
+        first = (canonical_str(p), p.conj(), p.monic())
 
         def no_work(*_):
             raise AssertionError("a derived form was computed twice")
 
         monkeypatch.setattr(Poly, "sorted_terms", no_work)
         monkeypatch.setattr(polyring, "mono_conj", no_work)
-        monkeypatch.setattr(localideal, "_lead_ecart", no_work)
-        again = (canonical_str(p), p.conj(), monic(p))
+        monkeypatch.setattr(polyring, "display_key", no_work)
+        again = (canonical_str(p), p.conj(), p.monic())
         assert all(a is b for a, b in zip(first, again))
         # A monic form is its own monic form, and knows it without a search.
-        assert monic(first[2]) is first[2]
+        assert first[2].monic() is first[2]
 
     def test_forms_are_still_immutable(self):
         p = self.twins()[0]
-        canonical_str(p), p.conj(), monic(p)
+        canonical_str(p), p.conj(), p.monic()
         for name in ("terms", "_hash", "_str", "_conj", "_monic", "other"):
             with pytest.raises(AttributeError):
                 setattr(p, name, None)
 
     def test_a_pickle_round_trip_keeps_equality_and_hash(self):
         p = self.twins()[1]
-        forms = (canonical_str(p), p.conj(), monic(p), hash(p))
+        forms = (canonical_str(p), p.conj(), p.monic(), hash(p))
         for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
             assert twin == p and hash(twin) == hash(p)
-            assert (canonical_str(twin), twin.conj(), monic(twin), hash(twin)) == forms
+            assert (canonical_str(twin), twin.conj(), twin.monic(), hash(twin)) == forms
+
+    def test_the_monic_form_needs_no_ideal_layer(self):
+        child = (
+            "import sys; from subelliptic.polyring import parse_poly; "
+            "print(parse_poly('2*w').monic(), 'subelliptic.localideal' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert proc.stdout == "w False\n", proc.stderr
 
     def test_zero_and_monic_polynomials_are_their_own_monic_form(self):
         zero, one = Poly.zero(), Poly.one()
         assert canonical_str(zero) == "0" and zero.conj() == zero
-        assert monic(zero) is zero and monic(W) is W and monic(one) is one
+        assert zero.monic() is zero and W.monic() is W and one.monic() is one
 
 
 class TestPolyArithmetic:
