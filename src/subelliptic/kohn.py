@@ -25,8 +25,9 @@ The ideal only grows, so work whose answer is already known is not redone:
     run.  A child that a membership query put inside, or that joined the
     ideal as a kept child after an exact NO, lies in every later ideal, so
     it is recorded as absorbed without a second query; likewise r_w, once
-    inside, switches the d/dw shortcut on for good.  A kept-unverified
-    child is asked again.
+    inside, switches the d/dw shortcut on for good and counts as inside for
+    the dw child of r, which is r_w.  A kept-unverified child is asked
+    again.
 """
 
 from __future__ import annotations
@@ -230,8 +231,12 @@ def run_kohn(
         #    shortcut, L(h) = r_z*h_w - r_w*h_z generates the same ideal
         #    as h_w alone, so the trace records it as subsumed and only
         #    h_w enters the pool; a subsumed child never carries its own
-        #    ledger entry.  Once r_w is inside it stays inside.
-        shortcut = shortcut or current.membership(data.r_w) is Membership.YES
+        #    ledger entry.  Once r_w is inside it stays inside, so it is
+        #    asked about once: the dw child of r is r_w itself, and it is
+        #    recorded as absorbed without a second query.
+        if not shortcut and current.membership(data.r_w) is Membership.YES:
+            shortcut = True
+            inside.add(data.r_w)
         child_events = []
         kept: dict[Poly, Poly] = {}  # monic form -> first child with it
         refused: list[Poly] = []  # children answered NO

@@ -142,7 +142,7 @@ def _prepare(polys: Iterable[Poly]) -> list[tuple]:
 
 def _as_poly(remainder: dict) -> Poly:
     """The Poly of a remainder map {monomial: (a, b, d)} that nf_mora returns."""
-    return Poly({m: _from_triple(*c) for m, c in remainder.items()})
+    return Poly._of({m: _from_triple(*c) for m, c in remainder.items()})
 
 
 def nf_mora(f: dict, reducers: Sequence[tuple], budget: _Budget) -> dict:
@@ -168,7 +168,10 @@ def nf_mora(f: dict, reducers: Sequence[tuple], budget: _Budget) -> dict:
     is.  A reducer's tail is divided by its leading coefficient once, when
     it is prepared or joins.  The triple is unique for its value and every
     operation on it is exact, so the result equals the one of GaussRational
-    arithmetic term by term, step for step.
+    arithmetic term by term, step for step.  A shifted tail term whose
+    monomial is not in the remainder yet is stored as the negated product,
+    brought to lowest terms, with no merge against a zero; the product of
+    two nonzero coefficients is never zero.
     """
     reducers = list(reducers)
     buckets: dict[int, dict[Mono, tuple[int, int, int]]] = {}
@@ -202,8 +205,13 @@ def nf_mora(f: dict, reducers: Sequence[tuple], budget: _Budget) -> dict:
         for m0, m1, m2, m3, dg, p, q, e in tail:
             m = (m0 + s0, m1 + s1, m2 + s2, m3 + s3)
             bucket = buckets.setdefault(dg + shift, {})
-            x, y, den_old = bucket.get(m, (0, 0, 1))
             re, im, den = a * p - b * q, a * q + b * p, d * e
+            old = bucket.get(m)
+            if old is None:
+                k = gcd(re, im, den)
+                bucket[m] = (-re // k, -im // k, den // k)
+                continue
+            x, y, den_old = old
             k = gcd(den_old, den)
             u, v = den // k, den_old // k
             x, y, den = x * u - re * v, y * u - im * v, den_old * u
@@ -285,23 +293,28 @@ def _tail_strip(reducers: list[tuple]) -> list[tuple]:
     element, so leading monomials stay and the result is still a standard
     basis of the same ideal; the point is to keep tails from dragging
     high-degree junk into later seeded completions.  The ecart is recomputed
-    from what is left.  Stripping can expose new single-term elements, so
-    the pass iterates until the term count stops dropping.
+    from what is left.  A pass leaves no tail term that a single-term
+    element it strips with divides, so another pass is due only when this
+    one emptied a tail: that element is a new single-term one, and the next
+    pass strips with the new ones alone.  The loop ends when a pass empties
+    no tail, at the fixpoint where no tail term is divisible by any
+    single-term element.
     """
     out = reducers
-    while True:
-        monos = [lm for lm, _, tail in out if not tail]
-        if not monos:
-            return out
-        stripped = []
+    monos = [lm for lm, _, tail in out if not tail]
+    while monos:
+        stripped, emptied = [], []
         for lm, ecart, tail in out:
             kept = [t for t in tail if not any(mono_divides(mm, t[:4]) for mm in monos)]
             if len(kept) < len(tail):
-                ecart = max(t[4] for t in kept) - mono_degree(lm) if kept else 0
+                if kept:
+                    ecart = max(t[4] for t in kept) - mono_degree(lm)
+                else:
+                    ecart = 0
+                    emptied.append(lm)
             stripped.append((lm, ecart, kept))
-        if sum(len(r[2]) for r in stripped) == sum(len(r[2]) for r in out):
-            return stripped
-        out = stripped
+        out, monos = stripped, emptied
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -114,16 +114,22 @@ def sample_hypo(
     delta_hat is the maximum sampled ratio.  Points where ||f_w||^2 falls
     below the degenerate threshold are counted separately; if g_w does not
     vanish there too, no finite delta works and the ratio is infinite, as is
-    a NaN ratio (an overflowing evaluation), which bounds nothing.  Points
-    whose ratio reaches 1 are violations since the hypothesis needs delta < 1.
+    a NaN ratio or an evaluation that overflows the float range, either of
+    which bounds nothing.  Points whose ratio reaches 1 are violations since
+    the hypothesis needs delta < 1.
     """
     radius = spec.sample_radius if radius is None else radius
     f_w = [c.wirtinger("w").compiled() for c in spec.f]
     g_w = [c.wirtinger("w").compiled() for c in spec.g]
     delta_hat, degenerate, violations = 0.0, 0, []
     for z, w in polydisc_points(radius, n, seed):
-        fw2 = _squared_norm(f_w, z, w)
-        gw2 = _squared_norm(g_w, z, w)
+        try:
+            fw2 = _squared_norm(f_w, z, w)
+            gw2 = _squared_norm(g_w, z, w)
+        except OverflowError:
+            delta_hat = math.inf
+            violations.append(_point_record(z, w, math.inf))
+            continue
         if fw2 < DEGENERATE_TOL:
             degenerate += 1
             if gw2 > DEGENERATE_TOL:

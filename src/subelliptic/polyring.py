@@ -218,13 +218,9 @@ def display_key(m: Mono):
 
 
 def mono_str(m: Mono) -> str:
-    parts = []
-    for name, e in zip(VAR_NAMES, m):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
+    return "*".join([
+        name if e == 1 else f"{name}^{e}" for name, e in zip(VAR_NAMES, m) if e > 0
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +236,13 @@ class Poly:
     polynomial that is its own monic form keeps None there, and a conjugate
     is not linked back to its source, so no Poly refers to itself through a
     slot.
+
+    Poly(terms) copies the map and drops zero coefficients.  Poly._of(terms)
+    takes a fresh map as it is, like _from_triple beside _reduced for
+    coefficients: it is for results that cannot hold a zero coefficient and
+    whose monomials cannot collide, such as the conjugate, the negation,
+    a scaling by a nonzero c, a derivative (c*e with e >= 1), a division by
+    a monomial and the power of a single term.
     """
 
     __slots__ = ("terms", "_hash", "_str", "_conj", "_monic")
@@ -251,6 +254,13 @@ class Poly:
                 if not c.is_zero():
                     clean[m] = c
         object.__setattr__(self, "terms", clean)
+
+    @staticmethod
+    def _of(terms: dict[Mono, GaussRational]) -> "Poly":
+        """The Poly of a fresh term map with no zero coefficient, unchecked."""
+        p = object.__new__(Poly)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -332,7 +342,7 @@ class Poly:
         return Poly(out)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._of({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         out: dict[Mono, GaussRational] = {}
@@ -347,16 +357,24 @@ class Poly:
     def scale(self, c: GaussRational) -> "Poly":
         if c.is_zero():
             return Poly()
-        return Poly({m: k * c for m, k in self.terms.items()})
+        return Poly._of({m: k * c for m, k in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
-        return _power(self, n, Poly.one())
+        """The n-th power, n >= 0.
+
+        A single term c*x^e gives c^n*x^(n*e) directly; any other polynomial
+        goes through repeated squaring.  Both are exact, so they agree.
+        """
+        if len(self.terms) != 1 or n < 0:
+            return _power(self, n, Poly.one())
+        ((m, c),) = self.terms.items()
+        return Poly._of({(m[0] * n, m[1] * n, m[2] * n, m[3] * n): c ** n})
 
     def conj(self) -> "Poly":
         try:
             return self._conj
         except AttributeError:
-            out = Poly({mono_conj(m): c.conj() for m, c in self.terms.items()})
+            out = Poly._of({mono_conj(m): c.conj() for m, c in self.terms.items()})
             object.__setattr__(self, "_conj", out)
             return out
 
@@ -392,7 +410,7 @@ class Poly:
                 n = list(m)
                 n[idx] = e - 1
                 out[tuple(n)] = c.scale(e)
-        return Poly(out)
+        return Poly._of(out)
 
     # -- degrees
 
@@ -414,7 +432,7 @@ class Poly:
         return g
 
     def divide_monomial(self, m: Mono) -> "Poly":
-        return Poly({mono_div(n, m): c for n, c in self.terms.items()})
+        return Poly._of({mono_div(n, m): c for n, c in self.terms.items()})
 
     # -- evaluation
 
@@ -509,7 +527,8 @@ def coeff_str(c: GaussRational) -> str:
     """Standalone rendering of a coefficient, used for constants."""
     a, b, d = c
     if not b:
-        return _ratio_str(a, d)
+        # gcd(a, 0, d) = gcd(a, d) = 1: a real triple is already a reduced ratio.
+        return str(a) if d == 1 else f"{a}/{d}"
     mag = "" if abs(b) == d else _ratio_str(abs(b), d) + "*"
     if not a:
         return ("-" if b < 0 else "") + mag + "i"

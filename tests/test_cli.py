@@ -295,6 +295,24 @@ class TestExitCodes:
         assert main(["effective", spec, "--samples", "20"]) == EXIT_REFUSED
         assert "refused" in capsys.readouterr().err
 
+    def test_a_sample_that_overflows_the_float_range_fails_the_gate(self, tmp_path, capsys):
+        """At radius 1e100 |f_w|^2 raises OverflowError instead of giving
+        NaN; the point still counts as an infinite ratio, not a crash."""
+        spec = write_spec(
+            tmp_path,
+            {"name": "same", "f": ["w^3"], "g": ["w^3"], "sample_radius": 1e100},
+        )
+        assert main(["check-hypo", spec, "--samples", "20"]) == EXIT_REFUSED
+        out = capsys.readouterr().out
+        assert "delta_hat = infinity over 20 samples" in out
+        assert "hypothesis fails" in out
+        assert main(["effective", spec, "--samples", "20"]) == EXIT_REFUSED
+        assert "refused" in capsys.readouterr().err
+        assert main(["compare", spec, "--samples", "20"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "effective order  -" in captured.out
+        assert "effective run refused (hypothesis failed)" in captured.err
+
     def test_verify_at_a_radius_too_large_to_solve_exits_one(self, tmp_path, capsys):
         code = main(["verify", write_spec(tmp_path, {"f": ["4*z"], "sample_radius": 0.5})])
         captured = capsys.readouterr()

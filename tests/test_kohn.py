@@ -71,7 +71,7 @@ MORE_TRACE_DIGESTS = [
 
 # Mora reduction steps spent by run_kohn on the same grid: the
 # machine-independent count that sits beside every timing of these runs.
-MORA_STEPS = {(3, 2, 4): 124, (3, 2, 5): 141, (3, 2, 6): 159, (4, 3, 6): 204}
+MORA_STEPS = {(3, 2, 4): 119, (3, 2, 5): 136, (3, 2, 6): 154, (4, 3, 6): 197}
 
 
 def mora_steps(monkeypatch, spec):
@@ -306,7 +306,7 @@ class TestBorderlineDomain:
 
     def test_mora_step_count(self, monkeypatch):
         """No cap probe of w^32 asks the direct side, whose YES cost 757 steps."""
-        assert mora_steps(monkeypatch, borderline_domain()) == 435
+        assert mora_steps(monkeypatch, borderline_domain()) == 431
 
 
 class TestLedger:
@@ -439,6 +439,40 @@ class TestWorkDoneOnce:
         assert sorted(expanded) == sorted(set(parents))
         assert len(closed) == 2
         assert all(any(ideal is c for c in closed) for ideal in outside)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            cross_power_domain(3, 2, 4),
+            DomainSpec(name="pool-a2", f=(parse_poly("w^2 + (2 - 1/3*i)*z"),)),
+        ],
+        ids=lambda s: s.name,
+    )
+    def test_r_w_is_asked_about_once(self, monkeypatch, spec):
+        """The shortcut question is the dw child of r, which is r_w: once it
+        is answered YES the child is recorded absorbed without a query."""
+        r_w, asked = expand_r(spec).r_w, []
+        membership = LocalIdeal.membership
+
+        def counting_membership(ideal, p, step_budget=None):
+            if p == r_w:
+                asked.append(p)
+            return membership(ideal, p, step_budget)
+
+        monkeypatch.setattr(LocalIdeal, "membership", counting_membership)
+        result = run_kohn(spec)
+        r = canonical_str(expand_r(spec).r)
+        dw_of_r = [
+            record
+            for event in result.events
+            if event["kind"] == "row"
+            for record in event["children"]
+            if record["parent"] == r and record["via"] == "dw"
+        ]
+        assert result.outcome is Outcome.SUCCESS
+        assert [record["child"] for record in dw_of_r] == [canonical_str(r_w)] * len(dw_of_r)
+        assert dw_of_r and {record["status"] for record in dw_of_r} == {"absorbed"}
+        assert len(asked) == 1
 
 
 def _row_statuses(result):

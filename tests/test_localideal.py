@@ -1085,6 +1085,71 @@ class TestBuchberger:
         assert outcomes == {"exhausted", "stripped", "complete"}
 
 
+def _strip_until_no_term_drops(reducers, passes):
+    """Tail stripping as a loop that repeats until the term count stops
+    dropping: the reference _tail_strip must reproduce.  Appends to passes
+    once per pass."""
+    out = reducers
+    while True:
+        monos = [lm for lm, _, tail in out if not tail]
+        if not monos:
+            return out
+        passes.append(None)
+        stripped = []
+        for lm, ecart, tail in out:
+            kept = [t for t in tail if not any(mono_divides(mm, t[:4]) for mm in monos)]
+            if len(kept) < len(tail):
+                ecart = max(t[4] for t in kept) - mono_degree(lm) if kept else 0
+            stripped.append((lm, ecart, kept))
+        if sum(len(r[2]) for r in stripped) == sum(len(r[2]) for r in out):
+            return stripped
+        out = stripped
+
+
+def _random_reducers(rng):
+    """Reducers over small monomials, some of them single-term, and some
+    whose whole tail lies over a single-term lead, so that stripping one
+    element exposes another and the next can cascade from it."""
+    def mono(low):
+        while True:
+            m = tuple(rng.randint(0, 3) for _ in range(4))
+            if mono_degree(m) >= low:
+                return m
+
+    reducers = []
+    for _ in range(rng.randint(1, 7)):
+        lm = mono(1)
+        deg = mono_degree(lm)
+        if rng.random() < 0.3:
+            tail_monos = []
+        elif rng.random() < 0.4 and reducers:
+            over = rng.choice(reducers)[0]
+            tail_monos = [mono_mul(over, mono(0)) for _ in range(rng.randint(1, 3))]
+        else:
+            tail_monos = [mono(deg) for _ in range(rng.randint(1, 4))]
+        tail_monos = [m for m in dict.fromkeys(tail_monos) if m != lm]
+        tail = [(*m, mono_degree(m), rng.randint(-3, 3) or 1, rng.randint(-3, 3), rng.randint(1, 4))
+                for m in tail_monos]
+        ecart = max((t[4] for t in tail), default=deg) - deg
+        reducers.append((lm, max(ecart, 0), tail))
+    return reducers
+
+
+class TestTailStrip:
+    def test_agrees_with_the_loop_until_no_term_drops(self):
+        """Same reducers, in the same order, with the same ecarts, whether
+        there is nothing to strip, one pass strips it all, or emptied tails
+        call for one more pass or a chain of them."""
+        rng = random.Random(20261025)
+        seen = set()
+        for _ in range(400):
+            reducers, passes = _random_reducers(rng), []
+            want = _strip_until_no_term_drops(reducers, passes)
+            assert localideal._tail_strip(reducers) == want
+            seen.add(min(len(passes), 4))
+        assert seen == {0, 1, 2, 3, 4}
+
+
 def _complete(buchberger, gens, steps):
     budget = _Budget(steps)
     try:

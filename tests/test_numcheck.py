@@ -98,6 +98,16 @@ class TestSampleHypo:
         assert {v["value"] for v in report.violations} == {math.inf}
         assert not hypothesis_holds(report)
 
+    def test_an_overflowing_evaluation_is_infinite(self):
+        """At radius 1e100 |3w^2|^2 exceeds the float range and raises
+        OverflowError: such a point bounds nothing either."""
+        spec = spec_of(["w^3"], g=["w^3"])
+        report = sample_hypo(spec, radius=1e100, n=50)
+        assert report.delta_hat == math.inf
+        assert len(report.violations) == 50
+        assert {v["value"] for v in report.violations} == {math.inf}
+        assert not hypothesis_holds(report)
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_no_samples_fail_the_gate(self, n):
         report = sample_hypo(borderline_domain(), radius=0.01, n=n)

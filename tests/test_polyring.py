@@ -334,6 +334,47 @@ class TestPolyArithmetic:
         (Z + W) ** n
         assert len(calls) == products
 
+    def test_single_term_power_equals_the_squaring_loop(self, monkeypatch):
+        """c*x^e to the n is c^n*x^(n*e), built without a Poly product."""
+        rng = random.Random(20261019)
+        cases = []
+        for _ in range(60):
+            c = random_gauss(rng)
+            while c.is_zero():
+                c = random_gauss(rng)
+            p = Poly.monomial(c, tuple(rng.randint(0, 3) for _ in range(4)))
+            n = rng.randint(0, 40)
+            cases.append((p, n, polyring._power(p, n, Poly.one())))
+        cases += [(Z, 0, Poly.one()), (-Z, 3, -(Z * Z * Z))]
+        calls = []
+        mul = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        for p, n, want in cases:
+            got = p ** n
+            assert got == want and len(got.terms) == 1
+            assert str(got) == str(want)
+        assert calls == []
+
+    def test_results_built_unchecked_hold_no_zero_coefficient(self):
+        """Negation, conjugation, a nonzero scaling, a derivative and a
+        monomial division skip the zero filter; each still equals the value
+        built through checked arithmetic."""
+        rng = random.Random(20261020)
+        for _ in range(100):
+            p = random_poly(rng)
+            c = random_gauss(rng)
+            m = tuple(rng.randint(0, 2) for _ in range(4))
+            results = [
+                (-p, Poly.zero() - p),
+                (p.conj().conj(), p),
+                (p.scale(c), Poly.constant(c) * p),
+                (p.wirtinger("w"), Poly(p.wirtinger("w").terms)),
+                ((p * Poly.monomial(GR(1), m)).divide_monomial(m), p),
+            ]
+            for got, want in results:
+                assert got == want
+                assert not any(k.is_zero() for k in got.terms.values())
+
     @pytest.mark.parametrize("base", [GR(2, 1), Z + WB])
     def test_negative_power_raises(self, base):
         with pytest.raises(ValueError, match="negative power"):
