@@ -13,7 +13,8 @@ lambda (order 1/2), the chain alternates two moves:
 The run succeeds at the step where the ideal contains a unit; the order of
 subellipticity certified by the run is the minimum order in the multiplier
 ledger at that point.  Every move is recorded in a serializable trace that
-can be replayed bit-for-bit and audited rule by rule.
+a rerun reproduces bit-for-bit and audit_trace checks rule by rule.  A
+boundary that is not pseudoconvex near the origin is refused (run_kohn).
 
 The ideal only grows, so work whose answer is already known is not redone:
 
@@ -43,6 +44,7 @@ from .localideal import (
     DEFAULT_ORDER_CAP,
     LocalIdeal,
     Membership,
+    hermitian_square_rows,
     radical_extend,
 )
 from .domain import DomainSpec, UndecidedError, expand_r, apply_L
@@ -115,12 +117,27 @@ def _cert_event(cert, multiplier_order: Fraction) -> dict:
     }
 
 
+def _positive_diagonal(p: Poly) -> bool:
+    """Whether a term z^a*zb^a*w^c*wb^c of p has positive real part: -p's Gram
+    matrix then has a negative diagonal entry, so hermitian_square_rows(-p) is None."""
+    return any(m[0] == m[1] and m[2] == m[3] and c.re > 0 for m, c in p.terms.items())
+
+
 def run_kohn(
     spec: DomainSpec,
     max_steps: int = DEFAULT_MAX_STEPS,
     radical_cap: int = DEFAULT_ORDER_CAP,
 ) -> KohnResult:
-    """Run the multiplier chain on spec until a unit appears or it stalls."""
+    """Run the multiplier chain on spec until a unit appears or it stalls.
+
+    The chain presumes a pseudoconvex boundary, so the run stalls at step 0
+    when lambda(0) < 0, or when -lambda = sum d_j*|row_j|^2 != 0 with d_j > 0
+    and holomorphic rows.  Then lambda < 0 off the rows' common zeros, a set
+    of real dimension <= 2, and the boundary is a smooth real hypersurface
+    of dimension 3 through 0 (r_z(0) = 1), so boundary points arbitrarily
+    near 0 are not pseudoconvex.  An indefinite lambda is not caught here;
+    `subelliptic verify` samples it.
+    """
     data = expand_r(spec)
     ledger = _Ledger()
     ledger.add(data.r, Fraction(1))
@@ -188,10 +205,11 @@ def run_kohn(
         return witness
 
     if data.lam.constant_term().re < 0:
-        # Kohn's chain presumes a pseudoconvex boundary; lambda(0) < 0 means
-        # the origin is not a pseudoconvex point, so no order is certified.
         return finish(0, None, "Levi determinant is negative at the origin "
                                f"(lambda(0) = {data.lam.constant_term()})")
+    if not _positive_diagonal(data.lam) and hermitian_square_rows(-data.lam):
+        return finish(0, None, "Levi determinant is minus a nonzero sum of "
+                               "hermitian squares, negative near the origin")
 
     witness = check_unit(1, "pre-loop", current)
     if witness is not None:
@@ -305,41 +323,6 @@ def run_kohn(
 def serialize_trace(result: KohnResult) -> str:
     """Canonical JSON for the run trace; equal runs serialize identically."""
     return json.dumps(result.events, sort_keys=True, indent=2)
-
-
-def replay_matches(spec: DomainSpec, result: KohnResult, **kwargs) -> bool:
-    """Re-run the algorithm and compare traces byte for byte."""
-    again = run_kohn(spec, **kwargs)
-    return serialize_trace(again) == serialize_trace(result)
-
-
-def report_radical_orders(result: KohnResult) -> list[dict]:
-    """Per-step radical summary with the algebraic floor per root variable.
-
-    Each entry reports the largest certificate order used at that step and,
-    for every variable extracted by a monomial-root certificate, the power
-    that was actually needed (its probe log shows every smaller power
-    failing).  Runs that never needed a radical step (for example when the
-    Levi determinant is already a unit) report an empty list.
-    """
-    report = []
-    for event in result.events:
-        if event["kind"] != "radical" or not event["certificates"]:
-            continue
-        max_order = 0
-        floors: dict[str, int] = {}
-        for cert in event["certificates"]:
-            max_order = max(max_order, cert["order"])
-            if cert["rule"] == "monomial-root":
-                floors[cert["element"]] = cert["order"]
-        report.append(
-            {
-                "step": event["step"],
-                "max_order": max_order,
-                "algebraic_floor": floors,
-            }
-        )
-    return report
 
 
 def audit_trace(result: KohnResult) -> list[str]:

@@ -2,38 +2,31 @@
 
 Membership in ideals of germs is decided with a standard basis under a local
 term order (anti-graded lex, so the constant monomial is the largest) and
-Mora's normal form with the ecart rule.  All computations carry a
-reduction-step budget, which the constants DEFAULT_STEP_BUDGET, PROBE_BUDGET
-and PRUNE_BUDGET below set and a query reads when it runs; exhausting it
-yields an honest "undecided", never a wrong answer.  The normal form is
-the hot loop: inside it the remainder is bucketed by degree, and
-coefficients are coprime integer triples, which is what a Gaussian rational
-is, so a Poly's term map goes in as it is.  A standard basis is its
-reducers: each monic element as its leading monomial, its ecart and its
-tail of triples.  Generators are prepared once, and completion,
-minimalization and tail stripping all run on the reducers, so a finished
-basis is never prepared again and a membership query pays no setup.  A
-remainder becomes a Poly only where a caller needs one.
+Mora's normal form with the ecart rule.  Every computation carries a
+reduction-step budget, one module constant per kind of question, read when
+the query runs; running out yields an honest "undecided", never a wrong
+answer:
+
+    DEFAULT_STEP_BUDGET  standard bases, ordinary memberships, reduce_modulo
+    PROBE_BUDGET         a power sweep's questions b^m in I
+    PRUNE_BUDGET         a power sweep's cap prune: the standard basis of
+                         J = I + conj(I) and the question conj(b)^cap in J
+
+The normal form is the hot loop: inside it the remainder is bucketed by
+degree, and coefficients are coprime integer triples, which is what a
+Gaussian rational is, so a Poly's term map goes in as it is.  A standard
+basis is its reducers: each monic element as its leading monomial, its
+ecart and its tail of triples.  Generators are prepared once, and
+completion, minimalization and tail stripping all run on the reducers, so
+a finished basis is never prepared again and a membership query pays no
+setup.  A remainder becomes a Poly only where a caller needs one.
 
 The radical machinery implements three sound certificate rules
 (conjugation, hermitian squares via an exact rational LDL* decomposition of
 the Gram matrix, and monomial roots via ascending power probes) and iterates
-them to a fixpoint.  A power sweep probes the two lowest powers before it
-asks whether the cap power rules a base out, and it asks that on the
-conjugate side only: whether conj(b)^cap lies in J = I + conj(I), whose
-standard basis, like the question, gets at most PRUNE_BUDGET steps.
-Conjugation (swap z and zb, w and wb, conjugate the coefficients) is a ring
-automorphism of the local ring, and J contains I with conj(J) = J, so b^cap
-in I implies conj(b)^cap in J; a NO there is exact for b^cap.  A YES or an
-undecided answer leaves the base in the sweep.  A variable ruled out this
-way stays out of the later sweeps of the same closure while every commit
-since has been a conjugate:
-- the current ideal starts inside J and holds every element it conjugates,
-  so with conj(J) = J each such commit lies in J and the ideal stays inside;
-- hence b^m lies outside the current ideal for every m <= cap;
-- so the variable could never join a cohort, and no certificate changes.
-Certificates record enough context (probe ideal snapshots, membership logs)
-for traces to be replayed and audited.
+them to a fixpoint (radical_extend).  A power sweep may rule a base out on
+the conjugate side, exactly (_power_sweep).  Certificates record enough
+context (probe ideal snapshots, membership logs) for traces to be audited.
 """
 
 from __future__ import annotations
@@ -326,11 +319,9 @@ class LocalIdeal:
 
     The standard basis is its reducers (lm, ecart, tail), the form nf_mora
     reads, so a membership query pays no setup.  The first read of basis
-    completes, minimalizes and tail-strips it under DEFAULT_STEP_BUDGET
-    steps and keeps the result (a power sweep completes its J = I + conj(I)
-    under PRUNE_BUDGET instead); once computed the object is immutable.  A
-    basis of None means that budget ran out, and membership queries then
-    answer UNDECIDED.  reduce_modulo also runs under DEFAULT_STEP_BUDGET.
+    completes, minimalizes and tail-strips it and keeps the result; once
+    computed the object is immutable.  A basis of None means its budget ran
+    out, and membership queries then answer UNDECIDED.
     """
 
     def __init__(
@@ -378,11 +369,11 @@ class LocalIdeal:
 
         The leading term is normalized with Mora's form and the tail is
         stripped against single-term basis elements.  On a missing basis the
-        input comes back as it is.  When the normal form runs out of
-        DEFAULT_STEP_BUDGET its partial remainder is lost, and the input
-        comes back with only the terms divisible by single-term basis
-        elements stripped.  Either way the result differs from p by an
-        ideal element, which is always a sound answer.
+        input comes back as it is.  When the normal form runs out of its
+        budget its partial remainder is lost, and the input comes back with
+        only the terms divisible by single-term basis elements stripped.
+        Either way the result differs from p by an ideal element, which is
+        always a sound answer.
         """
         if p.is_zero() or self.basis is None:
             return p
@@ -439,10 +430,7 @@ def _conjugate_closure(ideal: LocalIdeal) -> LocalIdeal:
 
 
 def _power_sweep(
-    bases: dict[str, Poly],
-    ideal: LocalIdeal,
-    cap: int,
-    step_budget: Optional[int] = None,
+    bases: dict[str, Poly], ideal: LocalIdeal, cap: int
 ) -> tuple[Optional[int], list[str], dict[str, list[tuple[int, str]]], list[str]]:
     """Probe b, b^2, b^3, ..., b^cap for every base b in lockstep.
 
@@ -451,16 +439,13 @@ def _power_sweep(
     membership log of every base and the bases that the cap probe dropped.
     Probing cheapest-first keeps certificate orders (and hence the order
     ledger) as strong as the ideal allows.  An undecided membership retires
-    its base: no certificate is ever issued on uncertain evidence.
-    step_budget bounds each membership query and defaults to
-    DEFAULT_STEP_BUDGET.
+    its base: no certificate is ever issued on uncertain evidence.  Each
+    question runs under its budget in the module docstring's table.
 
     When neither b nor b^2 wins, each base still alive is probed once at the
     cap before the sweep goes on from b^3.  The probe asks whether
     conj(b)^cap lies in J = I + conj(I), which is built once, here, and is I
-    itself when I holds the conjugate of every generator.  A J that is not I
-    completes its standard basis under at most PRUNE_BUDGET steps, and each
-    question to it runs under at most PRUNE_BUDGET steps too; a basis that
+    itself when I holds the conjugate of every generator.  A J basis that
     runs out makes every answer undecided.  Conjugation is a ring
     automorphism of the local ring and conj(J) = J, so a NO means that b^cap
     lies outside J, hence outside every ideal inside J, I among them.  Since
@@ -469,35 +454,32 @@ def _power_sweep(
     an undecided answer leaves the base alive, and the sweep goes on as it
     was.  The conjugate side is cheap where the local order's tie-break
     picks z over zb as a lead: conj(b)^cap is antiholomorphic and such a
-    lead never divides it.  The bound keeps a costly J or a costly YES at
-    the cap from outweighing the sweep, and the two low powers spare the cap
+    lead never divides it.  PRUNE_BUDGET keeps a costly J or a costly YES
+    at the cap from outweighing the sweep, and the two low powers spare the cap
     probe wherever one of them wins.  When b^3 is b^cap itself the sweep
     asks it next anyway, so no cap probe is made.  A dropped base never
     joins a cohort, so the power, the cohort and the cohort's logs are those
     of the plain sweep.
     """
-    if step_budget is None:
-        step_budget = DEFAULT_STEP_BUDGET
     logs: dict[str, list[tuple[int, str]]] = {name: [] for name in bases}
     alive = list(bases)
     dropped: list[str] = []
     powers = {name: Poly.one() for name in alive}
     for m in range(1, cap + 1):
         if m == 3 and m < cap:
-            prune = min(PRUNE_BUDGET, step_budget)
             closure = _conjugate_closure(ideal)
             if closure is not ideal:
-                closure._basis = closure._complete(prune)
+                closure._basis = closure._complete(PRUNE_BUDGET)
             for name in list(alive):
                 power = (bases[name] ** cap).conj()
-                if closure.membership(power, step_budget=prune) is Membership.NO:
+                if closure.membership(power, PRUNE_BUDGET) is Membership.NO:
                     logs[name].append((cap, Membership.NO.value))
                     alive.remove(name)
                     dropped.append(name)
         cohort = []
         for name in list(alive):
             powers[name] = powers[name] * bases[name]
-            answer = ideal.membership(powers[name], step_budget=step_budget)
+            answer = ideal.membership(powers[name], PROBE_BUDGET)
             logs[name].append((m, answer.value))
             if answer is Membership.YES:
                 cohort.append(name)
@@ -511,7 +493,12 @@ def _power_sweep(
 
 
 def min_algebraic_radical_order(g: Poly, ideal: LocalIdeal, cap: int) -> Optional[int]:
-    """Smallest m <= cap with g**m in the ideal, or None."""
+    """Smallest m <= cap with g**m in the ideal, or None.
+
+    The powers are asked under a power sweep's own budgets, so a monomial
+    root's recorded probe_ideal re-derives its order.  An undecided power
+    ends the search with None.
+    """
     return _power_sweep({"g": g}, ideal, cap)[0]
 
 
@@ -652,11 +639,11 @@ def radical_extend(
     needed); (3) real elements that decompose into hermitian squares
     contribute their rows at order 2 (2e after rebalancing a pure power
     v^e).  An element is new when its monic form is not yet known.
-    Monomial-root probes run under the smaller PROBE_BUDGET so a hopeless
-    high-power sweep degrades to an honest "undecided" quickly.  They sweep
-    through _power_sweep, which tries the two lowest powers before a probe
-    at order_cap may drop a base, so a root that lies in the ideal at one
-    of those powers never pays for the probe at order_cap.
+    Monomial-root probes sweep through _power_sweep, under the budgets of
+    the module docstring's table, so a hopeless high-power sweep degrades
+    to an honest "undecided" quickly.  The sweep tries the two lowest powers
+    before a probe at order_cap may drop a base, so a root that lies in the
+    ideal at one of those powers never pays for the probe at order_cap.
 
     A variable v that a sweep drops stays out of later sweeps for as long as
     every commit since has been a conjugation certificate; any other commit
@@ -724,7 +711,7 @@ def radical_extend(
             for v in VARIABLES
             if v not in ruled_out and Poly.variable(v) not in keys
         }
-        m, cohort, logs, dropped = _power_sweep(pending, current, order_cap, PROBE_BUDGET)
+        m, cohort, logs, dropped = _power_sweep(pending, current, order_cap)
         ruled_out.update(dropped)
         if m is not None:
             snapshot = current.generator_strings()

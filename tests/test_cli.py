@@ -166,6 +166,15 @@ class TestExitCodes:
             "(lambda(0) = -1))"
         )
 
+    def test_kohn_minus_a_sum_of_squares_exits_two(self, tmp_path, capsys):
+        """lambda = -12*w*wb: verify samples the violation, kohn refuses it."""
+        code = main(["kohn", write_spec(tmp_path, {"f": ["w^2"], "g": ["2*w^2"]})])
+        assert code == EXIT_UNDECIDED
+        assert capsys.readouterr().out.strip() == (
+            "stalled after 0 steps (Levi determinant is minus a nonzero sum of "
+            "hermitian squares, negative near the origin)"
+        )
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["levi", str(tmp_path / "absent.json")])
         assert code == EXIT_INPUT

@@ -7,13 +7,18 @@ rational orders, and exact trace snapshots.
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from subelliptic import kohn, localideal
-from subelliptic.polyring import parse_poly, canonical_str
-from subelliptic.localideal import LocalIdeal, min_algebraic_radical_order
+from subelliptic.polyring import GaussRational, Poly, parse_poly, canonical_str
+from subelliptic.localideal import (
+    LocalIdeal,
+    hermitian_square_rows,
+    min_algebraic_radical_order,
+)
 from subelliptic.domain import (
     DomainSpec,
     flat_domain,
@@ -28,9 +33,8 @@ from subelliptic.kohn import (
     Outcome,
     _Ledger,
     run_kohn,
+    _positive_diagonal,
     serialize_trace,
-    replay_matches,
-    report_radical_orders,
     audit_trace,
 )
 
@@ -121,7 +125,8 @@ class TestFlatDomain:
         assert flat_run.outcome is Outcome.SUCCESS
 
     def test_no_radical_needed(self, flat_run):
-        assert report_radical_orders(flat_run) == []
+        radicals = [e for e in flat_run.events if e["kind"] == "radical"]
+        assert not any(e["certificates"] for e in radicals)
         assert flat_run.max_radical_order == 0
 
     def test_audit_clean(self, flat_run):
@@ -235,10 +240,18 @@ class TestCrossPower325:
         assert run_325.final_order == Fraction(1, 40)
 
     def test_radical_report(self, run_325):
-        assert report_radical_orders(run_325) == [
-            {"step": 1, "max_order": 2, "algebraic_floor": {}},
-            {"step": 2, "max_order": 5, "algebraic_floor": {"w": 2, "z": 5}},
+        """Each radical step's largest certificate order and monomial-root orders."""
+        report = [
+            (
+                e["step"],
+                max(c["order"] for c in e["certificates"]),
+                {c["element"]: c["order"] for c in e["certificates"]
+                 if c["rule"] == "monomial-root"},
+            )
+            for e in run_325.events
+            if e["kind"] == "radical" and e["certificates"]
         ]
+        assert report == [(1, 2, {}), (2, 5, {"w": 2, "z": 5})]
 
     def test_audit_clean(self, run_325):
         assert audit_trace(run_325) == []
@@ -268,9 +281,6 @@ class TestCrossPowerFamily:
         z_cert = next(c for c in radical["certificates"] if c["element"] == "z")
         assert z_cert["order"] == k
         assert z_cert["probe_log"] == [[m, "no"] for m in range(1, k)] + [[k, "yes"]]
-
-        floors = report_radical_orders(result)[-1]["algebraic_floor"]
-        assert floors["z"] == k
         assert audit_trace(result) == []
 
     @pytest.mark.parametrize(
@@ -336,6 +346,37 @@ class TestStalling:
             "(lambda(0) = -1))"
         )
         assert [e["kind"] for e in result.events] == ["init", "outcome"]
+
+    def test_minus_a_sum_of_hermitian_squares_stalls(self):
+        """lambda = -12*|w|^2 on f = (w^2), g = (2*w^2) is negative off w = 0,
+        and boundary points off w = 0 come arbitrarily near the origin."""
+        spec = DomainSpec(
+            name="concave-square", f=(parse_poly("w^2"),), g=(parse_poly("2*w^2"),)
+        )
+        assert canonical_str(expand_r(spec).lam) == "-12*w*wb"
+        result = run_kohn(spec)
+        assert result.outcome is Outcome.STALLED
+        assert result.final_order is None
+        assert result.summary() == (
+            "stalled after 0 steps (Levi determinant is minus a nonzero sum of "
+            "hermitian squares, negative near the origin)"
+        )
+        assert [e["kind"] for e in result.events] == ["init", "outcome"]
+
+    def test_positive_diagonal_never_skips_a_sum_of_squares(self):
+        """Where the shortcut fires, -p is no sum of hermitian squares."""
+        rng = random.Random(20261019)
+        outcomes = set()
+        for _ in range(200):
+            p = _random_real_poly(rng)
+            assert p.is_conj_symmetric()
+            rows = hermitian_square_rows(-p)
+            if _positive_diagonal(p):
+                assert rows is None
+                outcomes.add("shortcut")
+            else:
+                outcomes.add("rows" if rows else "no rows")
+        assert outcomes == {"shortcut", "rows", "no rows"}
 
     def test_step_cap_reports_stalled(self):
         result = run_kohn(cross_power_domain(3, 2, 5), max_steps=1)
@@ -475,6 +516,29 @@ class TestWorkDoneOnce:
         assert len(asked) == 1
 
 
+def _random_real_poly(rng):
+    """A conj-symmetric polynomial: signed hermitian squares of holomorphic
+    polynomials, sometimes plus q + conj(q) for a q in all four variables."""
+
+    def small(variables):
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            exps = [0, 0, 0, 0]
+            for _ in range(rng.randint(0, 2)):
+                exps[rng.choice(variables)] += 1
+            terms[tuple(exps)] = GaussRational(rng.randint(-2, 2), rng.randint(-1, 1))
+        return Poly(terms)
+
+    p = Poly.zero()
+    for _ in range(rng.randint(1, 2)):
+        h = small((0, 2))
+        p = p + (h * h.conj()).scale(GaussRational(rng.choice((-1, 1))))
+    if rng.random() < 0.3:
+        q = small((0, 1, 2, 3))
+        p = p + q + q.conj()
+    return p
+
+
 def _row_statuses(result):
     return {
         child["status"]
@@ -486,7 +550,8 @@ def _row_statuses(result):
 
 class TestTraceMachinery:
     def test_replay_is_bit_exact(self, run_325):
-        assert replay_matches(cross_power_domain(3, 2, 5), run_325)
+        again = run_kohn(cross_power_domain(3, 2, 5))
+        assert serialize_trace(again) == serialize_trace(run_325)
 
     @pytest.mark.parametrize(
         "spec,digest", MORE_TRACE_DIGESTS, ids=[s.name for s, _ in MORE_TRACE_DIGESTS]

@@ -528,7 +528,7 @@ class TestPowerSweep:
         """w^4 needs three reduction steps, z^1..z^5 at most one each."""
         ideal = LocalIdeal([parse_poly("z^5"), parse_poly("w^2 - z^3")])
         bases = {"w": parse_poly("w"), "z": parse_poly("z")}
-        power, cohort, logs, dropped = _power_sweep(bases, ideal, 8, step_budget=1)
+        power, cohort, logs, dropped = _sweep_under(1, bases, ideal, 8)
         assert (power, cohort, dropped) == (5, ["z"], [])
         assert logs["w"] == [(1, "no"), (2, "no"), (3, "no"), (4, "undecided")]
         assert logs["z"] == [(m, "no") for m in range(1, 5)] + [(5, "yes")]
@@ -595,7 +595,7 @@ class TestPowerSweep:
         assert closure.membership(b.conj() ** 8, step_budget=1) is Membership.UNDECIDED
         calls = _count_memberships(ideal)
         closure_calls = _count_closure_memberships(monkeypatch)
-        power, cohort, logs, dropped = _power_sweep({"b": b}, ideal, 8, step_budget=1)
+        power, cohort, logs, dropped = _sweep_under(1, {"b": b}, ideal, 8)
         assert (power, cohort, dropped) == (3, ["b"], [])
         assert logs["b"] == [(1, "no"), (2, "no"), (3, "yes")]
         assert closure_calls == [canonical_str(b.conj() ** 8)]
@@ -629,10 +629,33 @@ class TestPowerSweep:
 
         monkeypatch.setattr(localideal._Budget, "spend", counted)
         bases = {"z": parse_poly("z"), "w": parse_poly("w")}
-        result = _power_sweep(bases, ideal, 32, localideal.PROBE_BUDGET)
+        result = _power_sweep(bases, ideal, 32)
         logs = {v: [(m, "no") for m in range(1, 33)] for v in bases}
         assert result == (None, [], logs, [])
         assert len(spent) == localideal.PRUNE_BUDGET + 1
+
+    def test_each_question_runs_under_the_budget_of_its_kind(self, monkeypatch):
+        """I is asked under PROBE_BUDGET; J is completed and asked under PRUNE_BUDGET."""
+        ideal = LocalIdeal([parse_poly("z^3")])
+        assert ideal.basis is not None
+        asked, completed = [], []
+        membership, complete = LocalIdeal.membership, LocalIdeal._complete
+
+        def recording_membership(j, p, step_budget=None):
+            asked.append((j is ideal, canonical_str(p), step_budget))
+            return membership(j, p, step_budget)
+
+        def recording_complete(j, steps):
+            completed.append((j is ideal, steps))
+            return complete(j, steps)
+
+        monkeypatch.setattr(LocalIdeal, "membership", recording_membership)
+        monkeypatch.setattr(LocalIdeal, "_complete", recording_complete)
+        result = _power_sweep({"w": parse_poly("w")}, ideal, 8)
+        assert result == (None, [], {"w": [(1, "no"), (2, "no"), (8, "no")]}, ["w"])
+        probe, prune = localideal.PROBE_BUDGET, localideal.PRUNE_BUDGET
+        assert asked == [(True, "w", probe), (True, "w^2", probe), (False, "wb^8", prune)]
+        assert completed == [(False, prune)]
 
     def test_agrees_with_the_ascending_sweep_on_random_ideals(self):
         rng = random.Random(20261018)
@@ -645,7 +668,7 @@ class TestPowerSweep:
             step_budget = rng.choice([None, 0, 1, 3])
             cap = rng.randint(0, 8)
             want = _ascending_sweep(bases, ideal, cap, step_budget)
-            power, cohort, logs, dropped = _power_sweep(bases, ideal, cap, step_budget)
+            power, cohort, logs, dropped = _sweep_under(step_budget, bases, ideal, cap)
             assert (power, cohort) == want[:2]
             assert all(logs[v][-1] == (cap, "no") and v not in cohort for v in dropped)
             assert {v: logs[v] for v in cohort} == {v: want[2][v] for v in cohort}
@@ -664,7 +687,7 @@ class TestPowerSweep:
             step_budget = rng.choice([None, 0, 1, 3])
             cap = rng.randint(0, 8)
             want = _ascending_sweep(bases, ideal, cap, step_budget)
-            power, cohort, logs, dropped = _power_sweep(bases, ideal, cap, step_budget)
+            power, cohort, logs, dropped = _sweep_under(step_budget, bases, ideal, cap)
             assert (power, cohort) == want[:2]
             assert all(logs[v][-1] == (cap, "no") and v not in cohort for v in dropped)
             assert {v: logs[v] for v in cohort} == {v: want[2][v] for v in cohort}
@@ -740,16 +763,16 @@ class TestRuledOutCarry:
         sweep, reduce_modulo = localideal._power_sweep, LocalIdeal.reduce_modulo
         events = []
 
-        def recording_sweep(bases, ideal, cap, step_budget=None):
+        def recording_sweep(bases, ideal, cap):
             events.append(("sweep", set(bases), ideal))
-            return sweep(bases, ideal, cap, step_budget)
+            return sweep(bases, ideal, cap)
 
         def recording_reduce_modulo(ideal, p):
             events.append(("commit", p))
             return reduce_modulo(ideal, p)
 
-        def sweep_without_drops(bases, ideal, cap, step_budget=None):
-            return (*sweep(bases, ideal, cap, step_budget)[:3], [])
+        def sweep_without_drops(bases, ideal, cap):
+            return (*sweep(bases, ideal, cap)[:3], [])
 
         monkeypatch.setattr(LocalIdeal, "reduce_modulo", recording_reduce_modulo)
         skipped = 0
@@ -802,6 +825,17 @@ def _count_closure_memberships(monkeypatch):
 
     monkeypatch.setattr(localideal, "_conjugate_closure", counted_closure)
     return calls
+
+
+def _sweep_under(step_budget, bases, ideal, cap):
+    """_power_sweep with probes of I under step_budget (None meaning
+    DEFAULT_STEP_BUDGET) and the cap prune under min(PRUNE_BUDGET, step_budget).
+    """
+    steps = localideal.DEFAULT_STEP_BUDGET if step_budget is None else step_budget
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(localideal, "PROBE_BUDGET", steps)
+        patch.setattr(localideal, "PRUNE_BUDGET", min(localideal.PRUNE_BUDGET, steps))
+        return _power_sweep(bases, ideal, cap)
 
 
 def _ascending_sweep(bases, ideal, cap, step_budget):
