@@ -22,8 +22,9 @@ Certified orders are printed as exact fractions, never as decimals.  Exit
 status is the machine interface: 0 for success, 1 for malformed input
 (usage errors included), 2 when a run stalls or a check remains undecided,
 and 3 when the requested computation is refused because its hypothesis
-failed on samples.  An engine error's class sets its status: a
-`domain.UndecidedError` exits 2, a `DomainError` or `ParseError` exits 1.
+failed on samples.  An error's class sets its status: a
+`domain.UndecidedError` exits 2, a `DomainError` or `ParseError` exits 1,
+and a spec file error is a `DomainError`.
 
 Most of a short command's wall time is interpreter start and import, so a
 subcommand imports only the engine modules it runs.  At module level this
@@ -96,7 +97,7 @@ FINITE_DIFF_TOL = 1e-5
 _SPEC_KEYS = {"name", "f", "g", "params", "sample_radius"}
 
 
-class SpecFileError(ValueError):
+class SpecFileError(DomainError):
     """A spec file could not be turned into a domain description."""
 
 
@@ -134,8 +135,7 @@ def _expand_family(params) -> tuple[str, dict]:
             "k > tau > l > 0, tau > 2; order comparisons are not certified here",
             file=sys.stderr,
         )
-    text = f"w^{tau} + z^{k}" if l == 0 else f"w^{tau} + z^{k}*w^{l}"
-    return text, {"tau": tau, "l": l, "k": k}
+    return f"w^{tau} + z^{k}*w^{l}", {"tau": tau, "l": l, "k": k}
 
 
 def spec_from_dict(data, default_name: str = "spec") -> DomainSpec:
@@ -526,10 +526,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = load_spec(args.spec)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
         code, fields = args.func(spec, args)
     except UndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)

@@ -8,8 +8,9 @@ function
 
 The module computes r and its first Wirtinger derivatives, the tangential
 vector field L applied to test functions, the determinant of the Levi form
-along L, and a lower bound for the D'Angelo type at the origin: the contact
-order of the vertical curve (0, t).
+along L, a boundary direction at the origin along which that determinant is
+negative when one of a few exact tries finds it, and a lower bound for the
+D'Angelo type at the origin: the contact order of the vertical curve (0, t).
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ import math
 from typing import NamedTuple, Optional, Union
 
 from .polyring import (
+    GaussRational,
     Poly,
     canonical_str,
+    mono_conj,
     parse_poly,
     require_holomorphic,
     two_re,
@@ -146,6 +149,42 @@ def expand_r(spec: DomainSpec) -> LeviData:
 
     lam = norm_sq(spec.f) - norm_sq(spec.g)
     return LeviData(r=r, lam=lam, r_z=r_z, r_w=r_w)
+
+
+def descent_direction(lam: Poly) -> Optional[tuple[Poly, tuple]]:
+    """(h, v) with h the lowest-degree part of lam and h(v) < 0, or None.
+
+    Let d be the least total degree of lam and h its degree-d part.  The
+    tried directions are v = (i, 0) and v = (i*t, 1) for t = 0..d; the
+    first with h(v) < 0, evaluated exactly, is returned as the pair of
+    Gaussian rationals (z, w).  lam = 0 gives None.
+
+    A returned v puts boundary points that are not pseudoconvex arbitrarily
+    near 0.  r = 2*Re(z) + O(2) and Re(v_z) = 0, so v is the tangent of a
+    boundary curve t*v + O(t^2), t real, along which lam = t^d*h(v) +
+    O(t^(d+1)) < 0 for small t != 0.
+
+    The rule refuses every lam with lam(0) < 0 (d = 0) and every lam with
+    -lam = sum d_j*|row_j|^2 != 0, d_j > 0 and holomorphic rows.  In the
+    second case -h is a nonzero sum of |p_j|^2 with each p_j holomorphic
+    and homogeneous of degree d/2.  A nonzero p_j vanishes on at most d/2
+    complex lines through 0, and the d + 2 tried directions lie on distinct
+    lines, so h(v) < 0 for one of them.
+
+    When every term of h is c*z^a*zb^a*w^b*wb^b with c > 0, h >= 0
+    everywhere and nothing is evaluated.  A lam whose lowest part is >= 0
+    but which is negative at higher order passes; `subelliptic verify`
+    samples it.
+    """
+    d = min(map(sum, lam.terms), default=0)
+    h = Poly({m: c for m, c in lam.terms.items() if sum(m) == d})
+    if all(mono_conj(m) == m and not c.b and c.a > 0 for m, c in h.terms.items()):
+        return None
+    for t, w in [(1, 0)] + [(t, 1) for t in range(d + 1)]:
+        v = (GaussRational(0, t), GaussRational(w))
+        if h.eval_exact(*v).re < 0:
+            return h, v
+    return None
 
 
 def apply_L(h: Poly, data: LeviData) -> Poly:

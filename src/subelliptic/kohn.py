@@ -14,7 +14,8 @@ The run succeeds at the step where the ideal contains a unit; the order of
 subellipticity certified by the run is the minimum order in the multiplier
 ledger at that point.  Every move is recorded in a serializable trace that
 a rerun reproduces bit-for-bit and audit_trace checks rule by rule.  A
-boundary that is not pseudoconvex near the origin is refused (run_kohn).
+boundary that a step-0 test proves not pseudoconvex near the origin is
+refused (run_kohn, domain.descent_direction).
 
 The ideal only grows, so work whose answer is already known is not redone:
 
@@ -44,10 +45,9 @@ from .localideal import (
     DEFAULT_ORDER_CAP,
     LocalIdeal,
     Membership,
-    hermitian_square_rows,
     radical_extend,
 )
-from .domain import DomainSpec, UndecidedError, expand_r, apply_L
+from .domain import DomainSpec, UndecidedError, apply_L, descent_direction, expand_r
 
 DEFAULT_MAX_STEPS = 16
 
@@ -117,12 +117,6 @@ def _cert_event(cert, multiplier_order: Fraction) -> dict:
     }
 
 
-def _positive_diagonal(p: Poly) -> bool:
-    """Whether a term z^a*zb^a*w^c*wb^c of p has positive real part: -p's Gram
-    matrix then has a negative diagonal entry, so hermitian_square_rows(-p) is None."""
-    return any(m[0] == m[1] and m[2] == m[3] and c.re > 0 for m, c in p.terms.items())
-
-
 def run_kohn(
     spec: DomainSpec,
     max_steps: int = DEFAULT_MAX_STEPS,
@@ -131,11 +125,11 @@ def run_kohn(
     """Run the multiplier chain on spec until a unit appears or it stalls.
 
     The chain presumes a pseudoconvex boundary, so the run stalls at step 0
-    when lambda(0) < 0, or when -lambda = sum d_j*|row_j|^2 != 0 with d_j > 0
-    and holomorphic rows.  Then lambda < 0 off the rows' common zeros, a set
-    of real dimension <= 2, and the boundary is a smooth real hypersurface
-    of dimension 3 through 0 (r_z(0) = 1), so boundary points arbitrarily
-    near 0 are not pseudoconvex.  An indefinite lambda is not caught here;
+    when domain.descent_direction finds a boundary direction at 0 along
+    which the lowest-degree part of lambda is negative: boundary points
+    arbitrarily near 0 are then not pseudoconvex.  That covers lambda(0) < 0
+    and -lambda a nonzero sum of hermitian squares.  A lambda whose lowest
+    part is >= 0 but which is negative at higher order is not caught here;
     `subelliptic verify` samples it.
     """
     data = expand_r(spec)
@@ -204,12 +198,14 @@ def run_kohn(
         )
         return witness
 
-    if data.lam.constant_term().re < 0:
-        return finish(0, None, "Levi determinant is negative at the origin "
-                               f"(lambda(0) = {data.lam.constant_term()})")
-    if not _positive_diagonal(data.lam) and hermitian_square_rows(-data.lam):
-        return finish(0, None, "Levi determinant is minus a nonzero sum of "
-                               "hermitian squares, negative near the origin")
+    descent = descent_direction(data.lam)
+    if descent is not None:
+        h, v = descent
+        value = h.eval_exact(*v)
+        where = (f"at the origin (lambda(0) = {value})" if h.total_degree() == 0 else
+                 f"near the origin: its lowest-degree part {canonical_str(h)} is {value} "
+                 f"at the boundary direction ({v[0]}, {v[1]})")
+        return finish(0, None, f"Levi determinant is negative {where}")
 
     witness = check_unit(1, "pre-loop", current)
     if witness is not None:

@@ -464,7 +464,6 @@ def _power_sweep(
     logs: dict[str, list[tuple[int, str]]] = {name: [] for name in bases}
     alive = list(bases)
     dropped: list[str] = []
-    powers = {name: Poly.one() for name in alive}
     for m in range(1, cap + 1):
         if m == 3 and m < cap:
             closure = _conjugate_closure(ideal)
@@ -478,8 +477,7 @@ def _power_sweep(
                     dropped.append(name)
         cohort = []
         for name in list(alive):
-            powers[name] = powers[name] * bases[name]
-            answer = ideal.membership(powers[name], PROBE_BUDGET)
+            answer = ideal.membership(bases[name] ** m, PROBE_BUDGET)
             logs[name].append((m, answer.value))
             if answer is Membership.YES:
                 cohort.append(name)
@@ -745,8 +743,6 @@ def radical_extend(
         while square_cursor < len(work):
             q = work[square_cursor]
             square_cursor += 1
-            if not q.is_conj_symmetric():
-                continue
             for _weight, row in hermitian_square_rows(q) or ():
                 if row.monic() not in keys:
                     commit(RadicalCertificate(

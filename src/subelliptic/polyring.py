@@ -114,10 +114,7 @@ class GaussRational(tuple):
         return _reduced(a * u + p * v, b * u + q * v, d1 * u)
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
-        (a, b, d1), (p, q, d2) = self, other
-        k = gcd(d1, d2)
-        u, v = d2 // k, d1 // k
-        return _reduced(a * u - p * v, b * u - q * v, d1 * u)
+        return self + -other
 
     def __neg__(self) -> "GaussRational":
         a, b, d = self
@@ -335,11 +332,7 @@ class Poly:
         return Poly(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            out[m] = -c if s is None else s - c
-        return Poly(out)
+        return self + -other
 
     def __neg__(self) -> "Poly":
         return Poly._of({m: -c for m, c in self.terms.items()})

@@ -171,9 +171,27 @@ class TestExitCodes:
         code = main(["kohn", write_spec(tmp_path, {"f": ["w^2"], "g": ["2*w^2"]})])
         assert code == EXIT_UNDECIDED
         assert capsys.readouterr().out.strip() == (
-            "stalled after 0 steps (Levi determinant is minus a nonzero sum of "
-            "hermitian squares, negative near the origin)"
+            "stalled after 0 steps (Levi determinant is negative near the origin: "
+            "its lowest-degree part -12*w*wb is -12 at the boundary direction (0, 1))"
         )
+
+    @pytest.mark.parametrize(
+        "f,g",
+        [("w^2", "z*w"), ("w^2", "w^2 + z*w"), ("w^3", "z*w - w^2")],
+    )
+    def test_kohn_indefinite_lowest_part_exits_two(self, tmp_path, capsys, f, g):
+        """verify samples boundary violations on these specs; kohn refuses
+        them at step 0 instead of certifying an order or running on."""
+        out_path = tmp_path / "trace.json"
+        spec = write_spec(tmp_path, {"f": [f], "g": [g]})
+        code = main(["kohn", spec, "--json", str(out_path)])
+        assert code == EXIT_UNDECIDED
+        assert capsys.readouterr().out.startswith(
+            "stalled after 0 steps (Levi determinant is negative near the origin: "
+            "its lowest-degree part "
+        )
+        events = json.loads(out_path.read_text(encoding="utf-8"))["events"]
+        assert [event["kind"] for event in events] == ["init", "outcome"]
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["levi", str(tmp_path / "absent.json")])

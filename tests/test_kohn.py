@@ -24,6 +24,7 @@ from subelliptic.domain import (
     flat_domain,
     cross_power_domain,
     borderline_domain,
+    descent_direction,
     expand_r,
     apply_L,
     type_lower_bound,
@@ -33,7 +34,6 @@ from subelliptic.kohn import (
     Outcome,
     _Ledger,
     run_kohn,
-    _positive_diagonal,
     serialize_trace,
     audit_trace,
 )
@@ -358,25 +358,76 @@ class TestStalling:
         assert result.outcome is Outcome.STALLED
         assert result.final_order is None
         assert result.summary() == (
-            "stalled after 0 steps (Levi determinant is minus a nonzero sum of "
-            "hermitian squares, negative near the origin)"
+            "stalled after 0 steps (Levi determinant is negative near the origin: "
+            "its lowest-degree part -12*w*wb is -12 at the boundary direction (0, 1))"
         )
         assert [e["kind"] for e in result.events] == ["init", "outcome"]
 
-    def test_positive_diagonal_never_skips_a_sum_of_squares(self):
-        """Where the shortcut fires, -p is no sum of hermitian squares."""
+    @pytest.mark.parametrize(
+        "f,g,reason",
+        [
+            ("w^2", "z*w",
+             "its lowest-degree part -z*zb + 4*w*wb is -1 at the boundary direction (i, 0)"),
+            ("w^2", "w^2 + z*w",
+             "its lowest-degree part -z*zb - 2*z*wb - 2*zb*w is -1 at the boundary "
+             "direction (i, 0)"),
+            ("w^3", "z*w - w^2",
+             "its lowest-degree part -z*zb + 2*z*wb + 2*zb*w - 4*w*wb is -1 at the "
+             "boundary direction (i, 0)"),
+        ],
+    )
+    def test_indefinite_lowest_part_stalls(self, f, g, reason):
+        """lambda's lowest part is negative along a boundary direction, so
+        non-pseudoconvex boundary points come arbitrarily near the origin;
+        the run refuses at step 0 instead of certifying an order or running
+        on without end."""
+        spec = DomainSpec(name="indefinite", f=(parse_poly(f),), g=(parse_poly(g),))
+        result = run_kohn(spec)
+        assert result.outcome is Outcome.STALLED
+        assert result.final_order is None
+        assert result.summary() == (
+            f"stalled after 0 steps (Levi determinant is negative near the origin: {reason})"
+        )
+        assert [e["kind"] for e in result.events] == ["init", "outcome"]
+
+    def test_zero_and_borderline_levi_determinants_pass_step_zero(self):
+        """lambda = 0 on f = g = (w) and the borderline lambda are not refused;
+        the first runs on to a fixpoint at step 1."""
+        assert descent_direction(Poly.zero()) is None
+        assert descent_direction(expand_r(borderline_domain()).lam) is None
+        spec = DomainSpec(name="cancel", f=(parse_poly("w"),), g=(parse_poly("w"),))
+        assert expand_r(spec).lam.is_zero()
+        result = run_kohn(spec)
+        assert result.summary() == (
+            "stalled after 1 steps (ideal chain reached a fixpoint without a unit)"
+        )
+        assert [e["kind"] for e in result.events][:3] == ["init", "unit-check", "radical"]
+
+    def test_descent_direction_contains_both_sign_rules(self):
+        """On real polynomials and negative constants: wherever p(0) < 0 or
+        -p is a nonzero sum of hermitian squares, a direction is found, and
+        every direction found makes p's lowest-degree part negative."""
         rng = random.Random(20261019)
         outcomes = set()
-        for _ in range(200):
-            p = _random_real_poly(rng)
+        samples = [_random_real_poly(rng) for _ in range(200)]
+        samples += [Poly.constant(GaussRational(Fraction(-n, 3))) for n in (1, 2, 7)]
+        for p in samples:
             assert p.is_conj_symmetric()
+            descent = descent_direction(p)
             rows = hermitian_square_rows(-p)
-            if _positive_diagonal(p):
-                assert rows is None
-                outcomes.add("shortcut")
-            else:
-                outcomes.add("rows" if rows else "no rows")
-        assert outcomes == {"shortcut", "rows", "no rows"}
+            if p.constant_term().re < 0 or rows:
+                assert descent is not None
+                outcomes.add("constant" if p.constant_term().re < 0 else "rows")
+            if descent is None:
+                outcomes.add("none")
+                continue
+            h, v = descent
+            d = min(sum(m) for m in p.terms)
+            assert h == Poly({m: c for m, c in p.terms.items() if sum(m) == d})
+            assert h.eval_exact(*v).re < 0
+            if not rows and p.constant_term().re >= 0:
+                outcomes.add("indefinite")
+        assert outcomes == {"constant", "rows", "none", "indefinite"}
 
     def test_step_cap_reports_stalled(self):
         result = run_kohn(cross_power_domain(3, 2, 5), max_steps=1)
