@@ -10,7 +10,9 @@ answer:
     DEFAULT_STEP_BUDGET  standard bases, ordinary memberships, reduce_modulo
     PROBE_BUDGET         a power sweep's questions b^m in I
     PRUNE_BUDGET         a power sweep's cap prune: the standard basis of
-                         J = I + conj(I) and the question conj(b)^cap in J
+                         J = I + conj(I), the cone question (is the
+                         lowest-degree form of conj(b)^cap outside J's
+                         tangent cone?) and the question conj(b)^cap in J
 
 The normal form is the hot loop: inside it the remainder is bucketed by
 degree, and coefficients are coprime integer triples, which is what a
@@ -321,7 +323,9 @@ class LocalIdeal:
     reads, so a membership query pays no setup.  The first read of basis
     completes, minimalizes and tail-strips it and keeps the result; once
     computed the object is immutable.  A basis of None means its budget ran
-    out, and membership queries then answer UNDECIDED.
+    out, and membership queries then answer UNDECIDED.  The tangent cone
+    that outside_cone reduces against is derived from the basis on its
+    first use and kept the same way.
     """
 
     def __init__(
@@ -363,6 +367,55 @@ class LocalIdeal:
         except BudgetExhausted:
             return Membership.UNDECIDED
         return Membership.NO if nf else Membership.YES
+
+    def outside_cone(self, p: Poly) -> bool:
+        """True when the lowest-degree form h of p lies outside the tangent cone.
+
+        The tangent cone in(J) of this ideal J is the ideal of the
+        lowest-degree forms of J's elements; True proves p outside J.  The
+        order is local and degree-first, so lm(f) is a term of in(f), and
+        every homogeneous element of in(J) is in(f) for some f in J.  The
+        cone's reducers are the basis G with each tail cut to the terms of
+        its lead's degree: each step subtracts x^s*in(g) for some g in G, a
+        homogeneous element of in(J) of h's degree, and every reducer has
+        ecart 0, so Mora's rule appends nothing.  The remainder r stays
+        congruent to h modulo in(J) and in h's degree, and the loop ends.
+        If r != 0 and h were in in(J), then r = in(f) for some f in J and
+        lm(r) = lm(f) would lie in L(J) = (lm G), because G is a standard
+        basis (which minimalizing and tail stripping keep); the loop could
+        not have stopped at r.  So r != 0 gives h outside in(J), and then p
+        is outside J, since p in J would put in(p) = h in in(J).
+
+        h is used, never p: p = z + zb + w^2 lies in (z + zb + w^2), yet
+        its remainder against the cone (z + zb) is w^2.  The answer is
+        False without a reduction when there is no basis, when no lead of
+        the basis divides lm(h) (membership then answers NO at no cost),
+        or when h is one term divided by a basis element whose lowest form
+        is its lead alone (h then lies in the cone).  The reduction runs
+        under PRUNE_BUDGET, and running out answers False.  The cone is
+        built on the first reduction and kept, like the basis.
+        """
+        basis = self.basis
+        if basis is None or p.is_zero():
+            return False
+        lm_h = _lead_ecart(p.terms)[0]
+        divisors = [(lm, tail) for lm, _, tail in basis if mono_divides(lm, lm_h)]
+        if not divisors:
+            return False
+        low = mono_degree(lm_h)
+        h = {m: c for m, c in p.terms.items() if mono_degree(m) == low}
+        if len(h) == 1 and any(
+            all(t[4] > mono_degree(lm) for t in tail) for lm, tail in divisors
+        ):
+            return False
+        if "_cone" not in vars(self):
+            self._cone = [
+                (lm, 0, [t for t in tail if t[4] == mono_degree(lm)]) for lm, _, tail in basis
+            ]
+        try:
+            return bool(nf_mora(h, self._cone, _Budget(PRUNE_BUDGET)))
+        except BudgetExhausted:
+            return False
 
     def reduce_modulo(self, p: Poly) -> Poly:
         """Best-effort reduction: returns p minus ideal elements, never None.
@@ -450,13 +503,17 @@ def _power_sweep(
     automorphism of the local ring and conj(J) = J, so a NO means that b^cap
     lies outside J, hence outside every ideal inside J, I among them.  Since
     b^m in an ideal implies b^cap in it, the NO is exact for every lower
-    power too and drops the base, whose log ends with (cap, "no").  A YES or
-    an undecided answer leaves the base alive, and the sweep goes on as it
-    was.  The conjugate side is cheap where the local order's tie-break
-    picks z over zb as a lead: conj(b)^cap is antiholomorphic and such a
-    lead never divides it.  PRUNE_BUDGET keeps a costly J or a costly YES
-    at the cap from outweighing the sweep, and the two low powers spare the cap
-    probe wherever one of them wins.  When b^3 is b^cap itself the sweep
+    power too and drops the base, whose log ends with (cap, "no").  Before
+    J is asked, the sweep asks the cheaper cone question
+    J.outside_cone(conj(b)^cap) of the tangent cone that J caches beside
+    its basis.  True proves conj(b)^cap outside J, the same exact NO, and J
+    is not asked at all.  False proves nothing, and J is asked as before.
+    A YES or an undecided answer from J leaves the base alive, and the
+    sweep goes on as it was.  The conjugate side is cheap where the local
+    order's tie-break picks z over zb as a lead: conj(b)^cap is
+    antiholomorphic and such a lead never divides it.  PRUNE_BUDGET keeps
+    a costly J or a costly YES at the cap from outweighing the sweep, and
+    the two low powers spare the cap probe wherever one of them wins.  When b^3 is b^cap itself the sweep
     asks it next anyway, so no cap probe is made.  A dropped base never
     joins a cohort, so the power, the cohort and the cohort's logs are those
     of the plain sweep.
@@ -471,7 +528,8 @@ def _power_sweep(
                 closure._basis = closure._complete(PRUNE_BUDGET)
             for name in list(alive):
                 power = (bases[name] ** cap).conj()
-                if closure.membership(power, PRUNE_BUDGET) is Membership.NO:
+                if (closure.outside_cone(power)
+                        or closure.membership(power, PRUNE_BUDGET) is Membership.NO):
                     logs[name].append((cap, Membership.NO.value))
                     alive.remove(name)
                     dropped.append(name)

@@ -567,6 +567,27 @@ class TestWorkDoneOnce:
         assert len(asked) == 1
 
 
+class TestCapPrune:
+    """A power sweep's cap prune, seen from a whole run."""
+
+    def test_the_zw_cap_prune_is_answered_on_the_tangent_cone(self, monkeypatch):
+        """zb^32 lies outside the tangent cone of J = I + conj(I), so the
+        sweep drops z without asking J about zb^32 or I about z^32, and the
+        trace is the one J's answer gave."""
+        asked, membership = [], LocalIdeal.membership
+
+        def recording_membership(ideal, p, step_budget=None):
+            asked.append(canonical_str(p))
+            return membership(ideal, p, step_budget)
+
+        monkeypatch.setattr(LocalIdeal, "membership", recording_membership)
+        result = run_kohn(DomainSpec(name="zw", f=(parse_poly("w^2 - z*w"),)))
+        assert result.summary() == "unit found, step 1, order 1/8, max radical order 2"
+        assert asked and not {"zb^32", "z^32"} & set(asked)
+        digest = hashlib.sha256(serialize_trace(result).encode("utf-8")).hexdigest()
+        assert digest == "4ee7bbbc91048de2c4ec85159627596362c1b1858d1e9d68dfeb5818c2af54d9"
+
+
 def _random_real_poly(rng):
     """A conj-symmetric polynomial: signed hermitian squares of holomorphic
     polynomials, sometimes plus q + conj(q) for a q in all four variables."""

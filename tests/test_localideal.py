@@ -657,6 +657,25 @@ class TestPowerSweep:
         assert asked == [(True, "w", probe), (True, "w^2", probe), (False, "wb^8", prune)]
         assert completed == [(False, prune)]
 
+        # zb^8 lies outside the tangent cone (z + w, zb + wb) of J, so the
+        # cone question drops z under PRUNE_BUDGET and J is never asked.
+        cone_ideal = LocalIdeal([parse_poly("z + w")])
+        assert cone_ideal.basis is not None
+        asked.clear()
+        completed.clear()
+        reduced, nf_mora = [], localideal.nf_mora
+
+        def recording_nf_mora(f, reducers, budget):
+            reduced.append((canonical_str(_as_poly(f)), budget.remaining))
+            return nf_mora(f, reducers, budget)
+
+        monkeypatch.setattr(localideal, "nf_mora", recording_nf_mora)
+        result = _power_sweep({"z": parse_poly("z")}, cone_ideal, 8)
+        assert result == (None, [], {"z": [(1, "no"), (2, "no"), (8, "no")]}, ["z"])
+        assert [question[1:] for question in asked] == [("z", probe), ("z^2", probe)]
+        assert completed == [(False, prune)]
+        assert reduced == [("z", probe), ("z^2", probe), ("zb^8", prune)]
+
     def test_agrees_with_the_ascending_sweep_on_random_ideals(self):
         rng = random.Random(20261018)
         bases = {"z": parse_poly("z"), "w": parse_poly("w")}
@@ -714,6 +733,51 @@ class TestPowerSweep:
                 assert not certify_membership(power, list(ideal.generators), 2)
         assert answers.count(Membership.NO) >= 10
         assert Membership.YES in answers
+
+
+class TestTangentCone:
+    """outside_cone proves p outside the ideal from p's lowest-degree form."""
+
+    def test_a_true_answer_is_never_contradicted(self):
+        """Where the cone question answers True, p is no member and has no certificate."""
+        rng = random.Random(20261022)
+        outside = 0
+        for _ in range(200):
+            ideal = LocalIdeal(
+                vanishing_poly(rng, rng.randint(1, 2)) for _ in range(rng.randint(1, 2))
+            )
+            if rng.random() < 0.5:
+                b = Poly.variable(rng.choice(localideal.VARIABLES))
+            else:
+                b = vanishing_poly(rng, 2)
+            power = b ** rng.randint(2, 6)
+            if ideal.outside_cone(power):
+                outside += 1
+                assert ideal.membership(power) is not Membership.YES
+                assert not certify_membership(power, list(ideal.generators), 2)
+        assert outside >= 20
+
+    def test_the_question_is_asked_of_the_lowest_form(self, monkeypatch):
+        """p = z + zb + w^2 lies in (p), and its lowest form z + zb in the cone.
+
+        Reduced as it is, p would leave w^2 against the cone (z + zb), which
+        is why the question reduces the lowest form and not p.
+        """
+        p = parse_poly("z + zb + w^2")
+        ideal = LocalIdeal([p])
+        assert ideal.basis is not None
+        reduced, nf_mora = [], localideal.nf_mora
+
+        def recording_nf_mora(f, reducers, budget):
+            reduced.append(canonical_str(_as_poly(f)))
+            return nf_mora(f, reducers, budget)
+
+        monkeypatch.setattr(localideal, "nf_mora", recording_nf_mora)
+        assert ideal.outside_cone(p) is False
+        assert reduced == ["z + zb"]
+        remainder = nf_mora(p.terms, ideal._cone, _Budget(10))
+        assert canonical_str(_as_poly(remainder)) == "w^2"
+        assert ideal.membership(p) is Membership.YES
 
 
 class TestRuledOutCarry:
