@@ -37,8 +37,8 @@ of them.  The entry points of those modules stay names of this module
 `boundary_pseudoconvexity`), each a stand-in that imports its module on the
 first call, so a caller can still patch them here.
 
-The engine's records (`DomainSpec`, `LeviData`, `TypeBound`, `SampleReport`,
-`ZetaStep`, `EffectiveResult`, `RadicalCertificate`) are named tuples, not
+The engine's records (`DomainSpec`, `LeviData`, `SampleReport`, `ZetaStep`,
+`EffectiveResult`, `RadicalCertificate`) are named tuples, not
 dataclasses: importing `dataclasses` pulls in `inspect`, `ast`, `dis`,
 `tokenize` and `copy`, 13-16 ms under `python -X importtime` on one CPU,
 more than `argparse`.  Only `kohn.KohnResult` is a dataclass, because the
@@ -59,6 +59,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .polyring import ParseError, canonical_str, parse_poly
 from .domain import (
     DEFAULT_SAMPLE_RADIUS,
+    TYPE_WITNESS,
     DomainError,
     DomainSpec,
     UndecidedError,
@@ -274,11 +275,10 @@ def cmd_levi(spec: DomainSpec, args) -> tuple[int, Artifact]:
 
 
 def cmd_type(spec: DomainSpec, args) -> tuple[int, Artifact]:
-    bound = type_lower_bound(spec)
-    value = _cell(bound.value)
-    line = f"type >= {value} (witness {bound.witness})"
+    value = _cell(type_lower_bound(spec))
+    line = f"type >= {value} (witness {TYPE_WITNESS})"
     print(line)
-    return EXIT_OK, {"type": {"value": value, "witness": bound.witness}, "summary": line}
+    return EXIT_OK, {"type": {"value": value, "witness": TYPE_WITNESS}, "summary": line}
 
 
 def _resolve_run_flags(args) -> None:

@@ -10,7 +10,7 @@ The module computes r and its first Wirtinger derivatives, the tangential
 vector field L applied to test functions, the determinant of the Levi form
 along L, a boundary direction at the origin along which that determinant is
 negative when one of a few exact tries finds it, and a lower bound for the
-D'Angelo type at the origin: the contact order of the vertical curve (0, t).
+D'Angelo type at 0: the contact order of the curve (0, t), TYPE_WITNESS.
 """
 
 from __future__ import annotations
@@ -96,13 +96,11 @@ def cross_power_domain(tau: int, l: int, k: int) -> DomainSpec:
     )
 
 
-def borderline_domain(power: int = 5) -> DomainSpec:
-    """f = (w + w^power, w^2) against g = (w); hypotheses fail at radius ~1."""
-    if power < 2:
-        raise DomainError("power must be at least 2")
+def borderline_domain() -> DomainSpec:
+    """f = (w + w^5, w^2) against g = (w); hypotheses fail at radius ~1."""
     return DomainSpec(
-        name=f"borderline({power})",
-        f=(parse_poly(f"w + w^{power}"), parse_poly("w^2")),
+        name="borderline(5)",
+        f=(parse_poly("w + w^5"), parse_poly("w^2")),
         g=(parse_poly("w"),),
     )
 
@@ -205,14 +203,10 @@ def vertical_order(p: Poly) -> Union[int, float]:
     )
 
 
-class TypeBound(NamedTuple):
-    """Contact order of r along the witness curve, a lower bound for the type."""
-
-    value: Union[int, float]
-    witness: str = "(0, t)"
+TYPE_WITNESS = "(0, t)"
 
 
-def type_lower_bound(spec: DomainSpec) -> TypeBound:
+def type_lower_bound(spec: DomainSpec) -> Union[int, float]:
     """Contact order of r along (0, t), which no monomial curve exceeds.
 
     Let V be the vertical order of r = 2*Re(z) + sum |f_j|^2 - sum |g_m|^2.
@@ -224,4 +218,4 @@ def type_lower_bound(spec: DomainSpec) -> TypeBound:
     s > V they cannot touch the degree-V part, so the contact is exactly V.
     Hence the vertical curve is extremal among all monomial test curves.
     """
-    return TypeBound(value=vertical_order(defining_function(spec)))
+    return vertical_order(defining_function(spec))

@@ -130,7 +130,7 @@ def compare_orders(
     raises InfiniteTypeError when no component of f has finite vertical order.
     """
     select_component(spec)
-    bound = type_lower_bound(spec).value
+    bound = type_lower_bound(spec)
     row = {
         "type": bound,
         "optimal": None if bound == math.inf else Fraction(1, bound),

@@ -63,12 +63,14 @@ class Outcome(enum.Enum):
 
 @dataclass
 class KohnResult:
+    """A run's outcome and events.  `multipliers` is its order ledger, kept on
+    purpose: re-deriving the ledger's max-merge from the events would copy it."""
+
     outcome: Outcome
     steps_used: int
     final_order: Optional[Fraction]
     max_radical_order: int
     multipliers: dict[str, Fraction]
-    unit_witness: Optional[str]
     reason: str
     events: list[dict]
 
@@ -160,15 +162,15 @@ def run_kohn(
         given reason.
         """
         if witness is not None:
-            order, unit = ledger.min_order(), canonical_str(witness)
+            order = ledger.min_order()
             outcome, reason = Outcome.SUCCESS, "unit found"
             detail = {
                 "order": str(order),
                 "max_radical_order": max_radical_order,
-                "witness": unit,
+                "witness": canonical_str(witness),
             }
         else:
-            order = unit = None
+            order = None
             outcome, reason = Outcome.STALLED, stall
             if saw_undecided:
                 reason += "; some memberships were undecided under the budget"
@@ -180,7 +182,6 @@ def run_kohn(
             final_order=order,
             max_radical_order=max_radical_order,
             multipliers={canonical_str(p): o for p, o in ledger.entries.items()},
-            unit_witness=unit,
             reason=reason,
             events=events,
         )

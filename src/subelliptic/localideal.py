@@ -548,16 +548,6 @@ def _power_sweep(
     return None, [], logs, dropped
 
 
-def min_algebraic_radical_order(g: Poly, ideal: LocalIdeal, cap: int) -> Optional[int]:
-    """Smallest m <= cap with g**m in the ideal, or None.
-
-    The powers are asked under a power sweep's own budgets, so a monomial
-    root's recorded probe_ideal re-derives its order.  An undecided power
-    ends the search with None.
-    """
-    return _power_sweep({"g": g}, ideal, cap)[0]
-
-
 # ---------------------------------------------------------------------------
 # Hermitian square decomposition (exact rational LDL*)
 

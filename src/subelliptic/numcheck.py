@@ -5,10 +5,10 @@ pointwise inequalities its hypotheses assert near the origin (domination of
 the g-derivatives by the f-derivatives, pseudoconvexity of the boundary).
 This module samples those inequalities on seeded polydiscs and
 cross-validates the symbolic Levi determinant against finite differences.
-The differences at one sample read r on a shared 5x5 grid of z and w
-steps, each point evaluated once by `Poly.compiled_grid`, which repeats
-the float operations of `Poly.compiled()` in their order; so the check is
-bit-identical to evaluating r point by point.
+The differences at one sample read r on a shared 5x5 grid of z and w moved
+by FINITE_DIFF_STEP, each point evaluated once by `Poly.compiled_grid`,
+which repeats the float operations of `Poly.compiled()` in their order; so
+the check is bit-identical to evaluating r point by point.
 Reports are deterministic for a fixed seed and never override a symbolic
 result; at most they gate whether the effective chain may call its
 hypothesis verified.
@@ -24,6 +24,7 @@ from .domain import DomainError, DomainSpec, expand_r
 
 DEGENERATE_TOL = 1e-14
 FIXED_POINT_TOL = 1e-12
+FINITE_DIFF_STEP = 1e-4
 FIXED_POINT_CAP = 100
 HYPO_GATE = 0.99
 
@@ -205,11 +206,7 @@ def boundary_pseudoconvexity(
                         min_lambda_on_boundary=min_lambda, violations=violations)
 
 
-def finite_diff_levi(
-    spec: DomainSpec,
-    points: Sequence[tuple[complex, complex]],
-    h: float = 1e-4,
-) -> float:
+def finite_diff_levi(spec: DomainSpec, points: Sequence[tuple[complex, complex]]) -> float:
     """Maximum relative gap between symbolic and finite-difference lambda.
 
     All second-order Wirtinger derivatives of r are rebuilt from central
@@ -224,14 +221,12 @@ def finite_diff_levi(
     `Poly.compiled_grid`, whose every value is bit-identical to
     `Poly.compiled()` at that point; so is the result.
     """
-    if not (1e-6 <= h <= 1e-3):
-        raise ValueError(f"step h={h} outside the supported range [1e-6, 1e-3]")
     data = expand_r(spec)
     r = data.r.compiled_grid()
     lam = data.lam.compiled()
     worst = 0.0
     for z0, w0 in points:
-        numeric = _levi_by_differences(r, z0, w0, h)
+        numeric = _levi_by_differences(r, z0, w0, FINITE_DIFF_STEP)
         reference = lam(z0, w0).real
         deviation = abs(numeric - reference) / (1.0 + abs(reference))
         if not math.isfinite(deviation):

@@ -103,10 +103,6 @@ class GaussRational(tuple):
         a, b, d = self
         return _from_triple(a, -b, d)
 
-    def abs_sq(self) -> Fraction:
-        a, b, d = self
-        return Fraction(a * a + b * b, d * d)
-
     def __add__(self, other: "GaussRational") -> "GaussRational":
         (a, b, d1), (p, q, d2) = self, other
         k = gcd(d1, d2)
@@ -284,10 +280,6 @@ class Poly:
         e = [0, 0, 0, 0]
         e[VAR_NAMES.index(var)] = 1
         return Poly({tuple(e): _GR_ONE})
-
-    @staticmethod
-    def monomial(c: GaussRational, m: Mono) -> "Poly":
-        return Poly({m: c})
 
     # -- basic predicates
 

@@ -22,7 +22,7 @@ from subelliptic.domain import (
     flat_domain,
     type_lower_bound,
 )
-from subelliptic.localideal import LocalIdeal, min_algebraic_radical_order
+from subelliptic.localideal import LocalIdeal, _power_sweep
 from subelliptic.kohn import Outcome, run_kohn, serialize_trace
 from subelliptic.effective import HypoStatus, zeta_chain
 from subelliptic.numcheck import (
@@ -132,7 +132,7 @@ def test_criterion_2_classic_family_reproduction(capsys, classic_runs):
             if z_cert["probe_log"] != [[m, "no"] for m in range(1, k)] + [[k, "yes"]]:
                 problems.append(f"{tag}: z probe log misses failures below {k}")
             snapshot = LocalIdeal([parse_poly(s) for s in z_cert["probe_ideal"]])
-            floor = min_algebraic_radical_order(parse_poly("z"), snapshot, 8)
+            floor = _power_sweep({"z": parse_poly("z")}, snapshot, 8)[0]
             if floor != k:
                 problems.append(f"{tag}: recomputed z floor {floor} != {k}")
         if elapsed >= 10.0:
@@ -148,8 +148,8 @@ def test_criterion_3_ineffectiveness_divergence(capsys, classic_runs):
     for k in (4, 5, 6):
         spec = cross_power_domain(3, 2, k)
         bound = type_lower_bound(spec)
-        if bound.value != 6:
-            problems.append(f"k={k}: type bound {bound.value} != 6")
+        if bound != 6:
+            problems.append(f"k={k}: type bound {bound} != 6")
         orders.append(classic_runs[(3, 2, k)][0].final_order)
     if orders != [Fraction(1, 32), Fraction(1, 40), Fraction(1, 48)]:
         problems.append(f"orders {orders} != [1/32, 1/40, 1/48]")
@@ -200,11 +200,11 @@ def test_criterion_5_type_computation(capsys):
     start = time.perf_counter()
     for tau, l, k in PROP1:
         bound = type_lower_bound(cross_power_domain(tau, l, k))
-        if bound.value != 2 * tau:
-            problems.append(f"({tau},{l},{k}): type {bound.value} != {2 * tau}")
+        if bound != 2 * tau:
+            problems.append(f"({tau},{l},{k}): type {bound} != {2 * tau}")
     flat_bound = type_lower_bound(flat_domain())
-    if flat_bound.value != 2:
-        problems.append(f"flat: type {flat_bound.value} != 2")
+    if flat_bound != 2:
+        problems.append(f"flat: type {flat_bound} != 2")
     elapsed = time.perf_counter() - start
     if elapsed >= 5.0:
         problems.append(f"runtime {elapsed:.2f}s exceeds 5s")
@@ -265,7 +265,7 @@ def test_criterion_7_finite_difference_oracle(capsys):
     points = polydisc_points(0.5, 100, 20260814)
     worst_overall = 0.0
     for spec in specs:
-        worst = finite_diff_levi(spec, points, h=1e-4)
+        worst = finite_diff_levi(spec, points)
         worst_overall = max(worst_overall, worst)
         if worst > 1e-5:
             problems.append(f"{spec.name}: relative error {worst:.2e} > 1e-5")

@@ -1,6 +1,7 @@
 """Command line behavior: spec parsing, exit codes, JSON artifacts."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -735,6 +736,23 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "type >= 2 (witness (0, t))"
+
+    def test_replay_is_byte_identical_across_hash_seeds(self, tmp_path):
+        """The engine keeps sets of strings, whose iteration order follows the
+        interpreter's hash seed; a kohn artifact must not depend on it."""
+        spec = write_spec(tmp_path, TWO)
+        artifacts = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"kohn-{seed}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "subelliptic", "kohn", spec, "--json", str(out)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            artifacts.append(out.read_bytes())
+        assert artifacts[0] == artifacts[1]
 
     def test_help_lists_subcommands(self):
         proc = subprocess.run(

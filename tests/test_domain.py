@@ -10,10 +10,10 @@ import pytest
 
 from subelliptic.polyring import GaussRational, Poly, canonical_str, parse_poly, two_re
 from subelliptic.domain import (
+    TYPE_WITNESS,
     DomainError,
     DomainSpec,
     LeviData,
-    TypeBound,
     apply_L,
     borderline_domain,
     cross_power_domain,
@@ -49,10 +49,6 @@ class TestValidation:
             cross_power_domain(2, 2, 5)
         with pytest.raises(DomainError):
             cross_power_domain(3, 0, 5)
-
-    def test_borderline_power_floor(self):
-        with pytest.raises(DomainError):
-            borderline_domain(1)
 
 
 class TestRecords:
@@ -99,14 +95,12 @@ class TestRecords:
         r, lam = parse_poly("z"), parse_poly("w")
         data = LeviData(r=r, lam=lam, r_z=r, r_w=lam)
         assert (data.r, data.lam, data.r_z, data.r_w) == (r, lam, r, lam)
-        assert TypeBound(value=3).witness == "(0, t)"
-        assert TypeBound(value=math.inf, witness="(t, 0)").witness == "(t, 0)"
 
 
 class TestDefiningFunction:
     @pytest.mark.parametrize(
         "spec",
-        [flat_domain(), cross_power_domain(3, 2, 5), borderline_domain(5)],
+        [flat_domain(), cross_power_domain(3, 2, 5), borderline_domain()],
     )
     def test_r_is_real_and_normalized(self, spec):
         data = expand_r(spec)
@@ -115,7 +109,7 @@ class TestDefiningFunction:
         assert data.r_z.constant_term() == GaussRational.one()
 
     def test_g_components_subtract(self):
-        spec = borderline_domain(5)
+        spec = borderline_domain()
         r = defining_function(spec)
         w, wb = parse_poly("w"), parse_poly("wb")
         plain = parse_poly("z") + parse_poly("zb")
@@ -163,11 +157,16 @@ class TestLeviForm:
         assert expand_r(spec).lam == expected
 
     def test_borderline_levi_exact(self):
-        lam = expand_r(borderline_domain(5)).lam
+        lam = expand_r(borderline_domain()).lam
         assert canonical_str(lam) == "4*w*wb + 5*w^4 + 5*wb^4 + 25*w^4*wb^4"
 
     def test_levi_form_is_real(self):
-        for spec in (cross_power_domain(3, 2, 4), borderline_domain(3)):
+        cubic = DomainSpec(
+            name="borderline(3)",
+            f=(parse_poly("w + w^3"), parse_poly("w^2")),
+            g=(parse_poly("w"),),
+        )
+        for spec in (cross_power_domain(3, 2, 4), borderline_domain(), cubic):
             assert expand_r(spec).lam.is_conj_symmetric()
 
     def test_sum_of_squares_matches_the_hessian_pairing(self):
@@ -208,7 +207,7 @@ def hessian_levi(r: Poly) -> Poly:
 
 class TestTangentialField:
     def test_annihilates_the_defining_function(self):
-        for spec in (flat_domain(), cross_power_domain(3, 2, 5), borderline_domain(5)):
+        for spec in (flat_domain(), cross_power_domain(3, 2, 5), borderline_domain()):
             data = expand_r(spec)
             assert apply_L(data.r, data).is_zero()
 
@@ -246,7 +245,7 @@ def monomial_curve_contact(r: Poly, c: GaussRational, s: int):
     pullback = Poly.zero()
     for (a, b, e, d), coeff in r.terms.items():
         coeff = coeff * c ** a * c.conj() ** b
-        pullback = pullback + Poly.monomial(coeff, (s * a + e, s * b + d, 0, 0))
+        pullback = pullback + Poly({(s * a + e, s * b + d, 0, 0): coeff})
     if pullback.is_zero():
         return math.inf
     return min(sum(m) for m in pullback.terms)
@@ -270,29 +269,29 @@ class TestTypeLowerBound:
             (cross_power_domain(3, 2, 4), 6),
             (cross_power_domain(3, 2, 5), 6),
             (cross_power_domain(4, 3, 6), 8),
-            (borderline_domain(5), 4),
+            (borderline_domain(), 4),
         ],
     )
     def test_known_types(self, spec, expected):
-        bound = type_lower_bound(spec)
-        assert bound.value == expected
+        assert type_lower_bound(spec) == expected
 
     def test_vertical_curve_is_the_witness_on_models(self):
-        bound = type_lower_bound(cross_power_domain(3, 2, 5))
-        assert str(bound.witness) == "(0, t)"
+        spec = cross_power_domain(3, 2, 5)
+        assert TYPE_WITNESS == "(0, t)"
+        assert type_lower_bound(spec) == vertical_order(defining_function(spec)) == 6
 
     def test_no_monomial_curve_beats_the_vertical(self):
         coeffs = [GaussRational(*c) for c in
                   [(1,), (-1,), (0, 1), (0, -1), (2,), (1, 1), (Fraction(1, 2), -3)]]
         rng = random.Random(20261018)
-        specs = [flat_domain(), borderline_domain(5), cross_power_domain(3, 2, 5)]
+        specs = [flat_domain(), borderline_domain(), cross_power_domain(3, 2, 5)]
         for _ in range(60):
             f = tuple(random_component(rng) for _ in range(rng.randint(1, 2)))
             g = tuple(random_component(rng) for _ in range(rng.randint(0, 2)))
             specs.append(DomainSpec(name="random", f=f, g=g + f[:rng.randint(0, 1)]))
         for spec in specs:
             r = defining_function(spec)
-            bound = type_lower_bound(spec).value
+            bound = type_lower_bound(spec)
             assert monomial_curve_contact(r, GaussRational.zero(), 1) == bound
             for c in coeffs:
                 for s in range(1, 9):

@@ -14,11 +14,7 @@ import pytest
 
 from subelliptic import kohn, localideal
 from subelliptic.polyring import GaussRational, Poly, parse_poly, canonical_str
-from subelliptic.localideal import (
-    LocalIdeal,
-    hermitian_square_rows,
-    min_algebraic_radical_order,
-)
+from subelliptic.localideal import LocalIdeal, _power_sweep, hermitian_square_rows
 from subelliptic.domain import (
     DomainSpec,
     flat_domain,
@@ -121,7 +117,7 @@ class TestFlatDomain:
 
     def test_unit_is_levi_determinant(self, flat_run):
         """For f = (w) the Levi determinant is already the constant 1."""
-        assert flat_run.unit_witness == "1"
+        assert flat_run.events[-1]["witness"] == "1"
         assert flat_run.outcome is Outcome.SUCCESS
 
     def test_no_radical_needed(self, flat_run):
@@ -222,7 +218,7 @@ class TestCrossPower325:
         )
         z_cert = next(c for c in radical["certificates"] if c["element"] == "z")
         ideal = LocalIdeal([parse_poly(s) for s in z_cert["probe_ideal"]])
-        assert min_algebraic_radical_order(parse_poly("z"), ideal, 8) == 5
+        assert _power_sweep({"z": parse_poly("z")}, ideal, 8)[0] == 5
 
     def test_ledger_orders(self, run_325):
         orders = run_325.multipliers
@@ -303,7 +299,7 @@ class TestCrossPowerFamily:
         assert orders == [Fraction(1, 32), Fraction(1, 40), Fraction(1, 48)]
         assert orders[0] > orders[1] > orders[2]
         for k in (4, 5, 6):
-            assert type_lower_bound(cross_power_domain(3, 2, k)).value == 6
+            assert type_lower_bound(cross_power_domain(3, 2, k)) == 6
 
 
 class TestBorderlineDomain:
@@ -665,7 +661,6 @@ class TestTraceMachinery:
                 final_order=run_325.final_order,
                 max_radical_order=run_325.max_radical_order,
                 multipliers=run_325.multipliers,
-                unit_witness=run_325.unit_witness,
                 reason=run_325.reason,
                 events=events,
             )

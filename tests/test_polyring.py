@@ -56,8 +56,7 @@ class TestGaussRational:
     def test_conj_and_abs_sq(self):
         a = GR(3, -4)
         assert a.conj() == GR(3, 4)
-        assert a.abs_sq() == Fraction(25)
-        assert (a * a.conj()).re == a.abs_sq()
+        assert a * a.conj() == GR(25)
 
     def test_pow(self):
         i = GR(0, 1)
@@ -168,7 +167,7 @@ class TestGaussRationalAgainstFractionPairs:
                 assert type(got.re) is Fraction and type(got.im) is Fraction
                 assert (got.re, got.im) == want
                 assert got.is_zero() == (want == (0, 0))
-            abs_sq = gx.abs_sq()
+            abs_sq = (gx * gx.conj()).re
             assert type(abs_sq) is Fraction and abs_sq == x[0] ** 2 + x[1] ** 2
         assert seen == {"zero", "real", "imaginary", "mixed"}
 
@@ -342,7 +341,7 @@ class TestPolyArithmetic:
             c = random_gauss(rng)
             while c.is_zero():
                 c = random_gauss(rng)
-            p = Poly.monomial(c, tuple(rng.randint(0, 3) for _ in range(4)))
+            p = Poly({tuple(rng.randint(0, 3) for _ in range(4)): c})
             n = rng.randint(0, 40)
             cases.append((p, n, polyring._power(p, n, Poly.one())))
         cases += [(Z, 0, Poly.one()), (-Z, 3, -(Z * Z * Z))]
@@ -369,7 +368,7 @@ class TestPolyArithmetic:
                 (p.conj().conj(), p),
                 (p.scale(c), Poly.constant(c) * p),
                 (p.wirtinger("w"), Poly(p.wirtinger("w").terms)),
-                ((p * Poly.monomial(GR(1), m)).divide_monomial(m), p),
+                ((p * Poly({m: GR(1)})).divide_monomial(m), p),
             ]
             for got, want in results:
                 assert got == want
@@ -606,7 +605,7 @@ class TestPrinterMatchesFractionPrinter:
         assert len(COEFFS) == 48
         for c in COEFFS:
             assert polyring.coeff_str(c) == fraction_coeff_str(c)
-            got, want = self._both(monkeypatch, Poly.monomial(c, mono))
+            got, want = self._both(monkeypatch, Poly({mono: c}))
             assert got == want
 
     def test_random_polynomials(self, monkeypatch):
