@@ -12,7 +12,8 @@ answer:
     PRUNE_BUDGET         a power sweep's cap prune: the standard basis of
                          J = I + conj(I), the cone question (is the
                          lowest-degree form of conj(b)^cap outside J's
-                         tangent cone?) and the question conj(b)^cap in J
+                         tangent cone?) with the dimension count that
+                         answers it first, and the question conj(b)^cap in J
 
 The normal form is the hot loop: inside it the remainder is bucketed by
 degree, and coefficients are coprime integer triples, which is what a
@@ -269,6 +270,19 @@ def _buchberger(reducers: Sequence[tuple], budget: _Budget) -> list[tuple]:
     return reducers
 
 
+def _dimension(leads: Iterable[Mono]) -> int:
+    """Dimension of the zero set of the monomial ideal the leads generate.
+
+    That zero set is the union of the coordinate subspaces spanned by the
+    sets S of variables that hold no lead's support, so its dimension is
+    the size of the largest such S: 4 without leads, -1 for a constant lead.
+    """
+    supports = {sum(1 << v for v in range(4) if m[v]) for m in leads}
+    return max(
+        (s.bit_count() for s in range(16) if all(t & ~s for t in supports)), default=-1
+    )
+
+
 def _minimalize(reducers: list[tuple]) -> list[tuple]:
     # Among elements sharing a leading monomial, prefer the sparsest and
     # lowest-degree representative (least ecart); tails of the discarded ones
@@ -324,8 +338,8 @@ class LocalIdeal:
     completes, minimalizes and tail-strips it and keeps the result; once
     computed the object is immutable.  A basis of None means its budget ran
     out, and membership queries then answer UNDECIDED.  The tangent cone
-    that outside_cone reduces against is derived from the basis on its
-    first use and kept the same way.
+    that outside_cone asks about, and its dimension, are derived from the
+    basis on first use and kept the same way.
     """
 
     def __init__(
@@ -391,9 +405,25 @@ class LocalIdeal:
         False without a reduction when there is no basis, when no lead of
         the basis divides lm(h) (membership then answers NO at no cost),
         or when h is one term divided by a basis element whose lowest form
-        is its lead alone (h then lies in the cone).  The reduction runs
-        under PRUNE_BUDGET, and running out answers False.  The cone is
-        built on the first reduction and kept, like the basis.
+        is its lead alone (h then lies in the cone).
+
+        When h is a single term c*m, a dimension drop answers first.  Let f
+        be the product of the variables in m.  If h were in in(J), then m
+        would be, and f, whose power f^deg(m) is a multiple of m, would lie
+        in the radical of in(J): f vanishes on V(in(J)), so V(in(J) + (f))
+        = V(in(J)) and both have the same dimension.  So a dimension of
+        in(J) + (f) below that of in(J) gives h outside in(J), and True.
+        Both ideals are homogeneous.  On homogeneous reducers every
+        S-polynomial and every reduction step stays in one degree, where the
+        local order is lex, so _buchberger of the cone's reducers and f is a
+        Groebner basis of in(J) + (f) under the graded order, and the cone's
+        reducers already are one of in(J).  For a homogeneous ideal and a
+        graded order the dimension is that of the leading monomials
+        (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 9 sec. 3),
+        which _dimension reads.  Equal dimensions prove nothing, and h is
+        reduced as above.  The completion and the reduction share one budget
+        of PRUNE_BUDGET steps, and running out answers False.  The cone and
+        its dimension are built on first use and kept, like the basis.
         """
         basis = self.basis
         if basis is None or p.is_zero():
@@ -412,8 +442,15 @@ class LocalIdeal:
             self._cone = [
                 (lm, 0, [t for t in tail if t[4] == mono_degree(lm)]) for lm, _, tail in basis
             ]
+            self._cone_dimension = _dimension(lm for lm, _, _ in basis)
+        budget = _Budget(PRUNE_BUDGET)
         try:
-            return bool(nf_mora(h, self._cone, _Budget(PRUNE_BUDGET)))
+            if len(h) == 1:
+                f = tuple(min(e, 1) for e in lm_h)
+                completed = _buchberger(self._cone + [(f, 0, [])], budget)
+                if _dimension(lm for lm, _, _ in completed) < self._cone_dimension:
+                    return True
+            return bool(nf_mora(h, self._cone, budget))
         except BudgetExhausted:
             return False
 
@@ -506,8 +543,10 @@ def _power_sweep(
     power too and drops the base, whose log ends with (cap, "no").  Before
     J is asked, the sweep asks the cheaper cone question
     J.outside_cone(conj(b)^cap) of the tangent cone that J caches beside
-    its basis.  True proves conj(b)^cap outside J, the same exact NO, and J
-    is not asked at all.  False proves nothing, and J is asked as before.
+    its basis; for a variable base conj(b)^cap is one term, and a dimension
+    count on the cone answers it first.  True proves conj(b)^cap outside J,
+    the same exact NO, and J is not asked at all.  False proves nothing,
+    and J is asked as before.
     A YES or an undecided answer from J leaves the base alive, and the
     sweep goes on as it was.  The conjugate side is cheap where the local
     order's tie-break picks z over zb as a lead: conj(b)^cap is

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from subelliptic import kohn, localideal
-from subelliptic.polyring import GaussRational, Poly, parse_poly, canonical_str
+from subelliptic.polyring import GaussRational, Poly, parse_poly, canonical_str, mono_degree
 from subelliptic.localideal import LocalIdeal, _power_sweep, hermitian_square_rows
 from subelliptic.domain import (
     DomainSpec,
@@ -582,6 +582,41 @@ class TestCapPrune:
         assert asked and not {"zb^32", "z^32"} & set(asked)
         digest = hashlib.sha256(serialize_trace(result).encode("utf-8")).hexdigest()
         assert digest == "4ee7bbbc91048de2c4ec85159627596362c1b1858d1e9d68dfeb5818c2af54d9"
+
+    @pytest.mark.parametrize(
+        "text,digest",
+        [
+            ("w^2 - z*w", "4ee7bbbc91048de2c4ec85159627596362c1b1858d1e9d68dfeb5818c2af54d9"),
+            ("w^2 + (-5/2 + 6*i)*z*w",
+             "327dff77bf314f41808633582ac8431ab3823decd58f3f109353845627d0f9de"),
+        ],
+        ids=["real", "complex"],
+    )
+    def test_the_zw_cap_prune_costs_the_same_at_every_cap(self, monkeypatch, text, digest):
+        """The dimension drop answers the prune, so no step reduces a high power.
+
+        The trace is the same at every radical cap, and so is the number of
+        Mora steps.  A power above degree 32 still reaches nf_mora, as a
+        membership that no lead divides, but it costs no step.
+        """
+        nf_mora, spent = localideal.nf_mora, []
+
+        def recording_nf_mora(f, reducers, budget):
+            before = budget.remaining
+            try:
+                return nf_mora(f, reducers, budget)
+            finally:
+                spent.append((max(map(mono_degree, f)), before - max(budget.remaining, 0)))
+
+        monkeypatch.setattr(localideal, "nf_mora", recording_nf_mora)
+        steps = set()
+        for cap in (8, 32, 64, 128):
+            spent.clear()
+            result = run_kohn(DomainSpec(name="zw", f=(parse_poly(text),)), radical_cap=cap)
+            assert hashlib.sha256(serialize_trace(result).encode("utf-8")).hexdigest() == digest
+            assert all(used == 0 for degree, used in spent if degree > 32)
+            steps.add(sum(used for _, used in spent))
+        assert len(steps) == 1
 
 
 def _random_real_poly(rng):

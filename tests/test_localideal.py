@@ -658,6 +658,9 @@ class TestPowerSweep:
 
         # zb^8 lies outside the tangent cone (z + w, zb + wb) of J, so the
         # cone question drops z under PRUNE_BUDGET and J is never asked.
+        # Adding zb to the cone leaves a zero set of dimension 1 < 2: the
+        # completion reduces one S-polynomial, wb, under the prune budget,
+        # and zb^8 itself is never reduced.
         cone_ideal = LocalIdeal([parse_poly("z + w")])
         assert cone_ideal.basis is not None
         asked.clear()
@@ -673,7 +676,7 @@ class TestPowerSweep:
         assert result == (None, [], {"z": [(1, "no"), (2, "no"), (8, "no")]}, ["z"])
         assert [question[1:] for question in asked] == [("z", probe), ("z^2", probe)]
         assert completed == [(False, prune)]
-        assert reduced == [("z", probe), ("z^2", probe), ("zb^8", prune)]
+        assert reduced == [("z", probe), ("z^2", probe), ("wb", prune)]
 
     def test_agrees_with_the_ascending_sweep_on_random_ideals(self):
         rng = random.Random(20261018)
@@ -734,27 +737,75 @@ class TestPowerSweep:
         assert Membership.YES in answers
 
 
+def _cone_draws():
+    """Ideals and the powers the cone question is asked about, from one seed."""
+    rng = random.Random(20261022)
+    for _ in range(200):
+        ideal = LocalIdeal(
+            vanishing_poly(rng, rng.randint(1, 2)) for _ in range(rng.randint(1, 2))
+        )
+        if rng.random() < 0.5:
+            b = Poly.variable(rng.choice(localideal.VARIABLES))
+        else:
+            b = vanishing_poly(rng, 2)
+        yield ideal, b ** rng.randint(2, 6)
+
+
 class TestTangentCone:
     """outside_cone proves p outside the ideal from p's lowest-degree form."""
 
+    @pytest.mark.parametrize(
+        "leads,dimension",
+        [(("z", "zb^2"), 2), (("z", "zb", "w*wb"), 1), ((), 4), (("1", "z"), -1)],
+    )
+    def test_dimension_of_the_leading_monomials(self, leads, dimension):
+        monos = [leading_monomial(parse_poly(text)) for text in leads]
+        assert localideal._dimension(monos) == dimension
+
     def test_a_true_answer_is_never_contradicted(self):
         """Where the cone question answers True, p is no member and has no certificate."""
-        rng = random.Random(20261022)
         outside = 0
-        for _ in range(200):
-            ideal = LocalIdeal(
-                vanishing_poly(rng, rng.randint(1, 2)) for _ in range(rng.randint(1, 2))
-            )
-            if rng.random() < 0.5:
-                b = Poly.variable(rng.choice(localideal.VARIABLES))
-            else:
-                b = vanishing_poly(rng, 2)
-            power = b ** rng.randint(2, 6)
+        for ideal, power in _cone_draws():
             if ideal.outside_cone(power):
                 outside += 1
                 assert ideal.membership(power) is not Membership.YES
                 assert not certify_membership(power, list(ideal.generators), 2)
         assert outside >= 20
+
+    def test_a_dimension_drop_is_never_contradicted(self, monkeypatch):
+        """Where the dimension drop answers True, so does the cone reduction.
+
+        The drop answered when outside_cone is True and never reduced
+        against the cone.  There the lowest form still leaves a remainder
+        against the cone under a large budget, p is no member and has no
+        certificate.  A single-term lowest form that the drop leaves open
+        falls back to the reduction.
+        """
+        nf_mora, reduced_against = localideal.nf_mora, []
+
+        def recording_nf_mora(f, reducers, budget):
+            reduced_against.append(reducers)
+            return nf_mora(f, reducers, budget)
+
+        monkeypatch.setattr(localideal, "nf_mora", recording_nf_mora)
+        answered = {"dimension": 0, "reduction": 0}
+        for ideal, power in _cone_draws():
+            low = min(map(mono_degree, power.terms))
+            h = {m: c for m, c in power.terms.items() if mono_degree(m) == low}
+            if len(h) > 1 or ideal.basis is None:
+                continue
+            reduced_against.clear()
+            if not ideal.outside_cone(power):
+                continue
+            if any(reducers is ideal._cone for reducers in reduced_against):
+                answered["reduction"] += 1
+                continue
+            answered["dimension"] += 1
+            big = _Budget(localideal.DEFAULT_STEP_BUDGET)
+            assert nf_mora(h, ideal._cone, big)
+            assert ideal.membership(power) is not Membership.YES
+            assert not certify_membership(power, list(ideal.generators), 2)
+        assert answered["dimension"] >= 10 and answered["reduction"] >= 1
 
     def test_the_question_is_asked_of_the_lowest_form(self, monkeypatch):
         """p = z + zb + w^2 lies in (p), and its lowest form z + zb in the cone.
