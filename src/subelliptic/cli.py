@@ -44,13 +44,26 @@ dataclasses: importing `dataclasses` pulls in `inspect`, `ast`, `dis`,
 more than `argparse`.  Only `kohn.KohnResult` is a dataclass, because the
 benchmark's tests rebuild results with `dataclasses.replace`; so only `kohn`
 and `compare` load it.
+
+A `--json` artifact is written whole to a new file beside its resolved
+path, then the old artifact is unlinked and the new one renamed onto the
+path, so a reader never sees a half-written artifact there.  Truncating an
+existing file instead makes ext4 (mounted with `auto_da_alloc`) flush it
+when it is closed, and renaming onto it flushes too: on a 2-core VM either
+took 45-88 ms to rewrite a 10-36 KB artifact, and this write 0.2-0.3 ms.
+The path is briefly absent between the unlink and the rename, a rewritten
+artifact gets a new file's default mode, and hard links to the old artifact
+keep the old content.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import math
+import os
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -208,6 +221,35 @@ def trace_schema() -> dict:
 
     text = resources.files("subelliptic").joinpath("trace_schema.json").read_text()
     return json.loads(text)
+
+
+def _write_artifact(path: str, text: str) -> None:
+    """Write text to a new file beside path, then move it onto path.
+
+    The sibling is created exclusively in the directory of the resolved
+    path and named from the target and the pid.  The old artifact is
+    unlinked before the rename, because truncating it or renaming onto it
+    makes ext4 flush it (see the module docstring).  On an OSError, or an
+    interrupt, the sibling is removed and the exception propagates: a failed
+    write leaves the old artifact in place, and only a rename that fails
+    after the unlink leaves the path absent.
+    """
+    if path.endswith(os.sep):  # realpath would drop the separator
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    sibling = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fh = open(sibling, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(target)
+        os.rename(sibling, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(sibling)
+        raise
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -373,7 +415,7 @@ def cmd_verify(spec: DomainSpec, args) -> tuple[int, Artifact]:
         print(f"undecided: {line}", file=sys.stderr)
     code = EXIT_OK if not problems else EXIT_UNDECIDED
     return code, {
-        "finite_diff_error": worst,
+        "finite_diff_error": "infinity" if math.isinf(worst) else worst,
         "boundary": boundary.as_dict(),
         "summary": "checks passed" if not problems else "; ".join(problems),
     }
@@ -537,10 +579,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         envelope = {"config": _config_echo(args), "spec": spec_echo(spec), **fields}
         text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
         try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            _write_artifact(args.json, text + "\n")
         except OSError as exc:
-            print(f"error: cannot write --json artifact: {exc}", file=sys.stderr)
+            reason = f"[Errno {exc.errno}] {exc.strerror}: {args.json!r}"
+            print(f"error: cannot write --json artifact: {reason}", file=sys.stderr)
             return EXIT_INPUT
     return code
 

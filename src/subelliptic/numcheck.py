@@ -214,7 +214,8 @@ def finite_diff_levi(spec: DomainSpec, points: Sequence[tuple[complex, complex]]
     tangential Hessian pairing, a route to lambda independent of the sum of
     squares the symbolic side uses.  The result is max |lam_num - lam_sym| /
     (1 + |lam_sym|) over the points, or inf as soon as one deviation is not
-    finite (an overflowing r gives NaN, which must fail the check).
+    finite or an evaluation overflows the float range (an overflowing r
+    gives NaN or raises OverflowError, and either must fail the check).
 
     The differences read r at 25 points per sample, the 5x5 grid of
     `_stencil`, and r is evaluated once at each of them with
@@ -226,8 +227,11 @@ def finite_diff_levi(spec: DomainSpec, points: Sequence[tuple[complex, complex]]
     lam = data.lam.compiled()
     worst = 0.0
     for z0, w0 in points:
-        numeric = _levi_by_differences(r, z0, w0, FINITE_DIFF_STEP)
-        reference = lam(z0, w0).real
+        try:
+            numeric = _levi_by_differences(r, z0, w0, FINITE_DIFF_STEP)
+            reference = lam(z0, w0).real
+        except OverflowError:
+            return math.inf
         deviation = abs(numeric - reference) / (1.0 + abs(reference))
         if not math.isfinite(deviation):
             return math.inf

@@ -1,5 +1,6 @@
 """Command line behavior: spec parsing, exit codes, JSON artifacts."""
 
+import errno
 import json
 import os
 import re
@@ -341,6 +342,15 @@ class TestExitCodes:
         assert "effective order  -" in captured.out
         assert "effective run refused (hypothesis failed)" in captured.err
 
+    def test_verify_when_the_differences_overflow_exits_one(self, tmp_path):
+        """w^3 at 1e110 overflows the stencil; the boundary solve then refuses."""
+        spec = write_spec(tmp_path, {"f": ["w^3"], "sample_radius": 1e110})
+        proc = run_module("verify", spec)
+        assert proc.returncode == EXIT_INPUT
+        assert "max relative deviation inf" in proc.stdout
+        assert "retry with a smaller radius" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_verify_at_a_radius_too_large_to_solve_exits_one(self, tmp_path, capsys):
         code = main(["verify", write_spec(tmp_path, {"f": ["4*z"], "sample_radius": 0.5})])
         captured = capsys.readouterr()
@@ -622,19 +632,108 @@ class TestJsonArtifacts:
         [
             ("levi", [], "directory"),
             ("verify", ["--samples", "20"], "missing/x.json"),
+            ("levi", [], "missing/"),
         ],
     )
     def test_unwritable_artifact_path_exits_one(
         self, tmp_path, capsys, command, extra, target
     ):
-        """A directory or a path in a missing directory is an input error."""
+        """A directory, a path in a missing directory or a path that names a
+        directory by its trailing separator is an input error."""
         spec = write_spec(tmp_path, FLAT)
         (tmp_path / "directory").mkdir()
-        code = main([command, spec, *extra, "--json", str(tmp_path / target)])
+        code = main([command, spec, *extra, "--json", os.path.join(tmp_path, target)])
         captured = capsys.readouterr()
         assert code == EXIT_INPUT
         assert captured.out  # the subcommand ran and reported before the write
         assert "error: cannot write --json artifact:" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["directory", "spec.json"]
+
+    def test_rewriting_an_artifact_replaces_the_file(self, tmp_path, capsys):
+        """A second run onto the same path writes a new file, not a truncation."""
+        spec = write_spec(tmp_path, FLAT)
+        fresh, out_path = tmp_path / "fresh.json", tmp_path / "kohn.json"
+        assert main(["kohn", spec, "--json", str(fresh)]) == EXIT_OK
+        assert main(["kohn", spec, "--json", str(out_path)]) == EXIT_OK
+        first = out_path.stat().st_ino
+        assert main(["kohn", spec, "--json", str(out_path)]) == EXIT_OK
+        assert out_path.read_bytes() == fresh.read_bytes()
+        assert out_path.stat().st_ino != first
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fresh.json",
+            "kohn.json",
+            "spec.json",
+        ]
+
+    @staticmethod
+    def _fail_part_way(monkeypatch, error):
+        """Make the artifact's write raise error after writing 10 characters."""
+
+        def failing_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            write = fh.write
+
+            def write_part(text):
+                write(text[:10])
+                fh.flush()
+                raise error
+
+            fh.write = write_part
+            return fh
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+
+    def test_a_failed_write_leaves_the_old_artifact(self, tmp_path, capsys, monkeypatch):
+        """The old artifact survives a write that fails part way, and no
+        sibling file is left behind."""
+        spec = write_spec(tmp_path, FLAT)
+        out_path = tmp_path / "kohn.json"
+        assert main(["kohn", spec, "--json", str(out_path)]) == EXIT_OK
+        before = out_path.read_bytes()
+        capsys.readouterr()
+        self._fail_part_way(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        code = main(["kohn", spec, "--json", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert out_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kohn.json", "spec.json"]
+        assert err == (
+            "error: cannot write --json artifact: "
+            f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{out_path}'\n"
+        )
+
+    def test_an_interrupted_write_leaves_no_sibling(self, tmp_path, capsys, monkeypatch):
+        spec = write_spec(tmp_path, FLAT)
+        self._fail_part_way(monkeypatch, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            main(["kohn", spec, "--json", str(tmp_path / "kohn.json")])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    def test_a_symlinked_path_updates_its_target(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, FLAT)
+        fresh, target = tmp_path / "fresh.json", tmp_path / "target.json"
+        link = tmp_path / "link.json"
+        target.write_text("old\n", encoding="utf-8")
+        link.symlink_to(target.name)
+        assert main(["kohn", spec, "--json", str(fresh)]) == EXIT_OK
+        assert main(["kohn", spec, "--json", str(link)]) == EXIT_OK
+        assert link.is_symlink()
+        assert os.readlink(link) == target.name
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_an_infinite_verify_deviation_is_written_as_a_string(self, tmp_path, capsys):
+        """An overflowing finite-difference check still writes strict JSON."""
+        out_path = tmp_path / "verify.json"
+        spec = write_spec(tmp_path, {"f": ["w^2"], "sample_radius": 1e77})
+        code = main(["verify", spec, "--json", str(out_path)])
+        assert code == EXIT_UNDECIDED
+        assert "max relative deviation inf" in capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        payload = json.loads(out_path.read_text(encoding="utf-8"), parse_constant=reject)
+        assert payload["finite_diff_error"] == "infinity"
 
     @pytest.mark.parametrize(
         "command,extra,fields",

@@ -181,6 +181,14 @@ class TestFiniteDifferenceOracle:
         points = polydisc_points(1e80, 50, seed=42)
         assert finite_diff_levi(cross_power_domain(3, 2, 5), points) == math.inf
 
+    def test_an_overflowing_evaluation_fails_the_check(self):
+        """At radius 1e110 w^3 raises OverflowError inside the stencil; that
+        point bounds nothing, so the result is infinite, not a traceback."""
+        points = polydisc_points(1e110, 50, seed=42)
+        with pytest.raises(OverflowError):
+            spec_of(["w^3"]).f[0].compiled_grid()([points[0][0]], [points[0][1]])
+        assert finite_diff_levi(spec_of(["w^3"]), points) == math.inf
+
 
 def _pointwise_evaluator(p: Poly):
     """Numeric evaluation of p one point at a call, term by term from 0j."""
