@@ -47,13 +47,18 @@ and `compare` load it.
 
 A `--json` artifact is written whole to a new file beside its resolved
 path, then the old artifact is unlinked and the new one renamed onto the
-path, so a reader never sees a half-written artifact there.  Truncating an
-existing file instead makes ext4 (mounted with `auto_da_alloc`) flush it
-when it is closed, and renaming onto it flushes too: on a 2-core VM either
-took 45-88 ms to rewrite a 10-36 KB artifact, and this write 0.2-0.3 ms.
-The path is briefly absent between the unlink and the rename, a rewritten
-artifact gets a new file's default mode, and hard links to the old artifact
-keep the old content.
+path, so while the system stays up a reader never sees a half-written
+artifact there.  Truncating an existing file instead makes ext4 (mounted
+with `auto_da_alloc`) flush it when it is closed, and renaming onto it
+flushes too: on a 2-core VM either took 45-88 ms to rewrite a 10-36 KB
+artifact, and this write 0.2-0.3 ms.  The path is briefly absent between
+the unlink and the rename, a rewritten artifact gets a new file's default
+mode, and hard links to the old artifact keep the old content.  Nothing
+calls fsync, and the flush no longer happens: a crash before the next
+writeback can leave an empty file at the path, or none, with the old
+artifact gone.  A device, a FIFO, a stream such as /dev/stdout, and an
+artifact whose directory refuses the new file or the unlink are written in
+place, as before.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ import errno
 import json
 import math
 import os
+import stat
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -227,29 +233,63 @@ def _write_artifact(path: str, text: str) -> None:
     """Write text to a new file beside path, then move it onto path.
 
     The sibling is created exclusively in the directory of the resolved
-    path and named from the target and the pid.  The old artifact is
-    unlinked before the rename, because truncating it or renaming onto it
-    makes ext4 flush it (see the module docstring).  On an OSError, or an
-    interrupt, the sibling is removed and the exception propagates: a failed
-    write leaves the old artifact in place, and only a rename that fails
-    after the unlink leaves the path absent.
+    path and named from the target and the pid; one left by a killed run
+    with the same pid is removed first.  The old artifact is unlinked before
+    the rename, because truncating it or renaming onto it makes ext4 flush
+    it (see the module docstring).  On an OSError, or an interrupt, the
+    sibling is removed and the exception propagates: a failed write leaves
+    the old artifact in place, and only a rename that fails after the unlink
+    leaves the path absent.
+
+    A target that exists but is not a regular file (a device such as
+    /dev/null, a FIFO), and a path under /dev or /proc (a stream such as
+    /dev/stdout resolves to the file that stream is open on), is written in
+    place, as is an existing artifact whose directory refuses a new file or
+    the unlink.
     """
     if path.endswith(os.sep):  # realpath would drop the separator
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     target = os.path.realpath(path)
+    try:
+        exists, regular = True, stat.S_ISREG(os.stat(target).st_mode)
+    except FileNotFoundError:
+        exists, regular = False, True
+    if not regular or os.path.abspath(path).startswith(("/dev/", "/proc/")):
+        _write_in_place(path, text)
+        return
     directory, name = os.path.split(target)
     sibling = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    fh = open(sibling, "x", encoding="utf-8")
+    try:
+        fh = open(sibling, "x", encoding="utf-8")
+    except FileExistsError:  # left by a killed run that had this pid
+        os.unlink(sibling)
+        fh = open(sibling, "x", encoding="utf-8")
+    except PermissionError:
+        if not exists:
+            raise
+        _write_in_place(target, text)
+        return
     try:
         with fh:
             fh.write(text)
-        with contextlib.suppress(FileNotFoundError):
+        try:
             os.unlink(target)
+        except FileNotFoundError:
+            pass
+        except PermissionError:  # e.g. another user's file in a sticky directory
+            os.unlink(sibling)
+            _write_in_place(target, text)
+            return
         os.rename(sibling, target)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(sibling)
         raise
+
+
+def _write_in_place(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _config_echo(args: argparse.Namespace) -> dict:

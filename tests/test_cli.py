@@ -4,8 +4,10 @@ import errno
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -720,6 +722,117 @@ class TestJsonArtifacts:
         assert link.is_symlink()
         assert os.readlink(link) == target.name
         assert target.read_bytes() == fresh.read_bytes()
+
+    def test_a_device_target_is_written_in_place(self, tmp_path, capsys):
+        """--json os.devnull discards the artifact and leaves the device be."""
+        spec = write_spec(tmp_path, FLAT)
+        assert main(["kohn", spec, "--json", os.devnull]) == EXIT_OK
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_fifo_target_is_written_in_place(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, FLAT)
+        fresh, fifo = tmp_path / "fresh.json", tmp_path / "pipe"
+        assert main(["kohn", spec, "--json", str(fresh)]) == EXIT_OK
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        assert main(["kohn", spec, "--json", str(fifo)]) == EXIT_OK
+        reader.join(timeout=10)
+        assert received == [fresh.read_bytes()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fresh.json",
+            "pipe",
+            "spec.json",
+        ]
+
+    def test_json_to_redirected_stdout_keeps_the_redirect_target(self, tmp_path):
+        """/dev/stdout resolves to the file stdout is open on; that file is
+        written through, not unlinked."""
+        spec = write_spec(tmp_path, FLAT)
+        fresh, out_path = tmp_path / "fresh.json", tmp_path / "out.json"
+        assert main(["levi", spec, "--json", str(fresh)]) == EXIT_OK
+        with open(out_path, "w", encoding="utf-8") as out:
+            inode = os.fstat(out.fileno()).st_ino
+            proc = subprocess.run(
+                [sys.executable, "-m", "subelliptic", "levi", spec, "--json", "/dev/stdout"],
+                stdout=out,
+            )
+        assert proc.returncode == 0
+        assert out_path.stat().st_ino == inode
+        assert out_path.read_bytes().startswith(fresh.read_bytes())
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fresh.json",
+            "out.json",
+            "spec.json",
+        ]
+
+    def test_a_stale_sibling_is_replaced(self, tmp_path, capsys):
+        """A sibling left by a killed run with this pid does not block the write."""
+        spec = write_spec(tmp_path, FLAT)
+        fresh, out_path = tmp_path / "fresh.json", tmp_path / "kohn.json"
+        (tmp_path / f".kohn.json.{os.getpid()}.tmp").write_text("stale", encoding="utf-8")
+        assert main(["kohn", spec, "--json", str(fresh)]) == EXIT_OK
+        assert main(["kohn", spec, "--json", str(out_path)]) == EXIT_OK
+        assert out_path.read_bytes() == fresh.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fresh.json",
+            "kohn.json",
+            "spec.json",
+        ]
+
+    def test_an_artifact_that_cannot_be_unlinked_is_written_in_place(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Another user's writable artifact in a sticky directory is rewritten
+        in place, and the sibling is removed."""
+        spec = write_spec(tmp_path, FLAT)
+        fresh, out_path = tmp_path / "fresh.json", tmp_path / "kohn.json"
+        assert main(["kohn", spec, "--json", str(fresh)]) == EXIT_OK
+        out_path.write_text("old\n", encoding="utf-8")
+        inode = out_path.stat().st_ino
+        unlink = os.unlink
+
+        def refuse_target(path, *args, **kwargs):
+            if os.fspath(path) == str(out_path):
+                raise PermissionError(errno.EPERM, os.strerror(errno.EPERM), path)
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", refuse_target)
+        assert main(["kohn", spec, "--json", str(out_path)]) == EXIT_OK
+        assert out_path.stat().st_ino == inode
+        assert out_path.read_bytes() == fresh.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fresh.json",
+            "kohn.json",
+            "spec.json",
+        ]
+
+    def test_an_artifact_in_a_directory_refusing_new_files_is_written_in_place(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        spec = write_spec(tmp_path, FLAT)
+        fresh, out_path = tmp_path / "fresh.json", tmp_path / "kohn.json"
+        assert main(["kohn", spec, "--json", str(fresh)]) == EXIT_OK
+        out_path.write_text("old\n", encoding="utf-8")
+        inode = out_path.stat().st_ino
+
+        def refuse_new_files(path, mode="r", *args, **kwargs):
+            if "x" in mode:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refuse_new_files, raising=False)
+        assert main(["kohn", spec, "--json", str(out_path)]) == EXIT_OK
+        assert out_path.stat().st_ino == inode
+        assert out_path.read_bytes() == fresh.read_bytes()
+        assert main(["kohn", spec, "--json", str(tmp_path / "new.json")]) == EXIT_INPUT
+        assert "[Errno 13]" in capsys.readouterr().err
 
     def test_an_infinite_verify_deviation_is_written_as_a_string(self, tmp_path, capsys):
         """An overflowing finite-difference check still writes strict JSON."""
