@@ -301,7 +301,7 @@ def _float_text(value) -> str:
     if value is None:
         return "n/a"
     if math.isinf(value):
-        return "infinity"
+        return "infinity" if value > 0 else "-infinity"
     return f"{value:.10g}"
 
 

@@ -5,10 +5,11 @@ pointwise inequalities its hypotheses assert near the origin (domination of
 the g-derivatives by the f-derivatives, pseudoconvexity of the boundary).
 This module samples those inequalities on seeded polydiscs and
 cross-validates the symbolic Levi determinant against finite differences.
-The differences at one sample read r on a shared 5x5 grid of z and w moved
-by FINITE_DIFF_STEP, each point evaluated once by `Poly.compiled_grid`,
-which repeats the float operations of `Poly.compiled()` in their order; so
-the check is bit-identical to evaluating r point by point.
+The differences at one sample read r on a 5x5 grid of z and w moved by
+FINITE_DIFF_STEP.  `_evaluate_columns` reads that grid for a block of
+samples at once, term by term over whole columns, with the float operations
+of `Poly.compiled()` in their order; so the check is bit-identical to
+evaluating r point by point, whatever the block size.
 Reports are deterministic for a fixed seed and never override a symbolic
 result; at most they gate whether the effective chain may call its
 hypothesis verified.
@@ -18,15 +19,22 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import repeat
+from operator import add, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .domain import DomainError, DomainSpec, expand_r
+from .polyring import Mono, Poly
 
 DEGENERATE_TOL = 1e-14
 FIXED_POINT_TOL = 1e-12
 FINITE_DIFF_STEP = 1e-4
 FIXED_POINT_CAP = 100
 HYPO_GATE = 0.99
+# Points per `_evaluate_columns` call in `finite_diff_levi`: long enough
+# that a term's work on a column outweighs the loop around it, short enough
+# that the stencil's 25 columns of r stay small at any sample count.
+_BLOCK = 256
 
 
 class BoundarySolveError(DomainError):
@@ -70,7 +78,7 @@ class SampleReport(_SampleFields):
 
         def encode(value):
             if isinstance(value, float) and math.isinf(value):
-                return "infinity"
+                return "infinity" if value > 0 else "-infinity"
             return value
 
         fields = {name: encode(value) for name, value in self._asdict().items()}
@@ -169,6 +177,9 @@ def boundary_pseudoconvexity(
     Re z by fixed-point iteration; since r_z(0) = 1 the map is a
     contraction for small radii.  Failure to converge means the radius is
     too large for the normalization to dominate and is reported as such.
+    A lambda that is not finite (NaN, an infinity, or an evaluation that
+    overflows the float range) bounds nothing: it counts as -inf, a
+    violation that also sets the minimum.
     """
     radius = spec.sample_radius if radius is None else radius
     data = expand_r(spec)
@@ -198,7 +209,12 @@ def boundary_pseudoconvexity(
         else:
             raise _divergence(radius)
         z = complex(x, y)
-        value = lam(z, w).real
+        try:
+            value = lam(z, w).real
+        except OverflowError:
+            value = -math.inf
+        if not math.isfinite(value):
+            value = -math.inf
         min_lambda = min(min_lambda, value)
         if value < -FIXED_POINT_TOL:
             violations.append(_point_record(z, w, value))
@@ -217,75 +233,138 @@ def finite_diff_levi(spec: DomainSpec, points: Sequence[tuple[complex, complex]]
     finite or an evaluation overflows the float range (an overflowing r
     gives NaN or raises OverflowError, and either must fail the check).
 
-    The differences read r at 25 points per sample, the 5x5 grid of
-    `_stencil`, and r is evaluated once at each of them with
-    `Poly.compiled_grid`, whose every value is bit-identical to
-    `Poly.compiled()` at that point; so is the result.
+    The points go through `_evaluate_columns` _BLOCK at a time: r at the 5x5
+    stencil of every point of a block, lambda at the points themselves.
+    Every value is bit-identical to `Poly.compiled()` at its point, and so
+    is the result; the block size bounds memory, not the answer.
     """
     data = expand_r(spec)
-    r = data.r.compiled_grid()
-    lam = data.lam.compiled()
+    r = _float_terms(data.r)
+    lam = _float_terms(data.lam)
+    h = FINITE_DIFF_STEP
     worst = 0.0
-    for z0, w0 in points:
+    for start in range(0, len(points), _BLOCK):
+        block = points[start:start + _BLOCK]
+        zs = [z for z, _ in block]
+        ws = [w for _, w in block]
         try:
-            numeric = _levi_by_differences(r, z0, w0, FINITE_DIFF_STEP)
-            reference = lam(z0, w0).real
+            numeric = _levi_by_differences(
+                _evaluate_columns(r, _stencil_columns(zs, h), _stencil_columns(ws, h)), h
+            )
+            reference = [value.real for value in _evaluate_columns(lam, [zs], [ws])[0][0]]
         except OverflowError:
             return math.inf
-        deviation = abs(numeric - reference) / (1.0 + abs(reference))
-        if not math.isfinite(deviation):
-            return math.inf
-        worst = max(worst, deviation)
+        for num, ref in zip(numeric, reference):
+            deviation = abs(num - ref) / (1.0 + abs(ref))
+            if not math.isfinite(deviation):
+                return math.inf
+            worst = max(worst, deviation)
     return worst
 
 
-def _stencil(r, z0: complex, w0: complex, h: float) -> list[list[float]]:
-    """Re r on the grid of z0 and w0 moved by 0 or +-h along one real axis.
+def _float_terms(p: Poly) -> list[tuple[complex, Mono]]:
+    return [(c.to_complex(), m) for m, c in p.terms.items()]
 
-    Row i holds z = complex(x + dx, y + dy) and column j holds
-    w = complex(u + du, v + dv), for the i-th and j-th step of
-    (0, 0), (h, 0), (-h, 0), (0, h), (0, -h): the points, signed zeros
-    included, that evaluating r one point at a time would read.
+
+def _evaluate_columns(
+    terms: Sequence[tuple[complex, Mono]],
+    zs: Sequence[Sequence[complex]],
+    ws: Sequence[Sequence[complex]],
+) -> list[list[list[complex]]]:
+    """The polynomial at (zs[i][n], ws[j][n]), as cells[i][j][n].
+
+    Every cell holds the float `Poly.compiled()` gives at its point: the
+    terms summed from 0j in term order, each as
+    ((((coeff*z^a)*zb^b)*w^c)*wb^d) with Python's complex ** and *.  Only
+    the loop order differs: each term is applied to whole columns, and each
+    distinct power is taken of a column once.  Since x**0 is 1+0j for every
+    complex x, a term free of z has the same head coeff*z^0*zb^0 in every
+    row, and a term free of w the same product in every column; such a
+    product is formed once and added to each cell it reaches.
     """
-    x, y, u, v = z0.real, z0.imag, w0.real, w0.imag
+    n = len(zs[0])
+    zbs = [list(map(complex.conjugate, column)) for column in zs]
+    wbs = [list(map(complex.conjugate, column)) for column in ws]
+    z_pow, zb_pow = _powers(zs, terms, 0), _powers(zbs, terms, 1)
+    w_pow, wb_pow = _powers(ws, terms, 2), _powers(wbs, terms, 3)
+    cells = [[[0j] * n for _ in ws] for _ in zs]
+    for coeff, (a, b, c, d) in terms:
+        # Row i (column k) stands for every row (column) when the term is
+        # free of z (of w): its products there are the same.
+        rows = range(len(zs)) if a or b else [0] * len(zs)
+        columns = range(len(ws)) if c or d else [0] * len(ws)
+        heads = {
+            i: list(map(mul, map(mul, repeat(coeff, n), z_pow[i][a]), zb_pow[i][b]))
+            for i in set(rows)
+        }
+        products = {}
+        for i, row in zip(rows, cells):
+            for j, k in enumerate(columns):
+                term = products.get((i, k))
+                if term is None:
+                    term = products[i, k] = list(
+                        map(mul, map(mul, heads[i], w_pow[k][c]), wb_pow[k][d])
+                    )
+                row[j] = list(map(add, row[j], term))
+    return cells
+
+
+def _powers(columns, terms, at: int) -> list[dict[int, list[complex]]]:
+    """Each column's powers that the terms read at exponent position at."""
+    exponents = {m[at] for _, m in terms}
+    return [{e: list(map(pow, column, repeat(e))) for e in exponents} for column in columns]
+
+
+def _stencil_columns(points: Sequence[complex], h: float) -> list[list[complex]]:
+    """The points moved by 0 or +-h along one real axis, one column a step.
+
+    Column k moves by the k-th step of (0, 0), (h, 0), (-h, 0), (0, h),
+    (0, -h), rebuilding each point as complex(x + dx, y + dy): the points,
+    signed zeros included, that evaluating r one point at a time would read.
+    """
     steps = ((0.0, 0.0), (h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))
-    zs = [complex(x + dx, y + dy) for dx, dy in steps]
-    ws = [complex(u + du, v + dv) for du, dv in steps]
-    return [[value.real for value in row] for row in r(zs, ws)]
+    return [[complex(p.real + dx, p.imag + dy) for p in points] for dx, dy in steps]
 
 
-def _levi_by_differences(r, z0: complex, w0: complex, h: float) -> float:
-    grid = _stencil(r, z0, w0, h)
+def _levi_by_differences(cells: list[list[list[complex]]], h: float) -> list[float]:
+    """lambda from central differences of Re r on the stencil, per point.
+
+    cells[i][j] holds r at the i-th z column and j-th w column of
+    `_stencil_columns`; the arithmetic is the same, point by point.
+    """
+    grid = [[[value.real for value in cell] for cell in row] for row in cells]
     center = grid[0][0]
-    # Grid indices of the +h step along each real axis; the -h step follows.
+    # Column indices of the +h step along each real axis; the -h step follows.
     X = U = 1
     Y = V = 3
 
-    def first(plus: float, minus: float) -> float:
-        return (plus - minus) / (2.0 * h)
+    def first(plus: list[float], minus: list[float]) -> list[float]:
+        return [(p - m) / (2.0 * h) for p, m in zip(plus, minus)]
 
-    def pure(plus: float, minus: float) -> float:
-        return (plus - 2.0 * center + minus) / (h * h)
+    def pure(plus: list[float], minus: list[float]) -> list[float]:
+        return [(p - 2.0 * c + m) / (h * h) for p, c, m in zip(plus, center, minus)]
 
-    def mixed(i: int, j: int) -> float:
-        return (
-            grid[i][j] - grid[i][j + 1] - grid[i + 1][j] + grid[i + 1][j + 1]
-        ) / (4.0 * h * h)
+    def mixed(i: int, j: int) -> list[float]:
+        return [
+            (pp - pm - mp + mm) / (4.0 * h * h)
+            for pp, pm, mp, mm in zip(
+                grid[i][j], grid[i][j + 1], grid[i + 1][j], grid[i + 1][j + 1]
+            )
+        ]
 
     x_axis = grid[X][0], grid[X + 1][0]
     y_axis = grid[Y][0], grid[Y + 1][0]
     u_axis = grid[0][U], grid[0][U + 1]
     v_axis = grid[0][V], grid[0][V + 1]
-    r_z = 0.5 * complex(first(*x_axis), -first(*y_axis))
-    r_w = 0.5 * complex(first(*u_axis), -first(*v_axis))
-    r_zzb = 0.25 * (pure(*x_axis) + pure(*y_axis))
-    r_wwb = 0.25 * (pure(*u_axis) + pure(*v_axis))
-    r_zwb = 0.25 * complex(
-        mixed(X, U) + mixed(Y, V),
-        mixed(X, V) - mixed(Y, U),
-    )
-    return (
-        r_wwb * abs(r_z) ** 2
-        + r_zzb * abs(r_w) ** 2
-        - 2.0 * (r_zwb * r_w * r_z.conjugate()).real
-    )
+    r_z = [0.5 * complex(dx, -dy) for dx, dy in zip(first(*x_axis), first(*y_axis))]
+    r_w = [0.5 * complex(du, -dv) for du, dv in zip(first(*u_axis), first(*v_axis))]
+    r_zzb = [0.25 * (xx + yy) for xx, yy in zip(pure(*x_axis), pure(*y_axis))]
+    r_wwb = [0.25 * (uu + vv) for uu, vv in zip(pure(*u_axis), pure(*v_axis))]
+    r_zwb = [
+        0.25 * complex(xu + yv, xv - yu)
+        for xu, yv, xv, yu in zip(mixed(X, U), mixed(Y, V), mixed(X, V), mixed(Y, U))
+    ]
+    return [
+        wwb * abs(z) ** 2 + zzb * abs(w) ** 2 - 2.0 * (zwb * w * z.conjugate()).real
+        for z, w, zzb, wwb, zwb in zip(r_z, r_w, r_zzb, r_wwb, r_zwb)
+    ]

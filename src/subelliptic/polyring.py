@@ -17,11 +17,10 @@ canonical form of 3w^2 + 2z^5w.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd
 from numbers import Rational
-from operator import add, itemgetter, mul
-from typing import Callable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Mapping
 
 
 def _power(base, n: int, one):
@@ -431,8 +430,10 @@ class Poly:
     def compiled(self) -> Callable[[complex, complex], complex]:
         """Precompute float coefficients for repeated numeric evaluation.
 
-        `compiled_grid` repeats these float operations in this order, so a
-        change here is a change there.
+        The value at (z0, w0) sums the terms from 0j in term order, each as
+        ((((coeff*z0^a)*zb0^b)*w0^c)*wb0^d) with Python's complex ** and *.
+        `numcheck._evaluate_columns` repeats this float sequence over whole
+        columns of points, so a change here is a change there.
         """
         data = [(c.to_complex(), m) for m, c in self.terms.items()]
 
@@ -442,37 +443,6 @@ class Poly:
             for cc, m in data:
                 total += cc * z0 ** m[0] * zb0 ** m[1] * w0 ** m[2] * wb0 ** m[3]
             return total
-
-        return ev
-
-    def compiled_grid(
-        self,
-    ) -> Callable[[Sequence[complex], Sequence[complex]], list[list[complex]]]:
-        """Numeric evaluation at every pair (zs[i], ws[j]), as rows i of columns j.
-
-        Each cell is bit-identical to `compiled()` at its point: it sums the
-        terms from 0j in the same order, each as ((((c*z^a)*zb^b)*w^c)*wb^d).
-        c*z^a*zb^b is formed once per z and term, w^c and wb^d once per w
-        and term, so a cell costs two products and a sum per term.
-        """
-        data = [(c.to_complex(), m) for m, c in self.terms.items()]
-
-        def ev(zs: Sequence[complex], ws: Sequence[complex]) -> list[list[complex]]:
-            rows = []
-            for z in zs:
-                zb = z.conjugate()
-                rows.append([cc * z ** m[0] * zb ** m[1] for cc, m in data])
-            columns = []
-            for w in ws:
-                wb = w.conjugate()
-                columns.append(([w ** m[2] for _, m in data], [wb ** m[3] for _, m in data]))
-            return [
-                [
-                    reduce(add, map(mul, map(mul, row, w_pow), wb_pow), 0j)
-                    for w_pow, wb_pow in columns
-                ]
-                for row in rows
-            ]
 
         return ev
 

@@ -592,21 +592,37 @@ class TestJsonArtifacts:
         }
 
     @pytest.mark.parametrize(
-        "spec,finite_diff_error,min_lambda",
+        "spec,extra,finite_diff_error,min_lambda",
         [
-            (FLAT, "0x1.3522c40000000p-30", "0x1.0000000000000p+0"),
-            (BORDERLINE, "0x1.6a43549e614b0p-27", "0x1.1f4db7fa0a1d3p-20"),
-            (TWO, "0x1.459bab9acc3a0p-26", "0x1.c0f0544fe6f62p-14"),
-            (CP325, "0x1.e519a3d49955dp-28", "0x1.bacc040927056p-28"),
+            (FLAT, [], "0x1.3522c40000000p-30", "0x1.0000000000000p+0"),
+            (BORDERLINE, [], "0x1.6a43549e614b0p-27", "0x1.1f4db7fa0a1d3p-20"),
+            (TWO, [], "0x1.459bab9acc3a0p-26", "0x1.c0f0544fe6f62p-14"),
+            (CP325, [], "0x1.e519a3d49955dp-28", "0x1.bacc040927056p-28"),
+            # Several blocks of the finite-difference kernel, the last one
+            # partial; the maximum deviation lies beyond the first 1,000 points.
+            (
+                {"name": "cross-power(6,1,10)", "params": {"tau": 6, "l": 1, "k": 10}},
+                ["--samples", "2500"],
+                "0x1.27d2b858bb454p-29",
+                "0x1.a47e0cb2a049dp-83",
+            ),
         ],
-        ids=["flat", "borderline", "two-component", "cross-power(3,2,5)"],
+        ids=[
+            "flat",
+            "borderline",
+            "two-component",
+            "cross-power(3,2,5)",
+            "cross-power(6,1,10)",
+        ],
     )
     def test_verify_artifact_is_pinned(
-        self, tmp_path, capsys, spec, finite_diff_error, min_lambda
+        self, tmp_path, capsys, spec, extra, finite_diff_error, min_lambda
     ):
-        """The default verify run reproduces its floats bit for bit."""
+        """The verify run reproduces its floats bit for bit."""
         out_path = tmp_path / "verify.json"
-        code = main(["verify", write_spec(tmp_path, spec), "--json", str(out_path)])
+        code = main(
+            ["verify", write_spec(tmp_path, spec), *extra, "--json", str(out_path)]
+        )
         assert code == EXIT_OK
         payload = json.loads(out_path.read_text(encoding="utf-8"))
         assert payload["finite_diff_error"].hex() == finite_diff_error
@@ -847,6 +863,41 @@ class TestJsonArtifacts:
 
         payload = json.loads(out_path.read_text(encoding="utf-8"), parse_constant=reject)
         assert payload["finite_diff_error"] == "infinity"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # lambda is -inf on the sampled boundary, or NaN where the
+            # infinities cancel.
+            {"f": ["(1+i)*z*w^4"], "g": ["(1+i)*z*w^4 + i*w^2"]},
+            # The solve converges at x = -0.0 and lambda is NaN everywhere.
+            {
+                "f": ["1/2*z^2*w^4 + 1/2*z^3*w^3"],
+                "g": ["1/2*z^2*w^4 + 1/2*z^3*w^3 + 2*z*w + i*z^3*w^2"],
+            },
+            # Evaluating lambda raises OverflowError.
+            {"f": ["2*z*w + i*z*w^6"], "g": ["2*z*w + i*z*w^6 + 2*w^6"]},
+        ],
+        ids=["negative-infinity", "nan", "overflow"],
+    )
+    def test_a_non_finite_boundary_lambda_is_minus_infinity(self, tmp_path, capsys, spec):
+        """Every sampled lambda bounds nothing: each is a violation of value
+        -inf, printed and written with its sign."""
+        out_path = tmp_path / "verify.json"
+        path = write_spec(tmp_path, {**spec, "sample_radius": 1e20})
+        code = main(["verify", path, "--samples", "50", "--json", str(out_path)])
+        assert code == EXIT_UNDECIDED
+        captured = capsys.readouterr()
+        assert "boundary Levi minimum: -infinity" in captured.out
+        assert "pseudoconvexity violated on 50 boundary samples" in captured.err
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        payload = json.loads(out_path.read_text(encoding="utf-8"), parse_constant=reject)
+        boundary = payload["boundary"]
+        assert boundary["min_lambda_on_boundary"] == "-infinity"
+        assert [v["value"] for v in boundary["violations"]] == ["-infinity"] * 50
 
     @pytest.mark.parametrize(
         "command,extra,fields",

@@ -17,6 +17,7 @@ from subelliptic.domain import (
 )
 from subelliptic import numcheck
 from subelliptic.numcheck import (
+    _BLOCK,
     BoundarySolveError,
     SampleReport,
     boundary_pseudoconvexity,
@@ -24,6 +25,8 @@ from subelliptic.numcheck import (
     hypothesis_holds,
     polydisc_points,
     sample_hypo,
+    _evaluate_columns,
+    _float_terms,
 )
 
 
@@ -149,6 +152,26 @@ class TestBoundaryPseudoconvexity:
         with pytest.raises(BoundarySolveError, match="smaller radius"):
             boundary_pseudoconvexity(steep, radius=0.5, n=50)
 
+    @pytest.mark.parametrize(
+        "f,g",
+        [
+            # The solve converges at x = -0.0 and lambda is NaN.
+            (
+                ["1/2*z^2*w^4 + 1/2*z^3*w^3"],
+                ["1/2*z^2*w^4 + 1/2*z^3*w^3 + 2*z*w + i*z^3*w^2"],
+            ),
+            # Evaluating lambda raises OverflowError.
+            (["2*z*w + i*z*w^6"], ["2*z*w + i*z*w^6 + 2*w^6"]),
+        ],
+        ids=["nan", "overflow"],
+    )
+    def test_a_non_finite_lambda_is_a_violation(self, f, g):
+        """Such a lambda bounds nothing: it counts as -inf, and so does the
+        minimum."""
+        report = boundary_pseudoconvexity(spec_of(f, g), radius=1e20, n=50)
+        assert report.min_lambda_on_boundary == -math.inf
+        assert [v["value"] for v in report.violations] == [-math.inf] * 50
+
     def test_determinism(self):
         a = boundary_pseudoconvexity(flat_domain(), radius=0.2, n=50, seed=5)
         b = boundary_pseudoconvexity(flat_domain(), radius=0.2, n=50, seed=5)
@@ -186,8 +209,33 @@ class TestFiniteDifferenceOracle:
         point bounds nothing, so the result is infinite, not a traceback."""
         points = polydisc_points(1e110, 50, seed=42)
         with pytest.raises(OverflowError):
-            spec_of(["w^3"]).f[0].compiled_grid()([points[0][0]], [points[0][1]])
+            _evaluate_columns(_float_terms(parse_poly("w^3")), [[points[0][0]]], [[points[0][1]]])
         assert finite_diff_levi(spec_of(["w^3"]), points) == math.inf
+
+    @pytest.mark.parametrize("count", [_BLOCK, 2 * _BLOCK + 5], ids=["full", "partial"])
+    @pytest.mark.parametrize(
+        "spec,far",
+        [(spec_of(["w^3"]), 1e110), (cross_power_domain(3, 2, 5), 1e80)],
+        ids=["overflow", "nan"],
+    )
+    def test_a_block_whose_last_point_fails_fails_the_check(self, spec, far, count):
+        """Only the last point of a block, full or partial, is far out: there
+        w^3 raises OverflowError, or r turns NaN.  Every other point passes."""
+        near = polydisc_points(0.5, count - 1, seed=42)
+        assert finite_diff_levi(spec, near) <= 1e-5
+        assert finite_diff_levi(spec, near + polydisc_points(far, 1, seed=42)) == math.inf
+
+    def test_blocks_give_the_maximum_of_single_points(self):
+        """Over more than two blocks, the last one partial, the check is the
+        maximum of its one-point calls, bit for bit, also with the worst
+        point moved last, into the partial block."""
+        spec = cross_power_domain(3, 2, 5)
+        points = polydisc_points(0.5, 2 * _BLOCK + 5, seed=3)
+        single = [finite_diff_levi(spec, [point]) for point in points]
+        assert max(single) > 0.0
+        assert finite_diff_levi(spec, points).hex() == max(single).hex()
+        points.append(points.pop(single.index(max(single))))
+        assert finite_diff_levi(spec, points).hex() == max(single).hex()
 
 
 def _pointwise_evaluator(p: Poly):
@@ -305,6 +353,95 @@ class TestStencilKernel:
                     assert got.hex() == expected.hex(), (spec, z0, w0, h)
 
 
+_SPECIAL_POINTS = [
+    0j,
+    complex(-0.0, 0.0),
+    complex(0.0, -0.0),
+    complex(-0.0, -0.0),
+    complex(math.nan, 0.0),
+    complex(-0.0, math.nan),
+    complex(math.nan, math.nan),
+]
+
+
+def _random_poly(rng: random.Random) -> Poly:
+    """Up to 8 terms of degree up to 4 in each variable, and a constant, a
+    term free of z and a term free of w, so that every exponent position
+    also reads zero."""
+    terms = {(0, 0, 0, 0): rng.choice(_COEFFICIENTS)}
+    terms[(0, 0, rng.randint(0, 3), rng.randint(1, 3))] = rng.choice(_COEFFICIENTS)
+    terms[(rng.randint(1, 3), rng.randint(0, 3), 0, 0)] = rng.choice(_COEFFICIENTS)
+    for _ in range(rng.randint(0, 8)):
+        terms[tuple(rng.randint(0, 4) for _ in range(4))] = rng.choice(_COEFFICIENTS)
+    order = list(terms)
+    rng.shuffle(order)
+    return Poly({m: terms[m] for m in order})
+
+
+def _hexes(value: complex) -> tuple[str, str]:
+    return value.real.hex(), value.imag.hex()
+
+
+def _assert_kernel_is_compiled(p: Poly, zs, ws) -> None:
+    """Every cell of the kernel is compiled() at its point, hex for hex, or
+    both raise OverflowError."""
+    f = p.compiled()
+    try:
+        expected = [
+            [[_hexes(f(z0, w0)) for z0, w0 in zip(z_col, w_col)] for w_col in ws]
+            for z_col in zs
+        ]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _evaluate_columns(_float_terms(p), zs, ws)
+        return
+    cells = _evaluate_columns(_float_terms(p), zs, ws)
+    assert [[[_hexes(v) for v in cell] for cell in row] for row in cells] == expected
+
+
+class TestColumnKernel:
+    """`_evaluate_columns` against `Poly.compiled()` point by point."""
+
+    def test_cells_are_compiled_bit_for_bit(self):
+        """Columns longer than a block, with signed zeros and NaNs among the
+        points and zero exponents in every position."""
+        rng = random.Random(109)
+        length = _BLOCK + 37
+
+        def column():
+            points = [
+                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(length)
+            ]
+            for special in _SPECIAL_POINTS:
+                points[rng.randrange(length)] = special
+            return points
+
+        for _ in range(30):
+            zs, ws = [column() for _ in range(3)], [column() for _ in range(2)]
+            _assert_kernel_is_compiled(_random_poly(rng), zs, ws)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["w^2 + 3*w*wb", "z + zb", "z*w + 2", "(1 + i)*z^2*zb*w*wb^3 - 1/3", "z*wb + 5"],
+    )
+    def test_every_pair_of_special_points(self, text):
+        """Signed zeros, NaNs, infinities and huge values against each other.
+        A positive power of an infinite point overflows; its zeroth power is
+        1+0j, so a term free of that variable stays finite, in any row."""
+        p = parse_poly(text)
+        points = _SPECIAL_POINTS + [
+            complex(math.inf, 0.0),
+            complex(0.0, -math.inf),
+            complex(math.inf, math.nan),
+            complex(1e200, 1e200),
+            complex(0.5, -0.25),
+        ]
+        for z0 in points:
+            for w0 in points:
+                _assert_kernel_is_compiled(p, [[z0]], [[w0]])
+                _assert_kernel_is_compiled(p, [[0.5 + 0j], [z0]], [[0.25j], [w0]])
+
+
 class TestReportSerialization:
     def test_each_report_owns_its_violations(self):
         first = SampleReport(radius=0.1, n_samples=5, seed=1)
@@ -335,6 +472,18 @@ class TestReportSerialization:
         encoded = report.as_dict()
         assert encoded["delta_hat"] == "infinity"
         assert encoded["min_lambda_on_boundary"] is None
+
+    def test_negative_infinities_keep_their_sign(self):
+        report = SampleReport(
+            radius=0.1,
+            n_samples=5,
+            seed=1,
+            min_lambda_on_boundary=-math.inf,
+            violations=[{"z": [0.0, 0.0], "w": [0.0, 0.0], "value": -math.inf}],
+        )
+        encoded = report.as_dict()
+        assert encoded["min_lambda_on_boundary"] == "-infinity"
+        assert [v["value"] for v in encoded["violations"]] == ["-infinity"]
 
     def test_infinite_violation_values_are_encoded(self):
         report = sample_hypo(spec_of(["z*w"], g=["w"]), radius=1e-9, n=5)

@@ -511,27 +511,6 @@ class TestEvaluation:
             w0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             assert abs(f(z0, w0) - term_sum(z0, w0)) < 1e-12
 
-    def test_compiled_grid_is_compiled_bit_for_bit(self):
-        """Every grid cell is the float compiled() returns at its point."""
-        rng = random.Random(109)
-        zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
-        for _ in range(30):
-            p = random_poly(rng, 8, 4)
-            f, grid = p.compiled(), p.compiled_grid()
-            zs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
-            ws = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
-            zs, ws = zs + zeros, ws + zeros
-            values = grid(zs, ws)
-            assert len(values) == len(zs)
-            for z0, row in zip(zs, values):
-                assert len(row) == len(ws)
-                for w0, value in zip(ws, row):
-                    expected = f(z0, w0)
-                    assert (value.real.hex(), value.imag.hex()) == (
-                        expected.real.hex(),
-                        expected.imag.hex(),
-                    )
-
     def test_real_poly_evals_real(self):
         rng = random.Random(109)
         for _ in range(40):
