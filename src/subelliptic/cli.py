@@ -59,6 +59,21 @@ writeback can leave an empty file at the path, or none, with the old
 artifact gone.  A device, a FIFO, a stream such as /dev/stdout, and an
 artifact whose directory refuses the new file or the unlink are written in
 place, as before.
+
+Process lifecycle: `subelliptic` and `python -m subelliptic` enter at `run`,
+which calls `main`, flushes stdout and calls `gc.freeze()` before the
+interpreter exits.  Unfrozen, the exit collects a heap that the operating
+system is about to reclaim anyway: 5 ms of each of the fourteen commands
+of the benchmark's `cli` workload (Python 3.11, one pinned CPU of a 2-core
+VM, with or without a bytecode cache).  The collections at exit leave
+frozen objects out, so all the exit skips is freeing memory and the
+`__del__` of objects still in reference cycles at exit, which Python never
+promises to run.  It still runs the atexit handlers (coverage and
+`weakref.finalize` among them), flushes the std streams and keeps the exit
+status, and every file a command writes is closed by a `with` block before
+`main` returns.  `os._exit` would save 1 ms more but skips the atexit
+handlers and the flush.  `main` itself neither flushes nor freezes, so the
+tests and the benchmark's launcher can call it in-process.
 """
 
 from __future__ import annotations
@@ -66,6 +81,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import json
 import math
 import os
@@ -627,5 +643,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
+def run() -> int:
+    """The process entry of `subelliptic` and `python -m subelliptic`.
+
+    It runs main, flushes stdout and freezes the heap, so that the exit
+    does not collect it (see the module docstring); main itself stays free
+    of these side effects for in-process callers.  A reader that closes
+    stdout early ends the process with status 1 and nothing on stderr, as
+    the SIGPIPE note of the Python docs has it: stdout's descriptor then
+    points at devnull, so the flush at exit cannot fail again.
+    """
+    try:
+        try:
+            code = main()
+        finally:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

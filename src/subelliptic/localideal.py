@@ -10,10 +10,9 @@ answer:
     DEFAULT_STEP_BUDGET  standard bases, ordinary memberships, reduce_modulo
     PROBE_BUDGET         a power sweep's questions b^m in I
     PRUNE_BUDGET         a power sweep's cap prune: the standard basis of
-                         J = I + conj(I), the cone question (is the
-                         lowest-degree form of conj(b)^cap outside J's
-                         tangent cone?) with the dimension count that
-                         answers it first, and the question conj(b)^cap in J
+                         J = I + conj(I), the cone question (does a
+                         dimension count put conj(b)^cap outside J's
+                         tangent cone?), and the question conj(b)^cap in J
 
 The normal form is the hot loop: inside it the remainder is bucketed by
 degree, and coefficients are coprime integer triples, which is what a
@@ -383,58 +382,38 @@ class LocalIdeal:
         return Membership.NO if nf else Membership.YES
 
     def outside_cone(self, p: Poly) -> bool:
-        """True when the lowest-degree form h of p lies outside the tangent cone.
+        """True when the single term p = c*m lies outside the tangent cone.
 
         The tangent cone in(J) of this ideal J is the ideal of the
-        lowest-degree forms of J's elements; True proves p outside J.  The
-        order is local and degree-first, so lm(f) is a term of in(f), and
-        every homogeneous element of in(J) is in(f) for some f in J.  The
-        cone's reducers are the basis G with each tail cut to the terms of
-        its lead's degree: each step subtracts x^s*in(g) for some g in G, a
-        homogeneous element of in(J) of h's degree, and every reducer has
-        ecart 0, so Mora's rule appends nothing.  The remainder r stays
-        congruent to h modulo in(J) and in h's degree, and the loop ends.
-        If r != 0 and h were in in(J), then r = in(f) for some f in J and
-        lm(r) = lm(f) would lie in L(J) = (lm G), because G is a standard
-        basis (which minimalizing and tail stripping keep); the loop could
-        not have stopped at r.  So r != 0 gives h outside in(J), and then p
-        is outside J, since p in J would put in(p) = h in in(J).
+        lowest-degree forms of J's elements; True proves p outside J, since
+        p in J would put in(p) = p in in(J).  The answer is False when p is
+        not a single term, when there is no basis, when no lead of the basis
+        divides m (membership then answers NO at no cost), or when m is
+        divided by a basis element whose lowest form is its lead alone (p
+        then lies in the cone).
 
-        h is used, never p: p = z + zb + w^2 lies in (z + zb + w^2), yet
-        its remainder against the cone (z + zb) is w^2.  The answer is
-        False without a reduction when there is no basis, when no lead of
-        the basis divides lm(h) (membership then answers NO at no cost),
-        or when h is one term divided by a basis element whose lowest form
-        is its lead alone (h then lies in the cone).
-
-        When h is a single term c*m, a dimension drop answers first.  Let f
-        be the product of the variables in m.  If h were in in(J), then m
-        would be, and f, whose power f^deg(m) is a multiple of m, would lie
-        in the radical of in(J): f vanishes on V(in(J)), so V(in(J) + (f))
-        = V(in(J)) and both have the same dimension.  So a dimension of
-        in(J) + (f) below that of in(J) gives h outside in(J), and True.
-        Both ideals are homogeneous.  On homogeneous reducers every
-        S-polynomial and every reduction step stays in one degree, where the
-        local order is lex, so _buchberger of the cone's reducers and f is a
-        Groebner basis of in(J) + (f) under the graded order, and the cone's
-        reducers already are one of in(J).  For a homogeneous ideal and a
-        graded order the dimension is that of the leading monomials
-        (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 9 sec. 3),
-        which _dimension reads.  Equal dimensions prove nothing, and h is
-        reduced as above.  The completion and the reduction share one budget
-        of PRUNE_BUDGET steps, and running out answers False.  The cone and
-        its dimension are built on first use and kept, like the basis.
+        Otherwise a dimension count answers.  Let f be the product of the
+        variables in m.  If p were in in(J), then f, whose power f^deg(m) is
+        a multiple of m, would lie in the radical of in(J), so V(in(J) + (f))
+        = V(in(J)).  So a dimension of in(J) + (f) below that of in(J) gives
+        True.  The cone's reducers are the basis with each tail cut to the
+        terms of its lead's degree, a Groebner basis of in(J) under the
+        graded order.  Both ideals are homogeneous, and on homogeneous
+        reducers every step stays in one degree, where the local order is
+        lex, so _buchberger of the cone's reducers and f is one of
+        in(J) + (f).  For a homogeneous ideal and a graded order the
+        dimension is that of the leading monomials (Cox-Little-O'Shea,
+        Ideals, Varieties, and Algorithms, ch. 9 sec. 3), which _dimension
+        reads.  Equal dimensions prove nothing and answer False, as does a
+        completion past PRUNE_BUDGET steps.  The cone and its dimension are
+        built on first use and kept, like the basis.
         """
         basis = self.basis
-        if basis is None or p.is_zero():
+        if basis is None or len(p.terms) != 1:
             return False
-        lm_h = _lead_ecart(p.terms)[0]
-        divisors = [(lm, tail) for lm, _, tail in basis if mono_divides(lm, lm_h)]
-        if not divisors:
-            return False
-        low = mono_degree(lm_h)
-        h = {m: c for m, c in p.terms.items() if mono_degree(m) == low}
-        if len(h) == 1 and any(
+        (m,) = p.terms
+        divisors = [(lm, tail) for lm, _, tail in basis if mono_divides(lm, m)]
+        if not divisors or any(
             all(t[4] > mono_degree(lm) for t in tail) for lm, tail in divisors
         ):
             return False
@@ -443,16 +422,12 @@ class LocalIdeal:
                 (lm, 0, [t for t in tail if t[4] == mono_degree(lm)]) for lm, _, tail in basis
             ]
             self._cone_dimension = _dimension(lm for lm, _, _ in basis)
-        budget = _Budget(PRUNE_BUDGET)
+        f = tuple(min(e, 1) for e in m)
         try:
-            if len(h) == 1:
-                f = tuple(min(e, 1) for e in lm_h)
-                completed = _buchberger(self._cone + [(f, 0, [])], budget)
-                if _dimension(lm for lm, _, _ in completed) < self._cone_dimension:
-                    return True
-            return bool(nf_mora(h, self._cone, budget))
+            completed = _buchberger(self._cone + [(f, 0, [])], _Budget(PRUNE_BUDGET))
         except BudgetExhausted:
             return False
+        return _dimension(lm for lm, _, _ in completed) < self._cone_dimension
 
     def reduce_modulo(self, p: Poly) -> Poly:
         """Best-effort reduction: returns p minus ideal elements, never None.
@@ -544,7 +519,7 @@ def _power_sweep(
     J is asked, the sweep asks the cheaper cone question
     J.outside_cone(conj(b)^cap) of the tangent cone that J caches beside
     its basis; for a variable base conj(b)^cap is one term, and a dimension
-    count on the cone answers it first.  True proves conj(b)^cap outside J,
+    count on the cone answers it.  True proves conj(b)^cap outside J,
     the same exact NO, and J is not asked at all.  False proves nothing,
     and J is asked as before.
     A YES or an undecided answer from J leaves the base alive, and the

@@ -1,6 +1,8 @@
 """Command line behavior: spec parsing, exit codes, JSON artifacts."""
 
 import errno
+import gc
+import importlib
 import json
 import os
 import re
@@ -1062,3 +1064,92 @@ class TestConsoleEntry:
         # Every record is a named tuple but kohn's KohnResult, still a
         # dataclass, so only kohn and compare import dataclasses.
         assert ("dataclasses" in modules) == ("kohn" in engine)
+
+
+class TestProcessEntry:
+    """`subelliptic` and `python -m subelliptic` run cli.run, which wraps main.
+
+    The entry only ever runs in a child process: it freezes the heap, which
+    must not happen to the test process.
+    """
+
+    SUBCOMMANDS = [
+        ["levi"],
+        ["type"],
+        ["kohn"],
+        ["effective", "--samples", "50"],
+        ["check-hypo", "--samples", "50"],
+        ["verify", "--samples", "50"],
+        ["compare", "--samples", "50"],
+    ]
+
+    def test_main_leaves_the_heap_unfrozen(self, tmp_path, capsys):
+        before = gc.get_freeze_count()
+        assert main(["levi", write_spec(tmp_path, CP325)]) == EXIT_OK
+        assert gc.get_freeze_count() == before
+
+    def test_the_entry_freezes_the_heap_and_keeps_atexit(self, tmp_path):
+        child = (
+            "import atexit, gc, sys\n"
+            "from subelliptic import cli\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+            "sys.exit(cli.run())\n"
+        )
+        spec = write_spec(tmp_path, CP325)
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "levi", spec], capture_output=True, text=True
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout == "9*w^2*wb^2 + 6*z^5*w*wb^2 + 6*zb^5*w^2*wb + 4*z^5*zb^5*w*wb\n"
+        assert re.fullmatch(r"frozen (\d+)\n", proc.stderr)
+        assert int(proc.stderr.split()[1]) > 0
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[a[0] for a in SUBCOMMANDS])
+    def test_the_entry_matches_main(self, tmp_path, capsys, argv):
+        """Output, status and artifact of the entry are those of main in-process."""
+        spec = write_spec(tmp_path, CP325)
+        child_json, main_json = tmp_path / "child.json", tmp_path / "main.json"
+        proc = run_module(argv[0], spec, *argv[1:], "--json", str(child_json))
+        code = main([argv[0], spec, *argv[1:], "--json", str(main_json)])
+        out, err = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert child_json.read_bytes() == main_json.read_bytes()
+
+    def test_the_console_script_runs_the_module_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["subelliptic"]
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        assert entry is importlib.import_module("subelliptic.__main__").run
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_reader_that_closed_the_pipe_exits_1_quietly(self, tmp_path, unbuffered):
+        """The child writes into a pipe whose read end is already closed."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "subelliptic", "levi", write_spec(tmp_path, CP325)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+    def test_a_closed_stdout_is_no_error(self, tmp_path):
+        """Started with stdout closed, Python has no sys.stdout to flush."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "subelliptic", "levi", write_spec(tmp_path, CP325)],
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
