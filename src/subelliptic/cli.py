@@ -40,10 +40,11 @@ first call, so a caller can still patch them here.
 The engine's records (`DomainSpec`, `LeviData`, `SampleReport`, `ZetaStep`,
 `EffectiveResult`, `RadicalCertificate`) are named tuples, not
 dataclasses: importing `dataclasses` pulls in `inspect`, `ast`, `dis`,
-`tokenize` and `copy`, 13-16 ms under `python -X importtime` on one CPU,
-more than `argparse`.  Only `kohn.KohnResult` is a dataclass, because the
-benchmark's tests rebuild results with `dataclasses.replace`; so only `kohn`
-and `compare` load it.
+`tokenize` and `copy`, 2.9-5.0 ms cumulative under `python -X importtime`
+as `kohn` runs it (3.2-3.9 ms alone, 9-10 ms alone under `-S`; Python 3.11,
+2-core VM), where `argparse` takes 0.9-1.9 ms.  Only `kohn.KohnResult` is a
+dataclass, because the benchmark's tests rebuild results with
+`dataclasses.replace`; so only `kohn` and `compare` load it.
 
 A `--json` artifact is written whole to a new file beside its resolved
 path, then the old artifact is unlinked and the new one renamed onto the

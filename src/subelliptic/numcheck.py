@@ -5,11 +5,13 @@ pointwise inequalities its hypotheses assert near the origin (domination of
 the g-derivatives by the f-derivatives, pseudoconvexity of the boundary).
 This module samples those inequalities on seeded polydiscs and
 cross-validates the symbolic Levi determinant against finite differences.
-The differences at one sample read r on a 5x5 grid of z and w moved by
-FINITE_DIFF_STEP.  `_evaluate_columns` reads that grid for a block of
-samples at once, term by term over whole columns, with the float operations
-of `Poly.compiled()` in their order; so the check is bit-identical to
-evaluating r point by point, whatever the block size.
+Every float these checks read comes from one evaluator, `_evaluate_columns`,
+which takes a polynomial at a block of up to _BLOCK points at once, term by
+term over whole columns.  The float operations it spends on one point do not
+depend on the other points, so a check reads the same floats, bit for bit,
+whatever the block size; a block that overflows the float range is
+evaluated again one point at a time (`_by_point`), so that only the points
+that overflow alone are lost.
 Reports are deterministic for a fixed seed and never override a symbolic
 result; at most they gate whether the effective chain may call its
 hypothesis verified.
@@ -19,9 +21,9 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, mul
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .domain import DomainError, DomainSpec, expand_r
 from .polyring import Mono, Poly
@@ -31,9 +33,9 @@ FIXED_POINT_TOL = 1e-12
 FINITE_DIFF_STEP = 1e-4
 FIXED_POINT_CAP = 100
 HYPO_GATE = 0.99
-# Points per `_evaluate_columns` call in `finite_diff_levi`: long enough
-# that a term's work on a column outweighs the loop around it, short enough
-# that the stencil's 25 columns of r stay small at any sample count.
+# Points per `_evaluate_columns` call: long enough that a term's work on a
+# column outweighs the loop around it, short enough that the finite
+# differences' 25 columns of r stay small at any sample count.
 _BLOCK = 256
 
 
@@ -100,12 +102,48 @@ def polydisc_points(radius: float, n: int, seed: int) -> list[tuple[complex, com
     The first n points for a given seed are a prefix of the first n' > n
     points, so sample statistics are monotone in n.
     """
+    return list(_polydisc_stream(radius, n, seed))
+
+
+def _polydisc_stream(radius: float, n: int, seed: int) -> Iterator[tuple[complex, complex]]:
+    """The points of `polydisc_points`, each drawn when it is read."""
     rng = random.Random(seed)
-    return [(_disc_point(rng, radius), _disc_point(rng, radius)) for _ in range(n)]
+    return ((_disc_point(rng, radius), _disc_point(rng, radius)) for _ in range(n))
 
 
-def _squared_norm(evaluators: Sequence[Callable], z: complex, w: complex) -> float:
-    return sum(abs(h(z, w)) ** 2 for h in evaluators)
+def _blocks(pairs: Iterable[tuple]) -> Iterator[tuple[list, list]]:
+    """The pairs _BLOCK at a time, the last block shorter, each block as its
+    two columns; a pair is read only when its block is formed."""
+    pairs = iter(pairs)
+    while block := list(islice(pairs, _BLOCK)):
+        yield [a for a, _ in block], [b for _, b in block]
+
+
+def _by_point(evaluate: Callable, zs: list, ws: list, overflow) -> list:
+    """evaluate(zs, ws), one value a point, with `overflow` for each point
+    whose own evaluation overflows the float range.
+
+    A block that raises OverflowError is evaluated again one point at a
+    time.  Each operation of `_evaluate_columns`, and of the evaluators
+    built on it, acts on one point, so a point raises in a block exactly
+    when it raises alone, and every other point keeps its value.
+    """
+    try:
+        return evaluate(zs, ws)
+    except OverflowError:
+        values = []
+        for z, w in zip(zs, ws):
+            try:
+                values += evaluate([z], [w])
+            except OverflowError:
+                values.append(overflow)
+        return values
+
+
+def _sum_of_squares(components: Sequence[list], zs: list, ws: list) -> list:
+    """Each point's sum of |h|^2 over the components, from 0 in their order."""
+    squares = [[abs(v) ** 2 for v in _column(terms, zs, ws)] for terms in components]
+    return list(map(sum, zip(*squares))) if squares else [0] * len(zs)
 
 
 def _point_record(z: complex, w: complex, value: float) -> dict:
@@ -128,29 +166,32 @@ def sample_hypo(
     the hypothesis needs delta < 1.
     """
     radius = spec.sample_radius if radius is None else radius
-    f_w = [c.wirtinger("w").compiled() for c in spec.f]
-    g_w = [c.wirtinger("w").compiled() for c in spec.g]
+    f_w = [_float_terms(c.wirtinger("w")) for c in spec.f]
+    g_w = [_float_terms(c.wirtinger("w")) for c in spec.g]
+
+    def norms(zs: list, ws: list) -> list:
+        return list(zip(_sum_of_squares(f_w, zs, ws), _sum_of_squares(g_w, zs, ws)))
+
     delta_hat, degenerate, violations = 0.0, 0, []
-    for z, w in polydisc_points(radius, n, seed):
-        try:
-            fw2 = _squared_norm(f_w, z, w)
-            gw2 = _squared_norm(g_w, z, w)
-        except OverflowError:
-            delta_hat = math.inf
-            violations.append(_point_record(z, w, math.inf))
-            continue
-        if fw2 < DEGENERATE_TOL:
-            degenerate += 1
-            if gw2 > DEGENERATE_TOL:
+    for zs, ws in _blocks(_polydisc_stream(radius, n, seed)):
+        for z, w, pair in zip(zs, ws, _by_point(norms, zs, ws, None)):
+            if pair is None:
                 delta_hat = math.inf
                 violations.append(_point_record(z, w, math.inf))
-            continue
-        ratio = gw2 / fw2
-        if math.isnan(ratio):
-            ratio = math.inf
-        delta_hat = max(delta_hat, ratio)
-        if ratio >= 1.0:
-            violations.append(_point_record(z, w, ratio))
+                continue
+            fw2, gw2 = pair
+            if fw2 < DEGENERATE_TOL:
+                degenerate += 1
+                if gw2 > DEGENERATE_TOL:
+                    delta_hat = math.inf
+                    violations.append(_point_record(z, w, math.inf))
+                continue
+            ratio = gw2 / fw2
+            if math.isnan(ratio):
+                ratio = math.inf
+            delta_hat = max(delta_hat, ratio)
+            if ratio >= 1.0:
+                violations.append(_point_record(z, w, ratio))
     return SampleReport(radius=radius, n_samples=n, seed=seed, delta_hat=delta_hat,
                         degenerate=degenerate, violations=violations)
 
@@ -182,42 +223,46 @@ def boundary_pseudoconvexity(
     violation that also sets the minimum.
     """
     radius = spec.sample_radius if radius is None else radius
-    data = expand_r(spec)
-    lam = data.lam.compiled()
-    f_ev = [c.compiled() for c in spec.f]
-    g_ev = [c.compiled() for c in spec.g]
+    lam = _float_terms(expand_r(spec).lam)
+    f_terms = [_float_terms(c) for c in spec.f]
+    g_terms = [_float_terms(c) for c in spec.g]
+
+    def targets(zs: list, ws: list) -> list:
+        fs, gs = _sum_of_squares(f_terms, zs, ws), _sum_of_squares(g_terms, zs, ws)
+        return [-0.5 * (f2 - g2) for f2, g2 in zip(fs, gs)]
+
+    def levi(zs: list, ws: list) -> list:
+        return [value.real for value in _column(lam, zs, ws)]
+
     rng = random.Random(seed)
+    draws = ((_disc_point(rng, radius), rng.uniform(-radius, radius)) for _ in range(n))
     min_lambda, violations = math.inf, []
-    for _ in range(n):
-        w = _disc_point(rng, radius)
-        y = rng.uniform(-radius, radius)
-        x = 0.0
+    for ws, ys in _blocks(draws):
+        # Each point keeps its own x sequence and leaves the iteration as
+        # soon as it converges; only the points still moving are evaluated.
+        xs, moving = [0.0] * len(ys), range(len(ys))
         for _ in range(FIXED_POINT_CAP):
-            z = complex(x, y)
-            try:
-                target = -0.5 * (
-                    _squared_norm(f_ev, z, w) - _squared_norm(g_ev, z, w)
-                )
-            except OverflowError:
-                target = math.inf
-            if not math.isfinite(target):
-                raise _divergence(radius)
-            if abs(target - x) < FIXED_POINT_TOL:
-                x = target
+            zs = [complex(xs[k], ys[k]) for k in moving]
+            values = _by_point(targets, zs, [ws[k] for k in moving], math.inf)
+            still = []
+            for k, target in zip(moving, values):
+                if not math.isfinite(target):
+                    raise _divergence(radius)
+                if abs(target - xs[k]) >= FIXED_POINT_TOL:
+                    still.append(k)
+                xs[k] = target
+            moving = still
+            if not moving:
                 break
-            x = target
         else:
             raise _divergence(radius)
-        z = complex(x, y)
-        try:
-            value = lam(z, w).real
-        except OverflowError:
-            value = -math.inf
-        if not math.isfinite(value):
-            value = -math.inf
-        min_lambda = min(min_lambda, value)
-        if value < -FIXED_POINT_TOL:
-            violations.append(_point_record(z, w, value))
+        zs = [complex(x, y) for x, y in zip(xs, ys)]
+        for z, w, value in zip(zs, ws, _by_point(levi, zs, ws, -math.inf)):
+            if not math.isfinite(value):
+                value = -math.inf
+            min_lambda = min(min_lambda, value)
+            if value < -FIXED_POINT_TOL:
+                violations.append(_point_record(z, w, value))
     return SampleReport(radius=radius, n_samples=n, seed=seed,
                         min_lambda_on_boundary=min_lambda, violations=violations)
 
@@ -235,7 +280,7 @@ def finite_diff_levi(spec: DomainSpec, points: Sequence[tuple[complex, complex]]
 
     The points go through `_evaluate_columns` _BLOCK at a time: r at the 5x5
     stencil of every point of a block, lambda at the points themselves.
-    Every value is bit-identical to `Poly.compiled()` at its point, and so
+    Each value is the one a block of that point alone would give, and so
     is the result; the block size bounds memory, not the answer.
     """
     data = expand_r(spec)
@@ -243,15 +288,12 @@ def finite_diff_levi(spec: DomainSpec, points: Sequence[tuple[complex, complex]]
     lam = _float_terms(data.lam)
     h = FINITE_DIFF_STEP
     worst = 0.0
-    for start in range(0, len(points), _BLOCK):
-        block = points[start:start + _BLOCK]
-        zs = [z for z, _ in block]
-        ws = [w for _, w in block]
+    for zs, ws in _blocks(points):
         try:
             numeric = _levi_by_differences(
                 _evaluate_columns(r, _stencil_columns(zs, h), _stencil_columns(ws, h)), h
             )
-            reference = [value.real for value in _evaluate_columns(lam, [zs], [ws])[0][0]]
+            reference = [value.real for value in _column(lam, zs, ws)]
         except OverflowError:
             return math.inf
         for num, ref in zip(numeric, reference):
@@ -266,6 +308,11 @@ def _float_terms(p: Poly) -> list[tuple[complex, Mono]]:
     return [(c.to_complex(), m) for m, c in p.terms.items()]
 
 
+def _column(terms: Sequence[tuple[complex, Mono]], zs: list, ws: list) -> list[complex]:
+    """The polynomial at each point (zs[n], ws[n])."""
+    return _evaluate_columns(terms, [zs], [ws])[0][0]
+
+
 def _evaluate_columns(
     terms: Sequence[tuple[complex, Mono]],
     zs: Sequence[Sequence[complex]],
@@ -273,14 +320,17 @@ def _evaluate_columns(
 ) -> list[list[list[complex]]]:
     """The polynomial at (zs[i][n], ws[j][n]), as cells[i][j][n].
 
-    Every cell holds the float `Poly.compiled()` gives at its point: the
-    terms summed from 0j in term order, each as
-    ((((coeff*z^a)*zb^b)*w^c)*wb^d) with Python's complex ** and *.  Only
-    the loop order differs: each term is applied to whole columns, and each
-    distinct power is taken of a column once.  Since x**0 is 1+0j for every
-    complex x, a term free of z has the same head coeff*z^0*zb^0 in every
-    row, and a term free of w the same product in every column; such a
-    product is formed once and added to each cell it reaches.
+    This is the module's one float evaluator.  Every cell is its point's
+    value by one fixed sequence of float operations: the terms summed from
+    0j in term order, each as ((((coeff*z^a)*zb^b)*w^c)*wb^d) with Python's
+    complex ** and *.  Only the loop order depends on the columns: each term
+    is applied to whole columns, and each distinct power is taken of a
+    column once.  Since x**0 is 1+0j for every complex x, a term free of z
+    has the same head coeff*z^0*zb^0 in every row, and a term free of w the
+    same product in every column; such a product is formed once and added
+    to each cell it reaches.  So a cell does not depend on the other points
+    of its columns, and a power that overflows (complex ** raises
+    OverflowError, * and + never raise) does so at its point alone.
     """
     n = len(zs[0])
     zbs = [list(map(complex.conjugate, column)) for column in zs]

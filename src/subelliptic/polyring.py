@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from numbers import Rational
 from operator import itemgetter
-from typing import Callable, Mapping
+from typing import Mapping
 
 
 def _power(base, n: int, one):
@@ -426,25 +426,6 @@ class Poly:
         for m, c in self.terms.items():
             total = total + c * z0 ** m[0] * zb0 ** m[1] * w0 ** m[2] * wb0 ** m[3]
         return total
-
-    def compiled(self) -> Callable[[complex, complex], complex]:
-        """Precompute float coefficients for repeated numeric evaluation.
-
-        The value at (z0, w0) sums the terms from 0j in term order, each as
-        ((((coeff*z0^a)*zb0^b)*w0^c)*wb0^d) with Python's complex ** and *.
-        `numcheck._evaluate_columns` repeats this float sequence over whole
-        columns of points, so a change here is a change there.
-        """
-        data = [(c.to_complex(), m) for m, c in self.terms.items()]
-
-        def ev(z0: complex, w0: complex) -> complex:
-            zb0, wb0 = z0.conjugate(), w0.conjugate()
-            total = 0j
-            for cc, m in data:
-                total += cc * z0 ** m[0] * zb0 ** m[1] * w0 ** m[2] * wb0 ** m[3]
-            return total
-
-        return ev
 
     def sorted_terms(self) -> list[tuple[Mono, GaussRational]]:
         return sorted(self.terms.items(), key=lambda t: display_key(t[0]))

@@ -239,7 +239,9 @@ class TestFiniteDifferenceOracle:
 
 
 def _pointwise_evaluator(p: Poly):
-    """Numeric evaluation of p one point at a call, term by term from 0j."""
+    """Numeric evaluation of p one point at a call, the reference that the
+    column kernel must match bit for bit: the terms summed from 0j in term
+    order, each as ((((c*z^a)*zb^b)*w^c)*wb^d)."""
     data = [(c.to_complex(), m) for m, c in p.terms.items()]
 
     def ev(z0: complex, w0: complex) -> complex:
@@ -382,10 +384,10 @@ def _hexes(value: complex) -> tuple[str, str]:
     return value.real.hex(), value.imag.hex()
 
 
-def _assert_kernel_is_compiled(p: Poly, zs, ws) -> None:
-    """Every cell of the kernel is compiled() at its point, hex for hex, or
-    both raise OverflowError."""
-    f = p.compiled()
+def _assert_kernel_is_pointwise(p: Poly, zs, ws) -> None:
+    """Every cell of the kernel is the per-point reference at its point, hex
+    for hex, or both raise OverflowError."""
+    f = _pointwise_evaluator(p)
     try:
         expected = [
             [[_hexes(f(z0, w0)) for z0, w0 in zip(z_col, w_col)] for w_col in ws]
@@ -400,9 +402,9 @@ def _assert_kernel_is_compiled(p: Poly, zs, ws) -> None:
 
 
 class TestColumnKernel:
-    """`_evaluate_columns` against `Poly.compiled()` point by point."""
+    """`_evaluate_columns` against `_pointwise_evaluator` point by point."""
 
-    def test_cells_are_compiled_bit_for_bit(self):
+    def test_cells_are_pointwise_bit_for_bit(self):
         """Columns longer than a block, with signed zeros and NaNs among the
         points and zero exponents in every position."""
         rng = random.Random(109)
@@ -418,7 +420,7 @@ class TestColumnKernel:
 
         for _ in range(30):
             zs, ws = [column() for _ in range(3)], [column() for _ in range(2)]
-            _assert_kernel_is_compiled(_random_poly(rng), zs, ws)
+            _assert_kernel_is_pointwise(_random_poly(rng), zs, ws)
 
     @pytest.mark.parametrize(
         "text",
@@ -438,8 +440,168 @@ class TestColumnKernel:
         ]
         for z0 in points:
             for w0 in points:
-                _assert_kernel_is_compiled(p, [[z0]], [[w0]])
-                _assert_kernel_is_compiled(p, [[0.5 + 0j], [z0]], [[0.25j], [w0]])
+                _assert_kernel_is_pointwise(p, [[z0]], [[w0]])
+                _assert_kernel_is_pointwise(p, [[0.5 + 0j], [z0]], [[0.25j], [w0]])
+
+
+def _reference_norm(evaluators, z0: complex, w0: complex) -> float:
+    return sum(abs(h(z0, w0)) ** 2 for h in evaluators)
+
+
+def _reference_record(z0: complex, w0: complex, value: float) -> dict:
+    return {"z": [z0.real, z0.imag], "w": [w0.real, w0.imag], "value": value}
+
+
+def _reference_sample_hypo(spec: DomainSpec, radius: float, n: int, seed: int) -> SampleReport:
+    """`sample_hypo` one point at a time on the per-point reference."""
+    f_w = [_pointwise_evaluator(c.wirtinger("w")) for c in spec.f]
+    g_w = [_pointwise_evaluator(c.wirtinger("w")) for c in spec.g]
+    delta_hat, degenerate, violations = 0.0, 0, []
+    for z, w in polydisc_points(radius, n, seed):
+        try:
+            fw2 = _reference_norm(f_w, z, w)
+            gw2 = _reference_norm(g_w, z, w)
+        except OverflowError:
+            delta_hat = math.inf
+            violations.append(_reference_record(z, w, math.inf))
+            continue
+        if fw2 < numcheck.DEGENERATE_TOL:
+            degenerate += 1
+            if gw2 > numcheck.DEGENERATE_TOL:
+                delta_hat = math.inf
+                violations.append(_reference_record(z, w, math.inf))
+            continue
+        ratio = gw2 / fw2
+        if math.isnan(ratio):
+            ratio = math.inf
+        delta_hat = max(delta_hat, ratio)
+        if ratio >= 1.0:
+            violations.append(_reference_record(z, w, ratio))
+    return SampleReport(radius=radius, n_samples=n, seed=seed, delta_hat=delta_hat,
+                        degenerate=degenerate, violations=violations)
+
+
+def _reference_boundary(spec: DomainSpec, radius: float, n: int, seed: int) -> SampleReport:
+    """`boundary_pseudoconvexity` one point at a time on the per-point
+    reference: each point's fixed point runs to convergence before the next
+    point is drawn."""
+    lam = _pointwise_evaluator(expand_r(spec).lam)
+    f_ev = [_pointwise_evaluator(c) for c in spec.f]
+    g_ev = [_pointwise_evaluator(c) for c in spec.g]
+    rng = random.Random(seed)
+    min_lambda, violations = math.inf, []
+    for _ in range(n):
+        w = numcheck._disc_point(rng, radius)
+        y = rng.uniform(-radius, radius)
+        x = 0.0
+        for _ in range(numcheck.FIXED_POINT_CAP):
+            z = complex(x, y)
+            try:
+                target = -0.5 * (_reference_norm(f_ev, z, w) - _reference_norm(g_ev, z, w))
+            except OverflowError:
+                target = math.inf
+            if not math.isfinite(target):
+                raise numcheck._divergence(radius)
+            if abs(target - x) < numcheck.FIXED_POINT_TOL:
+                x = target
+                break
+            x = target
+        else:
+            raise numcheck._divergence(radius)
+        z = complex(x, y)
+        try:
+            value = lam(z, w).real
+        except OverflowError:
+            value = -math.inf
+        if not math.isfinite(value):
+            value = -math.inf
+        min_lambda = min(min_lambda, value)
+        if value < -numcheck.FIXED_POINT_TOL:
+            violations.append(_reference_record(z, w, value))
+    return SampleReport(radius=radius, n_samples=n, seed=seed,
+                        min_lambda_on_boundary=min_lambda, violations=violations)
+
+
+def _outcome(sampler, spec: DomainSpec, radius: float, n: int, seed: int):
+    """A report as hex strings, or the exception's type and message."""
+    try:
+        report = sampler(spec, radius=radius, n=n, seed=seed)
+    except BoundarySolveError as exc:
+        return type(exc).__name__, str(exc)
+
+    def text(value):
+        return value.hex() if isinstance(value, float) else repr(value)
+
+    return (
+        text(report.radius), report.n_samples, report.seed, text(report.delta_hat),
+        text(report.min_lambda_on_boundary), report.degenerate,
+        [
+            [text(v) for v in (*record["z"], *record["w"], record["value"])]
+            for record in report.violations
+        ],
+    )
+
+
+_SAMPLERS = [
+    (sample_hypo, _reference_sample_hypo),
+    (boundary_pseudoconvexity, _reference_boundary),
+]
+_MIXED = spec_of(["w^40 + z^3*w"], g=["w^2"])
+
+
+class TestSamplersAgainstPointwise:
+    """The block samplers against themselves one point at a time, bit for
+    bit: the same report, or the same exception."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_specs(self, seed):
+        rng = random.Random(seed)
+        for _ in range(6):
+            spec = DomainSpec(
+                name="random",
+                f=tuple(_random_component(rng) for _ in range(rng.randint(1, 2))),
+                g=tuple(_random_component(rng) for _ in range(rng.randint(0, 2))),
+            )
+            for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 600):
+                # Half the radii spread over the float range, half near 1.
+                if rng.random() < 0.5:
+                    radius = 10.0 ** rng.uniform(-300, 200)
+                else:
+                    radius = rng.uniform(0.01, 1.0)
+                stream = rng.randrange(1000)
+                for sampler, reference in _SAMPLERS:
+                    assert _outcome(sampler, spec, radius, n, stream) == _outcome(
+                        reference, spec, radius, n, stream
+                    ), (sampler.__name__, spec, radius, n, stream)
+
+    @pytest.mark.parametrize("radius", [1e8, 3e8])
+    def test_a_block_of_overflowing_and_finite_points(self, radius):
+        """On f = w^40 + z^3*w, g = w^2 some points of the first block raise
+        OverflowError and others do not; each keeps its own outcome."""
+        f_w = [_pointwise_evaluator(c.wirtinger("w")) for c in _MIXED.f]
+        raised = []
+        for z, w in polydisc_points(radius, _BLOCK, seed=7):
+            try:
+                _reference_norm(f_w, z, w)
+                raised.append(False)
+            except OverflowError:
+                raised.append(True)
+        assert any(raised) and not all(raised)
+        for sampler, reference in _SAMPLERS:
+            assert _outcome(sampler, _MIXED, radius, 600, 7) == _outcome(
+                reference, _MIXED, radius, 600, 7
+            )
+
+    def test_a_later_block_diverges(self):
+        """At this radius the boundary solve converges on the first block and
+        diverges at a point of the second."""
+        spec, radius = spec_of(["z^2"]), 0.8626
+        assert boundary_pseudoconvexity(spec, radius=radius, n=_BLOCK, seed=1).violations == []
+        with pytest.raises(BoundarySolveError):
+            boundary_pseudoconvexity(spec, radius=radius, n=600, seed=1)
+        assert _outcome(boundary_pseudoconvexity, spec, radius, 600, 1) == _outcome(
+            _reference_boundary, spec, radius, 600, 1
+        )
 
 
 class TestReportSerialization:

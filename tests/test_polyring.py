@@ -21,6 +21,7 @@ from subelliptic.polyring import (
     require_holomorphic,
     two_re,
 )
+from subelliptic.numcheck import _column, _float_terms
 
 Z = Poly.variable("z")
 ZB = Poly.variable("zb")
@@ -478,6 +479,10 @@ class TestDegreesAndContent:
         assert mono_conj(mono_conj((5, 0, 1, 7))) == (5, 0, 1, 7)
 
 
+def _float_value(p: Poly, z0: complex, w0: complex) -> complex:
+    return _column(_float_terms(p), [z0], [w0])[0]
+
+
 class TestEvaluation:
     def test_exact_eval(self):
         p = Z * ZB + W
@@ -486,30 +491,30 @@ class TestEvaluation:
         assert v == GR(5, 1)
 
     def test_exact_matches_complex_random(self):
-        """The float evaluator agrees with the exact one at Gaussian-rational points."""
+        """The float evaluator, the column kernel at one point, agrees with the
+        exact one at Gaussian-rational points."""
         rng = random.Random(107)
         for _ in range(60):
             p = random_poly(rng, 5, 3)
             z0, w0 = random_gauss(rng), random_gauss(rng)
             exact = p.eval_exact(z0, w0).to_complex()
-            approx = p.compiled()(z0.to_complex(), w0.to_complex())
+            approx = _float_value(p, z0.to_complex(), w0.to_complex())
             assert abs(exact - approx) < 1e-9 * (1 + abs(exact))
 
-    def test_compiled_matches_eval(self):
-        """The compiled evaluator agrees with a term-by-term sum at float points."""
+    def test_kernel_matches_exact_at_float_points(self):
+        """At float points, each read exactly as a Gaussian rational, the
+        column kernel at one point agrees with the exact evaluation."""
         rng = random.Random(108)
-        p = random_poly(rng, 8, 4)
-        f = p.compiled()
 
-        def term_sum(z0: complex, w0: complex) -> complex:
-            zb0, wb0 = z0.conjugate(), w0.conjugate()
-            return sum((c.to_complex() * z0 ** m[0] * zb0 ** m[1] * w0 ** m[2] * wb0 ** m[3]
-                        for m, c in p.terms.items()), 0j)
+        def exactly(x: complex) -> GaussRational:
+            return GR(Fraction(x.real), Fraction(x.imag))
 
         for _ in range(20):
+            p = random_poly(rng, 8, 4)
             z0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             w0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            assert abs(f(z0, w0) - term_sum(z0, w0)) < 1e-12
+            exact = p.eval_exact(exactly(z0), exactly(w0)).to_complex()
+            assert abs(_float_value(p, z0, w0) - exact) < 1e-12 * (1 + abs(exact))
 
     def test_real_poly_evals_real(self):
         rng = random.Random(109)
