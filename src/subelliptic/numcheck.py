@@ -6,14 +6,14 @@ the g-derivatives by the f-derivatives, pseudoconvexity of the boundary).
 This module samples those inequalities on seeded polydiscs and
 cross-validates the symbolic Levi determinant against finite differences.
 Every float these checks read comes from one evaluator, `_evaluate_columns`,
-which takes a polynomial at a block of up to _BLOCK points at once, term by
-term over whole columns.  The float operations it spends on one point do not
-depend on the other points, so a check reads the same floats, bit for bit,
-whatever the block size; a block that overflows the float range is
-evaluated again one point at a time (`_by_point`), so that only the points
-that overflow alone are lost.
-Reports are deterministic for a fixed seed and never override a symbolic
-result; at most they gate whether the effective chain may call its
+which takes a polynomial at up to _BLOCK points a call, row by row and cell
+by cell, each cell in one pass over whole columns.  Between cells it shares
+only exact values (a zeroth power is 1+0j; a row's leading w-free sum is
+the same in every column), so a check reads the same floats, bit for bit,
+whatever the block size.  A block that overflows is evaluated again one
+point at a time (`_by_point`), so that only the points that overflow alone
+are lost.  Reports are deterministic for a fixed seed, never override a
+symbolic result, and at most gate whether the effective chain may call its
 hypothesis verified.
 """
 
@@ -33,8 +33,8 @@ FIXED_POINT_TOL = 1e-12
 FINITE_DIFF_STEP = 1e-4
 FIXED_POINT_CAP = 100
 HYPO_GATE = 0.99
-# Points per `_evaluate_columns` call: long enough that a term's work on a
-# column outweighs the loop around it, short enough that the finite
+# Points per `_evaluate_columns` call: long enough that a cell's work on a
+# column outweighs the loops around it, short enough that the finite
 # differences' 25 columns of r stay small at any sample count.
 _BLOCK = 256
 
@@ -284,15 +284,12 @@ def finite_diff_levi(spec: DomainSpec, points: Sequence[tuple[complex, complex]]
     is the result; the block size bounds memory, not the answer.
     """
     data = expand_r(spec)
-    r = _float_terms(data.r)
-    lam = _float_terms(data.lam)
-    h = FINITE_DIFF_STEP
-    worst = 0.0
+    r, lam = _float_terms(data.r), _float_terms(data.lam)
+    h, worst = FINITE_DIFF_STEP, 0.0
     for zs, ws in _blocks(points):
         try:
-            numeric = _levi_by_differences(
-                _evaluate_columns(r, _stencil_columns(zs, h), _stencil_columns(ws, h)), h
-            )
+            cells = _evaluate_columns(r, _stencil_columns(zs, h), _stencil_columns(ws, h))
+            numeric = _levi_by_differences(cells, h)
             reference = [value.real for value in _column(lam, zs, ws)]
         except OverflowError:
             return math.inf
@@ -320,49 +317,56 @@ def _evaluate_columns(
 ) -> list[list[list[complex]]]:
     """The polynomial at (zs[i][n], ws[j][n]), as cells[i][j][n].
 
-    This is the module's one float evaluator.  Every cell is its point's
-    value by one fixed sequence of float operations: the terms summed from
-    0j in term order, each as ((((coeff*z^a)*zb^b)*w^c)*wb^d) with Python's
-    complex ** and *.  Only the loop order depends on the columns: each term
-    is applied to whole columns, and each distinct power is taken of a
-    column once.  Since x**0 is 1+0j for every complex x, a term free of z
-    has the same head coeff*z^0*zb^0 in every row, and a term free of w the
-    same product in every column; such a product is formed once and added
-    to each cell it reaches.  So a cell does not depend on the other points
-    of its columns, and a power that overflows (complex ** raises
+    Every cell is its point's value by one fixed sequence of float
+    operations: the terms summed from 0j in term order, each as
+    ((((coeff*z^a)*zb^b)*w^c)*wb^d) with Python's complex ** and *.  Only the
+    loop order depends on the columns: row by row, each cell is its terms
+    chained as lazy maps over whole columns, materialised once.  Formed once
+    and shared: a term's head (per row), a z-free term's product (per
+    column), a w-free one's (per row), and a row's sum of its leading w-free
+    terms (r starts with z + zb).  These are each cell's own values, since
+    x**0 is exactly 1+0j for every complex x, NaN and inf included (CPython's
+    integer power never reads x for the exponent 0).  So a cell does not
+    depend on the other points, and a power that overflows (complex ** raises
     OverflowError, * and + never raise) does so at its point alone.
     """
-    n = len(zs[0])
-    zbs = [list(map(complex.conjugate, column)) for column in zs]
-    wbs = [list(map(complex.conjugate, column)) for column in ws]
-    z_pow, zb_pow = _powers(zs, terms, 0), _powers(zbs, terms, 1)
-    w_pow, wb_pow = _powers(ws, terms, 2), _powers(wbs, terms, 3)
-    cells = [[[0j] * n for _ in ws] for _ in zs]
-    for coeff, (a, b, c, d) in terms:
-        # Row i (column k) stands for every row (column) when the term is
-        # free of z (of w): its products there are the same.
-        rows = range(len(zs)) if a or b else [0] * len(zs)
-        columns = range(len(ws)) if c or d else [0] * len(ws)
-        heads = {
-            i: list(map(mul, map(mul, repeat(coeff, n), z_pow[i][a]), zb_pow[i][b]))
-            for i in set(rows)
-        }
-        products = {}
-        for i, row in zip(rows, cells):
-            for j, k in enumerate(columns):
-                term = products.get((i, k))
-                if term is None:
-                    term = products[i, k] = list(
-                        map(mul, map(mul, heads[i], w_pow[k][c]), wb_pow[k][d])
-                    )
-                row[j] = list(map(add, row[j], term))
+    n, columns = len(zs[0]), range(len(ws))
+    z_pow, zb_pow = _powers(zs, terms, 0), _powers(zs, terms, 1)
+    w_pow, wb_pow = _powers(ws, terms, 2), _powers(ws, terms, 3)
+    z_free, cells = {}, []
+    for i in range(len(zs)):
+        total, rest = [0j] * n, []
+        for t, (coeff, (a, b, c, d)) in enumerate(terms):
+            if t in z_free:
+                rest.append(z_free[t])
+                continue
+            head = list(map(mul, map(mul, repeat(coeff, n), z_pow[i][a]), zb_pow[i][b]))
+            products = [map(mul, map(mul, head, w_pow[j][c]), wb_pow[j][d]) for j in columns]
+            if not (c or d or rest):
+                total = map(add, total, products[0])
+                continue
+            if not (c or d):
+                products = [list(products[0])] * len(ws)
+            elif not (a or b):
+                z_free[t] = products = list(map(list, products))
+            rest.append(products)
+        prefix, row = list(total), []
+        for j in columns:
+            total = prefix
+            for products in rest:
+                total = map(add, total, products[j])
+            row.append(list(total))
+        cells.append(row)
     return cells
 
 
 def _powers(columns, terms, at: int) -> list[dict[int, list[complex]]]:
-    """Each column's powers that the terms read at exponent position at."""
+    """Each column's powers that the terms read at position at (zb, wb: of its conjugate)."""
     exponents = {m[at] for _, m in terms}
-    return [{e: list(map(pow, column, repeat(e))) for e in exponents} for column in columns]
+    if at % 2 and any(exponents):
+        columns = [list(map(complex.conjugate, column)) for column in columns]
+    return [{e: list(map(pow, column, repeat(e))) if e else [1 + 0j] * len(column)
+             for e in exponents} for column in columns]
 
 
 def _stencil_columns(points: Sequence[complex], h: float) -> list[list[complex]]:
@@ -395,12 +399,8 @@ def _levi_by_differences(cells: list[list[list[complex]]], h: float) -> list[flo
         return [(p - 2.0 * c + m) / (h * h) for p, c, m in zip(plus, center, minus)]
 
     def mixed(i: int, j: int) -> list[float]:
-        return [
-            (pp - pm - mp + mm) / (4.0 * h * h)
-            for pp, pm, mp, mm in zip(
-                grid[i][j], grid[i][j + 1], grid[i + 1][j], grid[i + 1][j + 1]
-            )
-        ]
+        quads = zip(grid[i][j], grid[i][j + 1], grid[i + 1][j], grid[i + 1][j + 1])
+        return [(pp - pm - mp + mm) / (4.0 * h * h) for pp, pm, mp, mm in quads]
 
     x_axis = grid[X][0], grid[X + 1][0]
     y_axis = grid[Y][0], grid[Y + 1][0]

@@ -443,6 +443,80 @@ class TestColumnKernel:
                 _assert_kernel_is_pointwise(p, [[z0]], [[w0]])
                 _assert_kernel_is_pointwise(p, [[0.5 + 0j], [z0]], [[0.25j], [w0]])
 
+    @pytest.mark.parametrize(
+        "monomials",
+        [
+            # The leading run of w-free terms, which a row sums once for all
+            # its cells, has length 0, 1, 2, and then holds every term.
+            [(0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 2, 1)],
+            [(1, 0, 0, 0), (0, 0, 2, 1), (2, 1, 1, 0)],
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (1, 1, 2, 0)],
+            [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 0)],
+            # A w-free term after a w-dependent one does not join the run.
+            [(1, 0, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (0, 0, 0, 0)],
+            [(0, 1, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0)],
+            # Terms free of z between terms free of w: a constant inside the
+            # run, and column-shared products between row-shared ones.
+            [(1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 1), (3, 0, 0, 0),
+             (0, 0, 0, 3), (1, 2, 0, 0), (1, 1, 1, 1)],
+        ],
+    )
+    def test_sharing_rules(self, monomials):
+        """Each sharing rule of the kernel, at every pair of special points
+        and on columns of several rows and columns mixing them with finite
+        points.  At a huge z the head of z*zb is infinite without an
+        overflow, and multiplying it by w^0*wb^0 = 1+0j turns a part into
+        NaN, so a product that skipped those factors would show."""
+        p = Poly({m: _COEFFICIENTS[k % len(_COEFFICIENTS)] for k, m in enumerate(monomials)})
+        assert [m for _, m in _float_terms(p)] == monomials
+        points = _SPECIAL_POINTS + [
+            complex(math.inf, 0.0),
+            complex(-math.inf, 2.0),
+            complex(math.nan, math.inf),
+            complex(1e200, -1e200),
+            complex(1e200, 0.0),
+            complex(0.5, -0.25),
+        ]
+        for z0 in points:
+            for w0 in points:
+                _assert_kernel_is_pointwise(p, [[z0]], [[w0]])
+                zs = [[z0, 0.5 + 0j], [0.5 + 0j, z0], [z0, -0.0j]]
+                ws = [[w0, 0.25j], [0.25j, w0]]
+                _assert_kernel_is_pointwise(p, zs, ws)
+        rng = random.Random(len(monomials))
+
+        def column():
+            column = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(40)]
+            for special in _SPECIAL_POINTS:
+                column[rng.randrange(len(column))] = special
+            return column
+
+        for _ in range(5):
+            _assert_kernel_is_pointwise(p, [column() for _ in range(3)],
+                                        [column() for _ in range(4)])
+
+    @pytest.mark.parametrize(
+        "p",
+        _SPECIAL_POINTS + [
+            complex(math.inf, 0.0),
+            complex(-math.inf, 0.0),
+            complex(0.0, math.inf),
+            complex(0.0, -math.inf),
+            complex(math.inf, -math.inf),
+            complex(math.nan, math.inf),
+            complex(-math.inf, math.nan),
+            complex(1e200, 0.0),
+            complex(-1e200, 1e200),
+            complex(0.0, -1e200),
+        ],
+        ids=repr,
+    )
+    def test_a_zeroth_power_is_one(self, p):
+        """The premise of the kernel's free zeroth powers on this Python:
+        p ** 0 is exactly 1+0j, also for NaN, infinite and huge parts."""
+        assert _hexes(p ** 0) == _hexes(1 + 0j)
+        assert _hexes(pow(p, 0)) == _hexes(1 + 0j)
+
 
 def _reference_norm(evaluators, z0: complex, w0: complex) -> float:
     return sum(abs(h(z0, w0)) ** 2 for h in evaluators)

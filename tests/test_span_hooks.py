@@ -1,0 +1,63 @@
+"""The benchmark's span hooks on the CLI path.
+
+The traced `cli` pass of `perfbench/run.py` runs each command through
+`perfbench/launch.py`: `cli.main` inside `spans.traced`, whose hooks read the
+arguments and results of the engine calls they wrap (`_diff_points` takes
+`len()` of the points `cli.finite_diff_levi` is given, `_samples` reads a
+report's `n_samples`).  A command whose calls no longer fit a hook dies in
+the traced pass only, so these tests run the commands the same way.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench import spans  # noqa: E402
+from subelliptic import cli  # noqa: E402
+
+CP325 = {"name": "cross-power(3,2,5)", "params": {"tau": 3, "l": 2, "k": 5}}
+SAMPLES = 50
+
+
+def _traced_main(argv, path):
+    """What launch.py does: cli.main under the wrappers, spans to a file."""
+    recorder = spans.Recorder()
+    with spans.traced(recorder):
+        code = recorder.call("cli.main", cli.main, argv)
+    recorder.write(path)
+    return code
+
+
+@pytest.mark.parametrize(
+    "command, counted",
+    [
+        ("verify", ["numcheck.finite_diff_levi", "numcheck.boundary_pseudoconvexity"]),
+        ("check-hypo", ["numcheck.sample_hypo"]),
+    ],
+)
+def test_a_traced_command_runs_as_untraced(command, counted, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(CP325), encoding="utf-8")
+    argv = [command, str(spec), "--samples", str(SAMPLES)]
+    assert cli.main(argv) == 0
+    untraced = capsys.readouterr().out
+
+    path = tmp_path / "spans.jsonl"
+    originals = [vars(owner)[attr] for owner, attr in spans.patch_points()]
+    assert _traced_main(argv, path) == 0
+    assert capsys.readouterr().out == untraced
+
+    totals = spans.Totals()
+    totals.add(spans.read_spans(path))
+    assert totals.calls["cli.main"] == 1
+    for name in counted:
+        assert totals.calls[name] == 1, name
+        assert totals.counts[f"{name}.points"] == SAMPLES, name
+    # The wrappers are gone once the block ends.
+    assert [vars(owner)[attr] for owner, attr in spans.patch_points()] == originals
