@@ -407,6 +407,7 @@ def cmd_kohn(spec: DomainSpec, args) -> tuple[int, Artifact]:
 
 def cmd_effective(spec: DomainSpec, args) -> tuple[int, Artifact]:
     from .effective import HypothesisFailedError
+    from .numcheck import json_value
 
     status, report = _hypothesis_status(spec, args)
     try:
@@ -417,7 +418,7 @@ def cmd_effective(spec: DomainSpec, args) -> tuple[int, Artifact]:
     print(result.summary())
     return EXIT_OK, {
         "hypothesis": status.name.lower(),
-        "delta_hat": None if report is None else report.as_dict()["delta_hat"],
+        "delta_hat": None if report is None else json_value(report.delta_hat),
         "chain": [
             {"index": step.index, "poly": canonical_str(step.poly), "order": str(step.order)}
             for step in result.chain
@@ -448,7 +449,7 @@ def cmd_check_hypo(spec: DomainSpec, args) -> tuple[int, Artifact]:
 
 
 def cmd_verify(spec: DomainSpec, args) -> tuple[int, Artifact]:
-    from .numcheck import polydisc_points
+    from .numcheck import json_value, polydisc_points
 
     radius = args.radius if args.radius is not None else spec.sample_radius
     points = polydisc_points(radius, args.samples, args.seed)
@@ -472,7 +473,7 @@ def cmd_verify(spec: DomainSpec, args) -> tuple[int, Artifact]:
         print(f"undecided: {line}", file=sys.stderr)
     code = EXIT_OK if not problems else EXIT_UNDECIDED
     return code, {
-        "finite_diff_error": "infinity" if math.isinf(worst) else worst,
+        "finite_diff_error": json_value(worst),
         "boundary": boundary.as_dict(),
         "summary": "checks passed" if not problems else "; ".join(problems),
     }

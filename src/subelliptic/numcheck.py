@@ -15,6 +15,12 @@ point at a time (`_by_point`), so that only the points that overflow alone
 are lost.  Reports are deterministic for a fixed seed, never override a
 symbolic result, and at most gate whether the effective chain may call its
 hypothesis verified.
+
+A sample that bounds nothing counts against the hypothesis: in
+`sample_hypo` a point whose ||g_w||^2 is not a number, degenerate or not,
+and one whose evaluation overflows, has an infinite ratio.  Every float
+these checks put in a --json artifact goes through one function,
+`json_value`, which writes +-inf as "infinity" or "-infinity".
 """
 
 from __future__ import annotations
@@ -76,18 +82,20 @@ class SampleReport(_SampleFields):
         return report
 
     def as_dict(self) -> dict:
-        """The report as JSON values; an infinite float becomes a string."""
-
-        def encode(value):
-            if isinstance(value, float) and math.isinf(value):
-                return "infinity" if value > 0 else "-infinity"
-            return value
-
-        fields = {name: encode(value) for name, value in self._asdict().items()}
+        """The report as JSON values, each float through `json_value`."""
+        fields = {name: json_value(value) for name, value in self._asdict().items()}
         fields["violations"] = [
-            {**record, "value": encode(record["value"])} for record in self.violations
+            {**record, "value": json_value(record["value"])} for record in self.violations
         ]
         return fields
+
+
+def json_value(value):
+    """value as an artifact writes it: +-inf as "infinity"/"-infinity", since
+    strict JSON has no infinite number; any other value as it is."""
+    if isinstance(value, float) and math.isinf(value):
+        return "infinity" if value > 0 else "-infinity"
+    return value
 
 
 def _disc_point(rng: random.Random, radius: float) -> complex:
@@ -160,10 +168,12 @@ def sample_hypo(
 
     delta_hat is the maximum sampled ratio.  Points where ||f_w||^2 falls
     below the degenerate threshold are counted separately; if g_w does not
-    vanish there too, no finite delta works and the ratio is infinite, as is
-    a NaN ratio or an evaluation that overflows the float range, either of
-    which bounds nothing.  Points whose ratio reaches 1 are violations since
-    the hypothesis needs delta < 1.
+    vanish there too, no finite delta works and the ratio is infinite.  A
+    point whose evaluation overflows the float range reads as NaN norms, and
+    every point takes the same path: a ||g_w||^2 that is not a number, or a
+    NaN ratio, bounds nothing and counts as infinite, degenerate or not.
+    Points whose ratio reaches 1 are violations since the hypothesis needs
+    delta < 1.
     """
     radius = spec.sample_radius if radius is None else radius
     f_w = [_float_terms(c.wirtinger("w")) for c in spec.f]
@@ -173,20 +183,16 @@ def sample_hypo(
         return list(zip(_sum_of_squares(f_w, zs, ws), _sum_of_squares(g_w, zs, ws)))
 
     delta_hat, degenerate, violations = 0.0, 0, []
+    overflow = (math.nan, math.nan)
     for zs, ws in _blocks(_polydisc_stream(radius, n, seed)):
-        for z, w, pair in zip(zs, ws, _by_point(norms, zs, ws, None)):
-            if pair is None:
-                delta_hat = math.inf
-                violations.append(_point_record(z, w, math.inf))
-                continue
-            fw2, gw2 = pair
+        for z, w, (fw2, gw2) in zip(zs, ws, _by_point(norms, zs, ws, overflow)):
             if fw2 < DEGENERATE_TOL:
                 degenerate += 1
-                if gw2 > DEGENERATE_TOL:
-                    delta_hat = math.inf
-                    violations.append(_point_record(z, w, math.inf))
-                continue
-            ratio = gw2 / fw2
+                if gw2 <= DEGENERATE_TOL:
+                    continue
+                ratio = math.inf
+            else:
+                ratio = gw2 / fw2
             if math.isnan(ratio):
                 ratio = math.inf
             delta_hat = max(delta_hat, ratio)

@@ -111,6 +111,20 @@ class TestSampleHypo:
         assert {v["value"] for v in report.violations} == {math.inf}
         assert not hypothesis_holds(report)
 
+    @pytest.mark.parametrize("radius", [1e60, 1e110])
+    def test_a_degenerate_point_whose_g_is_not_a_number_is_infinite(self, radius):
+        """f = z has f_w = 0 and g = z^2*w^2 has g_w = 2z^2*w.  At radius
+        1e60 |g_w|^2 raises OverflowError, so the point's norms read NaN and
+        it is not degenerate; at 1e110 the product z^2*w overflows inside
+        complex multiplication to NaN, so the point is degenerate with a NaN
+        |g_w|^2.  Either bounds nothing."""
+        spec = spec_of(["z"], g=["z^2*w^2"])
+        report = sample_hypo(spec, radius=radius, n=1000)
+        assert report.delta_hat == math.inf
+        assert len(report.violations) == 1000
+        assert {v["value"] for v in report.violations} == {math.inf}
+        assert not hypothesis_holds(report)
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_no_samples_fail_the_gate(self, n):
         report = sample_hypo(borderline_domain(), radius=0.01, n=n)
@@ -541,9 +555,10 @@ def _reference_sample_hypo(spec: DomainSpec, radius: float, n: int, seed: int) -
             continue
         if fw2 < numcheck.DEGENERATE_TOL:
             degenerate += 1
-            if gw2 > numcheck.DEGENERATE_TOL:
-                delta_hat = math.inf
-                violations.append(_reference_record(z, w, math.inf))
+            if gw2 <= numcheck.DEGENERATE_TOL:
+                continue
+            delta_hat = math.inf
+            violations.append(_reference_record(z, w, math.inf))
             continue
         ratio = gw2 / fw2
         if math.isnan(ratio):

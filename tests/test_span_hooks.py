@@ -34,30 +34,56 @@ def _traced_main(argv, path):
     return code
 
 
+SAMPLING = ["--samples", str(SAMPLES)]
+# Each command's flags after the spec path; {tmp} is the test's directory.
+FLAGS = {
+    "verify": SAMPLING,
+    "check-hypo": SAMPLING,
+    "levi": [],
+    "type": [],
+    "kohn": ["--json", "{tmp}/trace.json"],
+    "effective": SAMPLING,
+    "compare": SAMPLING,
+}
+
+
 @pytest.mark.parametrize(
     "command, counted",
     [
-        ("verify", ["numcheck.finite_diff_levi", "numcheck.boundary_pseudoconvexity"]),
+        ("verify", ["domain.expand_r", "numcheck.finite_diff_levi",
+                    "numcheck.boundary_pseudoconvexity"]),
         ("check-hypo", ["numcheck.sample_hypo"]),
+        ("levi", ["domain.expand_r"]),
+        ("type", ["domain.type_lower_bound"]),
+        ("kohn", ["kohn.run_kohn"]),
+        ("effective", ["effective.zeta_chain", "numcheck.sample_hypo"]),
+        ("compare", ["kohn.run_kohn", "effective.zeta_chain", "numcheck.sample_hypo"]),
     ],
 )
 def test_a_traced_command_runs_as_untraced(command, counted, tmp_path, capsys):
+    """The traced run gives the untraced exit status and stdout.  Every
+    span in counted opens at least once (`kohn.run_kohn` opens twice, as
+    both `cli.run_kohn` and `kohn.run_kohn` are wrapped under that name),
+    and a numcheck span exactly once, with --samples points."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(CP325), encoding="utf-8")
-    argv = [command, str(spec), "--samples", str(SAMPLES)]
-    assert cli.main(argv) == 0
+    argv = [command, str(spec), *(flag.format(tmp=tmp_path) for flag in FLAGS[command])]
+    code = cli.main(argv)
     untraced = capsys.readouterr().out
+    assert code == 0
 
     path = tmp_path / "spans.jsonl"
     originals = [vars(owner)[attr] for owner, attr in spans.patch_points()]
-    assert _traced_main(argv, path) == 0
+    assert _traced_main(argv, path) == code
     assert capsys.readouterr().out == untraced
 
     totals = spans.Totals()
     totals.add(spans.read_spans(path))
     assert totals.calls["cli.main"] == 1
     for name in counted:
-        assert totals.calls[name] == 1, name
-        assert totals.counts[f"{name}.points"] == SAMPLES, name
+        assert totals.calls[name] >= 1, name
+        if name.startswith("numcheck."):
+            assert totals.calls[name] == 1, name
+            assert totals.counts[f"{name}.points"] == SAMPLES, name
     # The wrappers are gone once the block ends.
     assert [vars(owner)[attr] for owner, attr in spans.patch_points()] == originals
