@@ -100,11 +100,13 @@ from .domain import (
     DomainSpec,
     UndecidedError,
     expand_r,
+    spell_inf,
     type_lower_bound,
 )
 
 if TYPE_CHECKING:
     from .effective import HypoStatus
+    from .numcheck import SampleReport
 
 
 def _on_first_call(module: str, name: str):
@@ -315,17 +317,12 @@ def _config_echo(args: argparse.Namespace) -> dict:
 
 
 def _float_text(value) -> str:
-    if value is None:
-        return "n/a"
-    if math.isinf(value):
-        return "infinity" if value > 0 else "-infinity"
-    return f"{value:.10g}"
+    text = "n/a" if value is None else spell_inf(value)
+    return text if isinstance(text, str) else f"{value:.10g}"
 
 
 def _cell(value) -> str:
-    if value is None:
-        return "-"
-    return "infinity" if value == math.inf else str(value)
+    return "-" if value is None else str(spell_inf(value))
 
 
 def _flatten_certificates(events) -> list[dict]:
@@ -341,22 +338,32 @@ def _flatten_certificates(events) -> list[dict]:
     return certs
 
 
-def _hypothesis_status(spec: DomainSpec, args) -> tuple[HypoStatus, Optional[object]]:
+def _sampled_hypothesis(spec: DomainSpec, args) -> tuple[SampleReport, bool]:
+    """The hypothesis sample the sampling flags ask for, and whether it holds.
+
+    The one caller of `sample_hypo`, for `check-hypo`, `effective` and
+    `compare` alike.
+    """
+    from .numcheck import hypothesis_holds
+
+    report = sample_hypo(spec, radius=args.radius, n=args.samples, seed=args.seed)
+    return report, hypothesis_holds(report)
+
+
+def _hypothesis_status(spec: DomainSpec, args) -> tuple[HypoStatus, Optional[SampleReport]]:
     """Sample the comparison hypothesis, or take it on faith with the flag."""
     from .effective import HypoStatus
-    from .numcheck import HYPO_GATE, hypothesis_holds
+    from .numcheck import HYPO_GATE, skipped_points
 
     if args.assert_hypo:
         print("hypothesis asserted by flag, sampling skipped")
         return HypoStatus.ASSERTED, None
-    report = sample_hypo(spec, radius=args.radius, n=args.samples, seed=args.seed)
-    holds = hypothesis_holds(report)
-    verdict = "verified" if holds else "failed"
+    report, holds = _sampled_hypothesis(spec, args)
     print(
-        f"hypothesis {verdict} on {report.n_samples} samples: "
+        f"hypothesis {'verified' if holds else 'failed'} on {report.n_samples} samples: "
         f"delta_hat = {_float_text(report.delta_hat)} (gate {HYPO_GATE})"
     )
-    if report.degenerate == report.n_samples:
+    if skipped_points(report) == report.n_samples:
         print(f"no informative sample: all {report.degenerate} points were degenerate")
     return (HypoStatus.VERIFIED if holds else HypoStatus.FAILED), report
 
@@ -407,7 +414,6 @@ def cmd_kohn(spec: DomainSpec, args) -> tuple[int, Artifact]:
 
 def cmd_effective(spec: DomainSpec, args) -> tuple[int, Artifact]:
     from .effective import HypothesisFailedError
-    from .numcheck import json_value
 
     status, report = _hypothesis_status(spec, args)
     try:
@@ -418,7 +424,7 @@ def cmd_effective(spec: DomainSpec, args) -> tuple[int, Artifact]:
     print(result.summary())
     return EXIT_OK, {
         "hypothesis": status.name.lower(),
-        "delta_hat": None if report is None else json_value(report.delta_hat),
+        "delta_hat": None if report is None else spell_inf(report.delta_hat),
         "chain": [
             {"index": step.index, "poly": canonical_str(step.poly), "order": str(step.order)}
             for step in result.chain
@@ -430,16 +436,15 @@ def cmd_effective(spec: DomainSpec, args) -> tuple[int, Artifact]:
 
 
 def cmd_check_hypo(spec: DomainSpec, args) -> tuple[int, Artifact]:
-    from .numcheck import HYPO_GATE, hypothesis_holds
+    from .numcheck import HYPO_GATE, skipped_points
 
-    report = sample_hypo(spec, radius=args.radius, n=args.samples, seed=args.seed)
-    holds = hypothesis_holds(report)
+    report, holds = _sampled_hypothesis(spec, args)
     print(
         f"delta_hat = {_float_text(report.delta_hat)} over {report.n_samples} "
         f"samples (radius {_float_text(report.radius)}, seed {report.seed})"
     )
-    if report.degenerate:
-        print(f"degenerate points skipped: {report.degenerate}")
+    if skipped := skipped_points(report):
+        print(f"degenerate points skipped: {skipped}")
     print(f"hypothesis {'holds' if holds else 'fails'} (gate {HYPO_GATE})")
     code = EXIT_OK if holds else EXIT_REFUSED
     return code, {
@@ -449,7 +454,7 @@ def cmd_check_hypo(spec: DomainSpec, args) -> tuple[int, Artifact]:
 
 
 def cmd_verify(spec: DomainSpec, args) -> tuple[int, Artifact]:
-    from .numcheck import json_value, polydisc_points
+    from .numcheck import polydisc_points
 
     radius = args.radius if args.radius is not None else spec.sample_radius
     points = polydisc_points(radius, args.samples, args.seed)
@@ -473,7 +478,7 @@ def cmd_verify(spec: DomainSpec, args) -> tuple[int, Artifact]:
         print(f"undecided: {line}", file=sys.stderr)
     code = EXIT_OK if not problems else EXIT_UNDECIDED
     return code, {
-        "finite_diff_error": json_value(worst),
+        "finite_diff_error": spell_inf(worst),
         "boundary": boundary.as_dict(),
         "summary": "checks passed" if not problems else "; ".join(problems),
     }

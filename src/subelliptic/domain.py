@@ -11,6 +11,8 @@ vector field L applied to test functions, the determinant of the Levi form
 along L, a boundary direction at the origin along which that determinant is
 negative when one of a few exact tries finds it, and a lower bound for the
 D'Angelo type at 0: the contact order of the curve (0, t), TYPE_WITNESS.
+It also holds the one spelling of an infinite value, `spell_inf`, which
+every subcommand's report and artifact goes through.
 """
 
 from __future__ import annotations
@@ -38,6 +40,15 @@ class UndecidedError(RuntimeError):
 
 
 DEFAULT_SAMPLE_RADIUS = 0.1
+
+
+def spell_inf(value):
+    """value as the engine writes it: a float +-inf as "infinity"/"-infinity",
+    in printed reports and, since strict JSON has no infinite number, in
+    --json artifacts; any other value as it is."""
+    if isinstance(value, float) and math.isinf(value):
+        return "infinity" if value > 0 else "-infinity"
+    return value
 
 
 class _DomainFields(NamedTuple):

@@ -18,9 +18,10 @@ hypothesis verified.
 
 A sample that bounds nothing counts against the hypothesis: in
 `sample_hypo` a point whose ||g_w||^2 is not a number, degenerate or not,
-and one whose evaluation overflows, has an infinite ratio.  Every float
-these checks put in a --json artifact goes through one function,
-`json_value`, which writes +-inf as "infinity" or "-infinity".
+and one whose evaluation overflows, has an infinite ratio.  What the
+degenerate count of a report means is decided in one place,
+`skipped_points`.  Every float these checks put in a --json artifact goes
+through `domain.spell_inf`, which writes +-inf as "infinity" or "-infinity".
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import islice, repeat
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .domain import DomainError, DomainSpec, expand_r
+from .domain import DomainError, DomainSpec, expand_r, spell_inf
 from .polyring import Mono, Poly
 
 DEGENERATE_TOL = 1e-14
@@ -82,20 +83,12 @@ class SampleReport(_SampleFields):
         return report
 
     def as_dict(self) -> dict:
-        """The report as JSON values, each float through `json_value`."""
-        fields = {name: json_value(value) for name, value in self._asdict().items()}
+        """The report as JSON values, each float through `domain.spell_inf`."""
+        fields = {name: spell_inf(value) for name, value in self._asdict().items()}
         fields["violations"] = [
-            {**record, "value": json_value(record["value"])} for record in self.violations
+            {**record, "value": spell_inf(record["value"])} for record in self.violations
         ]
         return fields
-
-
-def json_value(value):
-    """value as an artifact writes it: +-inf as "infinity"/"-infinity", since
-    strict JSON has no infinite number; any other value as it is."""
-    if isinstance(value, float) and math.isinf(value):
-        return "infinity" if value > 0 else "-infinity"
-    return value
 
 
 def _disc_point(rng: random.Random, radius: float) -> complex:
@@ -210,6 +203,19 @@ def hypothesis_holds(report: SampleReport) -> bool:
     """
     informative = report.n_samples > report.degenerate
     return informative and report.delta_hat is not None and report.delta_hat < HYPO_GATE
+
+
+def skipped_points(report: SampleReport) -> int:
+    """How many of the report's degenerate points are known to be skipped.
+
+    A degenerate point is skipped when g_w vanishes there too, and reads
+    infinite otherwise; `degenerate` counts both kinds.  A finite delta_hat
+    means no point read infinite, so every degenerate point was skipped.
+    An infinite one cannot tell the kinds apart, so none is called skipped.
+    Every point was skipped exactly when this equals n_samples, and then
+    delta_hat is 0.
+    """
+    return report.degenerate if report.delta_hat < math.inf else 0
 
 
 def boundary_pseudoconvexity(

@@ -1,5 +1,6 @@
 """Command line behavior: spec parsing, exit codes, JSON artifacts."""
 
+import ast
 import errno
 import gc
 import importlib
@@ -267,6 +268,81 @@ class TestExitCodes:
         assert "hypothesis failed on 1000 samples" in captured.out
         assert "no informative sample: all 1000 points were degenerate" in captured.out
         assert "refused" in captured.err
+
+    @pytest.mark.parametrize(
+        "command,code",
+        [
+            ("check-hypo", EXIT_REFUSED),
+            ("effective", EXIT_UNDECIDED),
+            ("compare", EXIT_UNDECIDED),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"f": ["z"], "g": ["z^2*w^2"], "sample_radius": 1e110},
+            {"f": ["z"], "g": ["z^2*w^2"], "sample_radius": 1e60},
+            {"f": ["z*w"], "g": ["w"], "sample_radius": 1e-9},
+        ],
+        ids=["nan-g-1e110", "overflow-1e60", "live-g"],
+    )
+    def test_degenerate_points_that_read_infinite_are_not_called_skipped(
+        self, tmp_path, capsys, command, code, spec
+    ):
+        """f_w vanishes, so every point that does not overflow is degenerate
+        (all 1000 at 1e110 and 1e-9, none at 1e60, where the overflow raises),
+        and each reads infinite: g_w is NaN or live there.  An infinite
+        delta_hat cannot tell a skipped degenerate point from an infinite one,
+        so neither the skipped line nor the no-informative-sample line is
+        printed."""
+        assert main([command, write_spec(tmp_path, spec)]) == code
+        out = capsys.readouterr().out
+        assert "delta_hat = infinity" in out
+        assert "degenerate points skipped" not in out
+        assert "no informative sample" not in out
+
+    @pytest.mark.parametrize(
+        "command,code,lines",
+        [
+            (
+                "check-hypo",
+                EXIT_REFUSED,
+                [
+                    "delta_hat = 0 over 1000 samples (radius 1e-09, seed 42)",
+                    "degenerate points skipped: 1000",
+                    "hypothesis fails (gate 0.99)",
+                ],
+            ),
+            (
+                "effective",
+                EXIT_REFUSED,
+                [
+                    "hypothesis failed on 1000 samples: delta_hat = 0 (gate 0.99)",
+                    "no informative sample: all 1000 points were degenerate",
+                ],
+            ),
+            (
+                "compare",
+                EXIT_OK,
+                [
+                    "hypothesis failed on 1000 samples: delta_hat = 0 (gate 0.99)",
+                    "no informative sample: all 1000 points were degenerate",
+                    "type             4",
+                    "optimal order    1/4",
+                    "classic order    -",
+                    "effective order  -",
+                ],
+            ),
+        ],
+    )
+    def test_degenerate_points_are_skipped_when_delta_hat_is_finite(
+        self, tmp_path, capsys, command, code, lines
+    ):
+        """f_w = 3w^2 and g_w = 2w both vanish to within the degeneracy
+        threshold at radius 1e-9: every point is skipped."""
+        spec = write_spec(tmp_path, {"f": ["w^3"], "g": ["w^2"], "sample_radius": 1e-9})
+        assert main([command, spec]) == code
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_effective_on_infinite_type_is_undecided_without_force_advice(
         self, tmp_path, capsys
@@ -851,6 +927,33 @@ class TestJsonArtifacts:
         assert out_path.read_bytes() == fresh.read_bytes()
         assert main(["kohn", spec, "--json", str(tmp_path / "new.json")]) == EXIT_INPUT
         assert "[Errno 13]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,spec,key",
+        [("type", {"f": ["z"]}, "type"), ("compare", {"f": ["w"], "g": ["w"]}, "table")],
+    )
+    def test_an_infinite_type_is_written_as_a_string(self, tmp_path, command, spec, key):
+        """f = z, and f = g = w, leave r = 2*Re(z) along (0, t): infinite type."""
+        out_path = tmp_path / "out.json"
+        main([command, write_spec(tmp_path, spec), "--json", str(out_path)])
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        value = payload[key]["type"] if command == "compare" else payload[key]["value"]
+        assert value == "infinity"
+
+    def test_infinity_is_spelled_in_one_module(self):
+        """The report and artifact spelling of +-inf has one owner."""
+        package = os.path.dirname(cli.__file__)
+        owners = []
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                if any(
+                    isinstance(node, ast.Constant) and node.value == "infinity"
+                    for node in ast.walk(tree)
+                ):
+                    owners.append(name)
+        assert owners == ["domain.py"]
 
     def test_an_infinite_verify_deviation_is_written_as_a_string(self, tmp_path, capsys):
         """An overflowing finite-difference check still writes strict JSON."""

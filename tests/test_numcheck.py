@@ -25,6 +25,7 @@ from subelliptic.numcheck import (
     hypothesis_holds,
     polydisc_points,
     sample_hypo,
+    skipped_points,
     _evaluate_columns,
     _float_terms,
 )
@@ -90,6 +91,15 @@ class TestSampleHypo:
         assert report.degenerate == report.n_samples == 1000
         assert report.delta_hat == 0.0
         assert not hypothesis_holds(report)
+
+    def test_only_a_finite_delta_hat_calls_degenerate_points_skipped(self):
+        """Both samples are all degenerate; g_w vanishes with f_w in the
+        first and is 1 in the second, where every point reads infinite."""
+        skipped = sample_hypo(spec_of(["w^3"], g=["w^2"]), radius=1e-9, n=100)
+        live = sample_hypo(spec_of(["z*w"], g=["w"]), radius=1e-9, n=100)
+        assert skipped.degenerate == live.degenerate == 100
+        assert skipped_points(skipped) == 100
+        assert skipped_points(live) == 0
 
     def test_an_overflowing_ratio_is_infinite(self):
         """f_w = g_w = 3w^2, so the ratio is 1 wherever it is a number; at
