@@ -459,10 +459,8 @@ def cmd_verify(spec: DomainSpec, args) -> tuple[int, Artifact]:
     radius = args.radius if args.radius is not None else spec.sample_radius
     points = polydisc_points(radius, args.samples, args.seed)
     worst = finite_diff_levi(spec, points)
-    print(
-        f"finite difference check: max relative deviation {worst:.3e} "
-        f"over {len(points)} points"
-    )
+    deviation = spell_inf(worst) if math.isinf(worst) else f"{worst:.3e}"
+    print(f"finite difference check: max relative deviation {deviation} over {len(points)} points")
     boundary = boundary_pseudoconvexity(
         spec, radius=args.radius, n=args.samples, seed=args.seed
     )
@@ -638,7 +636,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DomainError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.json and fields is not None:
+    if args.json is not None and fields is not None:
         envelope = {"config": _config_echo(args), "spec": spec_echo(spec), **fields}
         text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
         try:

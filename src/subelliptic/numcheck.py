@@ -10,16 +10,18 @@ which takes a polynomial at up to _BLOCK points a call, row by row and cell
 by cell, each cell in one pass over whole columns.  Between cells it shares
 only exact values (a zeroth power is 1+0j; a row's leading w-free sum is
 the same in every column), so a check reads the same floats, bit for bit,
-whatever the block size.  A block that overflows is evaluated again one
-point at a time (`_by_point`), so that only the points that overflow alone
-are lost.  Reports are deterministic for a fixed seed, never override a
-symbolic result, and at most gate whether the effective chain may call its
+whatever the block size.  Nothing here raises on an overflow: the only
+operations that can (complex **, abs() of a complex, float **) go through
+`_nan_on_overflow`, so a value that overflows reads NaN at its own point,
+and each check's rule for a non-finite value is its only overflow rule.
+Reports are deterministic for a fixed seed, never override a symbolic
+result, and at most gate whether the effective chain may call its
 hypothesis verified.
 
 A sample that bounds nothing counts against the hypothesis: in
 `sample_hypo` a point whose ||g_w||^2 is not a number, degenerate or not,
-and one whose evaluation overflows, has an infinite ratio.  What the
-degenerate count of a report means is decided in one place,
+has an infinite ratio, and so has one whose ||f_w||^2 is not a number.
+What the degenerate count of a report means is decided in one place,
 `skipped_points`.  Every float these checks put in a --json artifact goes
 through `domain.spell_inf`, which writes +-inf as "infinity" or "-infinity".
 """
@@ -120,30 +122,40 @@ def _blocks(pairs: Iterable[tuple]) -> Iterator[tuple[list, list]]:
         yield [a for a, _ in block], [b for _, b in block]
 
 
-def _by_point(evaluate: Callable, zs: list, ws: list, overflow) -> list:
-    """evaluate(zs, ws), one value a point, with `overflow` for each point
-    whose own evaluation overflows the float range.
+def _nan_on_overflow(operation: Callable, *operands) -> list:
+    """list(map(operation, *operands)), with NaN for each value on which
+    operation raises OverflowError; each operand is a list or a `repeat`.
 
-    A block that raises OverflowError is evaluated again one point at a
-    time.  Each operation of `_evaluate_columns`, and of the evaluators
-    built on it, acts on one point, so a point raises in a block exactly
-    when it raises alone, and every other point keeps its value.
+    Complex **, abs() of a complex and float ** are the only operations of
+    these checks that raise on overflow (+ and * give an infinity or NaN),
+    and all three go through here.  Each acts on one value, so a value
+    overflows in a list exactly when it overflows alone, and every other
+    value is the one map gives.
     """
     try:
-        return evaluate(zs, ws)
+        return list(map(operation, *operands))
     except OverflowError:
         values = []
-        for z, w in zip(zs, ws):
+        for args in zip(*operands):
             try:
-                values += evaluate([z], [w])
+                values.append(operation(*args))
             except OverflowError:
-                values.append(overflow)
+                values.append(math.nan)
         return values
+
+
+def _squared_moduli(values: list) -> list[float]:
+    """abs(v) ** 2 for each value v, NaN where either operation overflows.
+
+    float ** converts the int 2 to 2.0 before it computes, so the exponent
+    2.0 gives the same bits and spares that conversion at every value.
+    """
+    return _nan_on_overflow(pow, _nan_on_overflow(abs, values), repeat(2.0))
 
 
 def _sum_of_squares(components: Sequence[list], zs: list, ws: list) -> list:
     """Each point's sum of |h|^2 over the components, from 0 in their order."""
-    squares = [[abs(v) ** 2 for v in _column(terms, zs, ws)] for terms in components]
+    squares = [_squared_moduli(_column(terms, zs, ws)) for terms in components]
     return list(map(sum, zip(*squares))) if squares else [0] * len(zs)
 
 
@@ -162,23 +174,18 @@ def sample_hypo(
     delta_hat is the maximum sampled ratio.  Points where ||f_w||^2 falls
     below the degenerate threshold are counted separately; if g_w does not
     vanish there too, no finite delta works and the ratio is infinite.  A
-    point whose evaluation overflows the float range reads as NaN norms, and
-    every point takes the same path: a ||g_w||^2 that is not a number, or a
-    NaN ratio, bounds nothing and counts as infinite, degenerate or not.
-    Points whose ratio reaches 1 are violations since the hypothesis needs
-    delta < 1.
+    term that overflows the float range reads NaN at its point, and so does
+    its norm; a ||g_w||^2 that is not a number, or a NaN ratio, bounds
+    nothing and counts as infinite, degenerate or not.  Points whose ratio
+    reaches 1 are violations since the hypothesis needs delta < 1.
     """
     radius = spec.sample_radius if radius is None else radius
     f_w = [_float_terms(c.wirtinger("w")) for c in spec.f]
     g_w = [_float_terms(c.wirtinger("w")) for c in spec.g]
-
-    def norms(zs: list, ws: list) -> list:
-        return list(zip(_sum_of_squares(f_w, zs, ws), _sum_of_squares(g_w, zs, ws)))
-
     delta_hat, degenerate, violations = 0.0, 0, []
-    overflow = (math.nan, math.nan)
     for zs, ws in _blocks(_polydisc_stream(radius, n, seed)):
-        for z, w, (fw2, gw2) in zip(zs, ws, _by_point(norms, zs, ws, overflow)):
+        norms = zip(_sum_of_squares(f_w, zs, ws), _sum_of_squares(g_w, zs, ws))
+        for z, w, (fw2, gw2) in zip(zs, ws, norms):
             if fw2 < DEGENERATE_TOL:
                 degenerate += 1
                 if gw2 <= DEGENERATE_TOL:
@@ -230,21 +237,15 @@ def boundary_pseudoconvexity(
     Re z by fixed-point iteration; since r_z(0) = 1 the map is a
     contraction for small radii.  Failure to converge means the radius is
     too large for the normalization to dominate and is reported as such.
-    A lambda that is not finite (NaN, an infinity, or an evaluation that
-    overflows the float range) bounds nothing: it counts as -inf, a
-    violation that also sets the minimum.
+    A lambda that is not finite (NaN, an infinity, or NaN where its
+    evaluation overflows the float range) bounds nothing: it counts as -inf,
+    a violation that also sets the minimum.  A target that is not finite
+    means the solve diverged.
     """
     radius = spec.sample_radius if radius is None else radius
     lam = _float_terms(expand_r(spec).lam)
     f_terms = [_float_terms(c) for c in spec.f]
     g_terms = [_float_terms(c) for c in spec.g]
-
-    def targets(zs: list, ws: list) -> list:
-        fs, gs = _sum_of_squares(f_terms, zs, ws), _sum_of_squares(g_terms, zs, ws)
-        return [-0.5 * (f2 - g2) for f2, g2 in zip(fs, gs)]
-
-    def levi(zs: list, ws: list) -> list:
-        return [value.real for value in _column(lam, zs, ws)]
 
     rng = random.Random(seed)
     draws = ((_disc_point(rng, radius), rng.uniform(-radius, radius)) for _ in range(n))
@@ -254,10 +255,11 @@ def boundary_pseudoconvexity(
         # soon as it converges; only the points still moving are evaluated.
         xs, moving = [0.0] * len(ys), range(len(ys))
         for _ in range(FIXED_POINT_CAP):
-            zs = [complex(xs[k], ys[k]) for k in moving]
-            values = _by_point(targets, zs, [ws[k] for k in moving], math.inf)
+            zs, vs = [complex(xs[k], ys[k]) for k in moving], [ws[k] for k in moving]
+            squares = zip(_sum_of_squares(f_terms, zs, vs), _sum_of_squares(g_terms, zs, vs))
             still = []
-            for k, target in zip(moving, values):
+            for k, (f2, g2) in zip(moving, squares):
+                target = -0.5 * (f2 - g2)
                 if not math.isfinite(target):
                     raise _divergence(radius)
                 if abs(target - xs[k]) >= FIXED_POINT_TOL:
@@ -269,9 +271,8 @@ def boundary_pseudoconvexity(
         else:
             raise _divergence(radius)
         zs = [complex(x, y) for x, y in zip(xs, ys)]
-        for z, w, value in zip(zs, ws, _by_point(levi, zs, ws, -math.inf)):
-            if not math.isfinite(value):
-                value = -math.inf
+        for z, w, cell in zip(zs, ws, _column(lam, zs, ws)):
+            value = cell.real if math.isfinite(cell.real) else -math.inf
             min_lambda = min(min_lambda, value)
             if value < -FIXED_POINT_TOL:
                 violations.append(_point_record(z, w, value))
@@ -287,8 +288,8 @@ def finite_diff_levi(spec: DomainSpec, points: Sequence[tuple[complex, complex]]
     tangential Hessian pairing, a route to lambda independent of the sum of
     squares the symbolic side uses.  The result is max |lam_num - lam_sym| /
     (1 + |lam_sym|) over the points, or inf as soon as one deviation is not
-    finite or an evaluation overflows the float range (an overflowing r
-    gives NaN or raises OverflowError, and either must fail the check).
+    finite; a value that overflows the float range reads NaN at its point,
+    so it fails the check.
 
     The points go through `_evaluate_columns` _BLOCK at a time: r at the 5x5
     stencil of every point of a block, lambda at the points themselves.
@@ -299,13 +300,9 @@ def finite_diff_levi(spec: DomainSpec, points: Sequence[tuple[complex, complex]]
     r, lam = _float_terms(data.r), _float_terms(data.lam)
     h, worst = FINITE_DIFF_STEP, 0.0
     for zs, ws in _blocks(points):
-        try:
-            cells = _evaluate_columns(r, _stencil_columns(zs, h), _stencil_columns(ws, h))
-            numeric = _levi_by_differences(cells, h)
-            reference = [value.real for value in _column(lam, zs, ws)]
-        except OverflowError:
-            return math.inf
-        for num, ref in zip(numeric, reference):
+        cells = _evaluate_columns(r, _stencil_columns(zs, h), _stencil_columns(ws, h))
+        reference = [value.real for value in _column(lam, zs, ws)]
+        for num, ref in zip(_levi_by_differences(cells, h), reference):
             deviation = abs(num - ref) / (1.0 + abs(ref))
             if not math.isfinite(deviation):
                 return math.inf
@@ -339,8 +336,9 @@ def _evaluate_columns(
     terms (r starts with z + zb).  These are each cell's own values, since
     x**0 is exactly 1+0j for every complex x, NaN and inf included (CPython's
     integer power never reads x for the exponent 0).  So a cell does not
-    depend on the other points, and a power that overflows (complex ** raises
-    OverflowError, * and + never raise) does so at its point alone.
+    depend on the other points.  Nothing raises: a power that overflows reads
+    NaN (`_nan_on_overflow`), * and + carry it, and so the cell of each point
+    where a power overflows is NaN in both parts.
     """
     n, columns = len(zs[0]), range(len(ws))
     z_pow, zb_pow = _powers(zs, terms, 0), _powers(zs, terms, 1)
@@ -377,7 +375,7 @@ def _powers(columns, terms, at: int) -> list[dict[int, list[complex]]]:
     exponents = {m[at] for _, m in terms}
     if at % 2 and any(exponents):
         columns = [list(map(complex.conjugate, column)) for column in columns]
-    return [{e: list(map(pow, column, repeat(e))) if e else [1 + 0j] * len(column)
+    return [{e: _nan_on_overflow(pow, column, repeat(e)) if e else [1 + 0j] * len(column)
              for e in exponents} for column in columns]
 
 
@@ -396,7 +394,8 @@ def _levi_by_differences(cells: list[list[list[complex]]], h: float) -> list[flo
     """lambda from central differences of Re r on the stencil, per point.
 
     cells[i][j] holds r at the i-th z column and j-th w column of
-    `_stencil_columns`; the arithmetic is the same, point by point.
+    `_stencil_columns`; the arithmetic is the same, point by point, with NaN
+    for a squared modulus that overflows.
     """
     grid = [[[value.real for value in cell] for cell in row] for row in cells]
     center = grid[0][0]
@@ -427,6 +426,8 @@ def _levi_by_differences(cells: list[list[list[complex]]], h: float) -> list[flo
         for xu, yv, xv, yu in zip(mixed(X, U), mixed(Y, V), mixed(X, V), mixed(Y, U))
     ]
     return [
-        wwb * abs(z) ** 2 + zzb * abs(w) ** 2 - 2.0 * (zwb * w * z.conjugate()).real
-        for z, w, zzb, wwb, zwb in zip(r_z, r_w, r_zzb, r_wwb, r_zwb)
+        wwb * zz + zzb * ww - 2.0 * (zwb * w * z.conjugate()).real
+        for z, w, zz, ww, zzb, wwb, zwb in zip(
+            r_z, r_w, _squared_moduli(r_z), _squared_moduli(r_w), r_zzb, r_wwb, r_zwb
+        )
     ]

@@ -405,8 +405,9 @@ class TestExitCodes:
         assert "refused" in capsys.readouterr().err
 
     def test_a_sample_that_overflows_the_float_range_fails_the_gate(self, tmp_path, capsys):
-        """At radius 1e100 |f_w|^2 raises OverflowError instead of giving
-        NaN; the point still counts as an infinite ratio, not a crash."""
+        """At radius 1e100 |f_w|^2 overflows in float **, which raises
+        instead of giving inf, and so reads NaN; the point still counts as an
+        infinite ratio, not a crash."""
         spec = write_spec(
             tmp_path,
             {"name": "same", "f": ["w^3"], "g": ["w^3"], "sample_radius": 1e100},
@@ -745,6 +746,20 @@ class TestJsonArtifacts:
         assert "error: cannot write --json artifact:" in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["directory", "spec.json"]
 
+    def test_an_empty_artifact_path_exits_one(self, tmp_path, capsys, monkeypatch):
+        """--json "" names no file: it fails like any other unwritable path
+        instead of being read as no --json at all."""
+        monkeypatch.chdir(tmp_path)
+        code = main(["levi", write_spec(tmp_path, FLAT), "--json", ""])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out
+        assert captured.err == (
+            "error: cannot write --json artifact: "
+            f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
     def test_rewriting_an_artifact_replaces_the_file(self, tmp_path, capsys):
         """A second run onto the same path writes a new file, not a truncation."""
         spec = write_spec(tmp_path, FLAT)
@@ -961,7 +976,10 @@ class TestJsonArtifacts:
         spec = write_spec(tmp_path, {"f": ["w^2"], "sample_radius": 1e77})
         code = main(["verify", spec, "--json", str(out_path)])
         assert code == EXIT_UNDECIDED
-        assert "max relative deviation inf" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "finite difference check: max relative deviation infinity over 1000 points"
+        )
 
         def reject(constant):
             raise ValueError(f"non-finite JSON constant {constant}")
@@ -980,7 +998,7 @@ class TestJsonArtifacts:
                 "f": ["1/2*z^2*w^4 + 1/2*z^3*w^3"],
                 "g": ["1/2*z^2*w^4 + 1/2*z^3*w^3 + 2*z*w + i*z^3*w^2"],
             },
-            # Evaluating lambda raises OverflowError.
+            # Evaluating lambda overflows the float range.
             {"f": ["2*z*w + i*z*w^6"], "g": ["2*z*w + i*z*w^6 + 2*w^6"]},
         ],
         ids=["negative-infinity", "nan", "overflow"],

@@ -112,8 +112,8 @@ class TestSampleHypo:
         assert not hypothesis_holds(report)
 
     def test_an_overflowing_evaluation_is_infinite(self):
-        """At radius 1e100 |3w^2|^2 exceeds the float range and raises
-        OverflowError: such a point bounds nothing either."""
+        """At radius 1e100 |3w^2|^2 exceeds the float range in float **,
+        which raises and so reads NaN: such a point bounds nothing either."""
         spec = spec_of(["w^3"], g=["w^3"])
         report = sample_hypo(spec, radius=1e100, n=50)
         assert report.delta_hat == math.inf
@@ -124,12 +124,13 @@ class TestSampleHypo:
     @pytest.mark.parametrize("radius", [1e60, 1e110])
     def test_a_degenerate_point_whose_g_is_not_a_number_is_infinite(self, radius):
         """f = z has f_w = 0 and g = z^2*w^2 has g_w = 2z^2*w.  At radius
-        1e60 |g_w|^2 raises OverflowError, so the point's norms read NaN and
-        it is not degenerate; at 1e110 the product z^2*w overflows inside
-        complex multiplication to NaN, so the point is degenerate with a NaN
-        |g_w|^2.  Either bounds nothing."""
+        1e60 |g_w|^2 overflows in float ** and reads NaN; at 1e110 the
+        product z^2*w overflows inside complex multiplication to NaN.  Either
+        way every point is degenerate with a NaN |g_w|^2, which bounds
+        nothing."""
         spec = spec_of(["z"], g=["z^2*w^2"])
         report = sample_hypo(spec, radius=radius, n=1000)
+        assert report.degenerate == 1000
         assert report.delta_hat == math.inf
         assert len(report.violations) == 1000
         assert {v["value"] for v in report.violations} == {math.inf}
@@ -184,7 +185,7 @@ class TestBoundaryPseudoconvexity:
                 ["1/2*z^2*w^4 + 1/2*z^3*w^3"],
                 ["1/2*z^2*w^4 + 1/2*z^3*w^3 + 2*z*w + i*z^3*w^2"],
             ),
-            # Evaluating lambda raises OverflowError.
+            # Evaluating lambda overflows the float range.
             (["2*z*w + i*z*w^6"], ["2*z*w + i*z*w^6 + 2*w^6"]),
         ],
         ids=["nan", "overflow"],
@@ -229,11 +230,13 @@ class TestFiniteDifferenceOracle:
         assert finite_diff_levi(cross_power_domain(3, 2, 5), points) == math.inf
 
     def test_an_overflowing_evaluation_fails_the_check(self):
-        """At radius 1e110 w^3 raises OverflowError inside the stencil; that
-        point bounds nothing, so the result is infinite, not a traceback."""
+        """At radius 1e110 w^3 overflows inside the stencil, so the point's
+        cell is NaN; that point bounds nothing, so the result is infinite,
+        not a traceback."""
         points = polydisc_points(1e110, 50, seed=42)
-        with pytest.raises(OverflowError):
-            _evaluate_columns(_float_terms(parse_poly("w^3")), [[points[0][0]]], [[points[0][1]]])
+        terms = _float_terms(parse_poly("w^3"))
+        [[[cell]]] = _evaluate_columns(terms, [[points[0][0]]], [[points[0][1]]])
+        assert math.isnan(cell.real) and math.isnan(cell.imag)
         assert finite_diff_levi(spec_of(["w^3"]), points) == math.inf
 
     @pytest.mark.parametrize("count", [_BLOCK, 2 * _BLOCK + 5], ids=["full", "partial"])
@@ -244,7 +247,7 @@ class TestFiniteDifferenceOracle:
     )
     def test_a_block_whose_last_point_fails_fails_the_check(self, spec, far, count):
         """Only the last point of a block, full or partial, is far out: there
-        w^3 raises OverflowError, or r turns NaN.  Every other point passes."""
+        w^3 overflows, or r turns NaN.  Every other point passes."""
         near = polydisc_points(0.5, count - 1, seed=42)
         assert finite_diff_levi(spec, near) <= 1e-5
         assert finite_diff_levi(spec, near + polydisc_points(far, 1, seed=42)) == math.inf
@@ -410,17 +413,19 @@ def _hexes(value: complex) -> tuple[str, str]:
 
 def _assert_kernel_is_pointwise(p: Poly, zs, ws) -> None:
     """Every cell of the kernel is the per-point reference at its point, hex
-    for hex, or both raise OverflowError."""
+    for hex, or NaN in both parts where the reference raises OverflowError."""
     f = _pointwise_evaluator(p)
-    try:
-        expected = [
-            [[_hexes(f(z0, w0)) for z0, w0 in zip(z_col, w_col)] for w_col in ws]
-            for z_col in zs
-        ]
-    except OverflowError:
-        with pytest.raises(OverflowError):
-            _evaluate_columns(_float_terms(p), zs, ws)
-        return
+
+    def reference(z0: complex, w0: complex) -> tuple[str, str]:
+        try:
+            return _hexes(f(z0, w0))
+        except OverflowError:
+            return _hexes(complex(math.nan, math.nan))
+
+    expected = [
+        [[reference(z0, w0) for z0, w0 in zip(z_col, w_col)] for w_col in ws]
+        for z_col in zs
+    ]
     cells = _evaluate_columns(_float_terms(p), zs, ws)
     assert [[[_hexes(v) for v in cell] for cell in row] for row in cells] == expected
 
@@ -550,19 +555,23 @@ def _reference_record(z0: complex, w0: complex, value: float) -> dict:
     return {"z": [z0.real, z0.imag], "w": [w0.real, w0.imag], "value": value}
 
 
+def _reference_square(h, z0: complex, w0: complex) -> float:
+    """|h|^2 at the point, NaN where evaluating it overflows."""
+    try:
+        return abs(h(z0, w0)) ** 2
+    except OverflowError:
+        return math.nan
+
+
 def _reference_sample_hypo(spec: DomainSpec, radius: float, n: int, seed: int) -> SampleReport:
-    """`sample_hypo` one point at a time on the per-point reference."""
+    """`sample_hypo` one point at a time on the per-point reference: a norm
+    whose term overflows is NaN, and then the degenerate rule applies."""
     f_w = [_pointwise_evaluator(c.wirtinger("w")) for c in spec.f]
     g_w = [_pointwise_evaluator(c.wirtinger("w")) for c in spec.g]
     delta_hat, degenerate, violations = 0.0, 0, []
     for z, w in polydisc_points(radius, n, seed):
-        try:
-            fw2 = _reference_norm(f_w, z, w)
-            gw2 = _reference_norm(g_w, z, w)
-        except OverflowError:
-            delta_hat = math.inf
-            violations.append(_reference_record(z, w, math.inf))
-            continue
+        fw2 = sum(_reference_square(h, z, w) for h in f_w)
+        gw2 = sum(_reference_square(h, z, w) for h in g_w)
         if fw2 < numcheck.DEGENERATE_TOL:
             degenerate += 1
             if gw2 <= numcheck.DEGENERATE_TOL:
