@@ -21,7 +21,11 @@ basis is its reducers: each monic element as its leading monomial, its
 ecart and its tail of triples.  Generators are prepared once, and
 completion, minimalization and tail stripping all run on the reducers, so
 a finished basis is never prepared again and a membership query pays no
-setup.  A remainder becomes a Poly only where a caller needs one.
+setup.  Completion builds each S-polynomial as a triple map straight from
+two tails, so no GaussRational is made on the way.  The normal form copies
+the reducer list only when a remainder first joins it (Mora's trick), so
+most reductions copy nothing.  A remainder becomes a Poly only where a
+caller needs one.
 
 The radical machinery implements three sound certificate rules
 (conjugation, hermitian squares via an exact rational LDL* decomposition of
@@ -48,10 +52,7 @@ from .polyring import (
     canonical_str,
     display_key,
     mono_degree,
-    mono_div,
     mono_divides,
-    mono_lcm,
-    mono_mul,
 )
 
 DEFAULT_STEP_BUDGET = 100_000
@@ -149,58 +150,69 @@ def nf_mora(f: dict, reducers: Sequence[tuple], budget: _Budget) -> dict:
     turns it into a Poly where one is needed.  There is a local unit u with
     u*f = (combination of basis) + result; the result is empty exactly
     when f lies in the ideal generated by the basis in the localized ring.
-    Intermediate remainders join a copy of the reducer list (Mora's trick),
-    which guarantees termination despite the local order.  Among the
-    reducers whose leading monomial divides that of the remainder, the first
-    of least ecart is used.
+    Intermediate remainders join the reducers (Mora's trick), which
+    guarantees termination despite the local order.  The caller's list is
+    never changed: it is copied on the first join, so a reduction that
+    joins nothing copies nothing.  Among the reducers whose leading monomial
+    divides that of the remainder, the first of least ecart is used.
 
     Inside the loop the remainder is a map {degree: {monomial: coefficient}}.
     Its least degree holds the leading monomial (ties to the larger exponent
-    tuple) and its degree spread is the ecart, so a step never scans the
-    whole remainder.  A coefficient is the triple (a, b, d) that a
-    GaussRational is, for (a + b*i)/d with d > 0 and gcd(a, b, d) = 1:
-    every step keeps it in lowest terms, and the result returns it as it
-    is.  A reducer's tail is divided by its leading coefficient once, when
-    it is prepared or joins.  The triple is unique for its value and every
-    operation on it is exact, so the result equals the one of GaussRational
-    arithmetic term by term, step for step.  A shifted tail term whose
-    monomial is not in the remainder yet is stored as the negated product,
-    brought to lowest terms, with no merge against a zero; the product of
-    two nonzero coefficients is never zero.
+    tuple) and its degree spread is the ecart, which is read only once a
+    reducer divides the lead, so a step never scans the whole remainder.  A
+    coefficient is the triple (a, b, d) that a GaussRational is, for
+    (a + b*i)/d with d > 0 and gcd(a, b, d) = 1: every step keeps it in
+    lowest terms, and the result returns it as it is.  A reducer's tail is
+    divided by its leading coefficient once, when it is prepared or joins.
+    The triple is unique for its value and every operation on it is exact,
+    so the result equals the one of GaussRational arithmetic term by term,
+    step for step.  A shifted tail term whose monomial is not in the
+    remainder yet is stored as the negated product, brought to lowest terms,
+    with no merge against a zero; the product of two nonzero coefficients is
+    never zero.
     """
-    reducers = list(reducers)
+    joined = False
     buckets: dict[int, dict[Mono, tuple[int, int, int]]] = {}
     for m, c in f.items():
-        buckets.setdefault(m[0] + m[1] + m[2] + m[3], {})[m] = c
+        dg = m[0] + m[1] + m[2] + m[3]
+        bucket = buckets.get(dg)
+        if bucket is None:
+            bucket = buckets[dg] = {}
+        bucket[m] = c
     while buckets:
         low = min(buckets)
         lowest = buckets[low]
-        lm_h = max(lowest)
-        ecart_h = max(buckets) - low
+        lm_h = max(lowest) if len(lowest) > 1 else next(iter(lowest))
+        h0, h1, h2, h3 = lm_h
         best = None
         for reducer in reducers:
             lm_g = reducer[0]
-            if (lm_g[0] <= lm_h[0] and lm_g[1] <= lm_h[1]
-                    and lm_g[2] <= lm_h[2] and lm_g[3] <= lm_h[3]
+            if (lm_g[0] <= h0 and lm_g[1] <= h1 and lm_g[2] <= h2 and lm_g[3] <= h3
                     and (best is None or reducer[1] < best[1])):
                 best = reducer
         if best is None:
             break
         budget.spend()
-        lm_g, ecart_g, tail = best
+        (g0, g1, g2, g3), ecart_g, tail = best
+        ecart_h = max(buckets) - low
         if ecart_g > ecart_h:
             snapshot = {m: c for bucket in buckets.values() for m, c in bucket.items()}
+            if not joined:
+                reducers, joined = list(reducers), True
             reducers.append(_reducer(lm_h, ecart_h, snapshot))
         # Subtract c_h * x^shift * tail; the leading terms cancel exactly.
         a, b, d = lowest.pop(lm_h)
         if not lowest:
             del buckets[low]
-        s0, s1, s2, s3 = mono_div(lm_h, lm_g)
-        shift = low - mono_degree(lm_g)
+        s0, s1, s2, s3 = h0 - g0, h1 - g1, h2 - g2, h3 - g3
+        shift = low - g0 - g1 - g2 - g3
         for m0, m1, m2, m3, dg, p, q, e in tail:
             m = (m0 + s0, m1 + s1, m2 + s2, m3 + s3)
-            bucket = buckets.setdefault(dg + shift, {})
+            dg += shift
             re, im, den = a * p - b * q, a * q + b * p, d * e
+            bucket = buckets.get(dg)
+            if bucket is None:
+                bucket = buckets[dg] = {}
             old = bucket.get(m)
             if old is None:
                 k = gcd(re, im, den)
@@ -216,7 +228,7 @@ def nf_mora(f: dict, reducers: Sequence[tuple], budget: _Budget) -> dict:
             else:
                 del bucket[m]
                 if not bucket:
-                    del buckets[dg + shift]
+                    del buckets[dg]
     return {m: c for bucket in buckets.values() for m, c in bucket.items()}
 
 
@@ -224,43 +236,68 @@ def _spoly(f: tuple, g: tuple) -> dict:
     """The S-polynomial of two reducers, as the triple map nf_mora reads.
 
     Both elements are monic, so their leading terms, shifted to the lcm of
-    the leading monomials, cancel, and the shifted tails are what is left.
+    the leading monomials, cancel, and the shifted tails are what is left:
+    f's tail, then g's tail subtracted from it.  The tails are triples in
+    lowest terms and monomials within one tail are distinct, so only a
+    monomial that both tails reach needs a merge, with one gcd like every
+    sum in nf_mora; a merge to zero drops the term.
     """
-    gamma = mono_lcm(f[0], g[0])
-    zero, terms = GaussRational.zero(), {}
-    for (lm, _, tail), sign in ((f, 1), (g, -1)):
-        s0, s1, s2, s3 = mono_div(gamma, lm)
-        for m0, m1, m2, m3, _, a, b, d in tail:
-            m = (m0 + s0, m1 + s1, m2 + s2, m3 + s3)
-            terms[m] = terms.get(m, zero) + _from_triple(sign * a, sign * b, d)
-    return {m: c for m, c in terms.items() if not c.is_zero()}
+    (f0, f1, f2, f3), _, f_tail = f
+    (g0, g1, g2, g3), _, g_tail = g
+    l0, l1, l2, l3 = max(f0, g0), max(f1, g1), max(f2, g2), max(f3, g3)
+    s0, s1, s2, s3 = l0 - f0, l1 - f1, l2 - f2, l3 - f3
+    terms = {(m0 + s0, m1 + s1, m2 + s2, m3 + s3): (a, b, d)
+             for m0, m1, m2, m3, _, a, b, d in f_tail}
+    s0, s1, s2, s3 = l0 - g0, l1 - g1, l2 - g2, l3 - g3
+    for m0, m1, m2, m3, _, a, b, d in g_tail:
+        m = (m0 + s0, m1 + s1, m2 + s2, m3 + s3)
+        old = terms.get(m)
+        if old is None:
+            terms[m] = (-a, -b, d)
+            continue
+        x, y, e = old
+        k = gcd(e, d)
+        u, v = d // k, e // k
+        x, y, den = x * u - a * v, y * u - b * v, e * u
+        if x or y:
+            k = gcd(x, y, den)
+            terms[m] = (x // k, y // k, den // k)
+        else:
+            del terms[m]
+    return terms
 
 
 def _buchberger(reducers: Sequence[tuple], budget: _Budget) -> list[tuple]:
     """Standard basis of the ideal the reducers generate, as reducers.
 
     The given reducers come first, then those of the nonzero remainders;
-    no element is ever a Poly on the way.  Pairs are treated by least lcm
+    no element is ever a Poly on the way, and S-polynomials are triple maps
+    built from the reducers' tails (_spoly).  Pairs are treated by least lcm
     of their leading monomials (degree first, then exponents), ties in the
     order they were formed.  The queue is a heap keyed by (degree, lcm,
     index of formation), which pops them in the order a stable sort of the
-    pending pairs would list them.
+    pending pairs would list them.  A pair with coprime leading monomials
+    never enters it (the product criterion: its S-polynomial reduces to
+    zero).  The index counts only the pairs that enter and still grows with
+    each, so they pop in the order they would if the coprime pairs had
+    entered too and been skipped on the way out.
     """
     reducers = list(reducers)
     pairs: list[tuple[int, Mono, int, int, int]] = []
     formed = itertools.count()
 
     def push(i: int, j: int) -> None:
-        lcm = mono_lcm(reducers[i][0], reducers[j][0])
-        heapq.heappush(pairs, (mono_degree(lcm), lcm, next(formed), i, j))
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = reducers[i][0], reducers[j][0]
+        if not (a0 and b0 or a1 and b1 or a2 and b2 or a3 and b3):
+            return
+        lcm = (max(a0, b0), max(a1, b1), max(a2, b2), max(a3, b3))
+        heapq.heappush(pairs, (lcm[0] + lcm[1] + lcm[2] + lcm[3], lcm, next(formed), i, j))
 
     for i in range(len(reducers)):
         for j in range(i + 1, len(reducers)):
             push(i, j)
     while pairs:
-        _, lcm, _, i, j = heapq.heappop(pairs)
-        if lcm == mono_mul(reducers[i][0], reducers[j][0]):
-            continue  # product criterion: coprime leading monomials
+        _, _, _, i, j = heapq.heappop(pairs)
         h = nf_mora(_spoly(reducers[i], reducers[j]), reducers, budget)
         if h:
             reducers.append(_reducer(*_lead_ecart(h), h))

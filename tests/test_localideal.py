@@ -1,13 +1,15 @@
 """Tests for local ideal membership, standard bases, and radical certificates."""
 
+import itertools
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from subelliptic import localideal
+from subelliptic import localideal, polyring
 from subelliptic.polyring import (
     GaussRational,
     Poly,
@@ -33,6 +35,7 @@ from subelliptic.localideal import (
     _lead_ecart,
     _power_sweep,
     _prepare,
+    _spoly,
     hermitian_square_rows,
     nf_mora,
     radical_extend,
@@ -1157,6 +1160,36 @@ def _random_ideal(rng):
     ]
 
 
+class TestSPolynomial:
+    def test_agrees_with_the_reference_and_keeps_triples_reduced(self):
+        """Pair by pair on seeded reducers, _spoly's triple map is the
+        reference S-polynomial of the elements the reducers stand for, and
+        each coefficient is a triple nf_mora can read: d > 0,
+        gcd(a, b, d) = 1 and not zero.  A multiple of an element makes tails
+        that share monomials, so merges and cancellations both occur."""
+        rng = random.Random(20261040)
+        seen = set()
+        for _ in range(60):
+            coeff = rng.choice([gauss_integer, gauss_fraction])
+            p = random_poly(rng, 3, coeff=coeff)
+            polys = [p, p * random_poly(rng, 2, coeff=coeff), random_poly(rng, 3, coeff=coeff)]
+            reducers = _prepare(polys)
+            for f, g in itertools.permutations(reducers, 2):
+                got = _spoly(f, g)
+                assert _as_poly(got) == _reference_spoly(element(f), element(g))
+                for a, b, d in got.values():
+                    assert d > 0 and gcd(a, b, d) == 1 and (a or b)
+                shifted = [
+                    {mono_mul(mono_div(mono_lcm(f[0], g[0]), lm), t[:4]) for t in tail}
+                    for lm, _, tail in (f, g)
+                ]
+                shared = shifted[0] & shifted[1]
+                if shared:
+                    seen.add("merged" if shared & set(got) else "cancelled")
+                seen.add("nonzero" if got else "zero")
+        assert seen == {"merged", "cancelled", "nonzero", "zero"}
+
+
 class TestBuchberger:
     def test_pair_heap_agrees_with_the_sorted_pair_list(self):
         """Same elements, same steps left, exhaustion at the same budget.
@@ -1311,6 +1344,23 @@ class TestPreparedReducers:
         bigger = ideal.with_extra([parse_poly("z^2*w - w^3")])
         assert {bigger.membership(p) for p in probes} == {Membership.YES, Membership.NO}
         assert len(bigger.basis) > 1 and made["ideal"] == 3
+
+    def test_completion_builds_no_coefficient_object(self, monkeypatch):
+        """S-polynomials and remainders stay triple maps, so completing a
+        basis makes no GaussRational: all of its arithmetic ends in
+        _from_triple."""
+        gens = [parse_poly("z^3 - 1/2*w^3"), parse_poly("(2 + i)*z*w^2 + 2/3*z^2*w")]
+        made, from_triple = [], polyring._from_triple
+
+        def counted(*triple):
+            made.append(triple)
+            return from_triple(*triple)
+
+        for module in (polyring, localideal):
+            monkeypatch.setattr(module, "_from_triple", counted)
+        assert len(LocalIdeal(gens).basis) > len(gens)
+        assert made == []
+
     def test_a_no_answer_builds_no_remainder(self, monkeypatch):
         ideal = LocalIdeal([parse_poly("w^2 - z^3"), parse_poly("z^5")])
         ideal.basis
