@@ -33,9 +33,10 @@ spec.  `levi` and `type` need nothing more.  `check-hypo` and `verify` load
 the samplers in `numcheck`; `effective` loads `effective` and `numcheck`;
 `kohn` loads `kohn` with its ideal layer `localideal`; `compare` loads all
 of them.  The entry points of those modules stay names of this module
-(`run_kohn`, `zeta_chain`, `sample_hypo`, `finite_diff_levi`,
-`boundary_pseudoconvexity`), each a stand-in that imports its module on the
-first call, so a caller can still patch them here.
+(`run_kohn`, `zeta_chain`, `sample_hypo`, `boundary_pseudoconvexity`), each
+a stand-in that imports its module on the first call, so a caller can still
+patch them here.  `verify` checks lambda by an exact identity
+(`domain.levi_by_hessian`) and needs only the boundary sampler.
 
 The engine's records (`DomainSpec`, `LeviData`, `SampleReport`, `ZetaStep`,
 `EffectiveResult`, `RadicalCertificate`) are named tuples, not
@@ -100,6 +101,7 @@ from .domain import (
     DomainSpec,
     UndecidedError,
     expand_r,
+    levi_by_hessian,
     spell_inf,
     type_lower_bound,
 )
@@ -122,7 +124,6 @@ def _on_first_call(module: str, name: str):
 run_kohn = _on_first_call("kohn", "run_kohn")
 zeta_chain = _on_first_call("effective", "zeta_chain")
 sample_hypo = _on_first_call("numcheck", "sample_hypo")
-finite_diff_levi = _on_first_call("numcheck", "finite_diff_levi")
 boundary_pseudoconvexity = _on_first_call("numcheck", "boundary_pseudoconvexity")
 
 
@@ -130,8 +131,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNDECIDED = 2
 EXIT_REFUSED = 3
-
-FINITE_DIFF_TOL = 1e-5
 
 _SPEC_KEYS = {"name", "f", "g", "params", "sample_radius"}
 
@@ -454,20 +453,16 @@ def cmd_check_hypo(spec: DomainSpec, args) -> tuple[int, Artifact]:
 
 
 def cmd_verify(spec: DomainSpec, args) -> tuple[int, Artifact]:
-    from .numcheck import polydisc_points
-
-    radius = args.radius if args.radius is not None else spec.sample_radius
-    points = polydisc_points(radius, args.samples, args.seed)
-    worst = finite_diff_levi(spec, points)
-    deviation = spell_inf(worst) if math.isinf(worst) else f"{worst:.3e}"
-    print(f"finite difference check: max relative deviation {deviation} over {len(points)} points")
+    data = expand_r(spec)
+    exact = levi_by_hessian(data) == data.lam
+    print(f"Levi identity: {'exact' if exact else 'fails'}")
     boundary = boundary_pseudoconvexity(
         spec, radius=args.radius, n=args.samples, seed=args.seed
     )
     print(f"boundary Levi minimum: {_float_text(boundary.min_lambda_on_boundary)}")
     problems = []
-    if worst > FINITE_DIFF_TOL:
-        problems.append(f"finite difference deviation above {FINITE_DIFF_TOL}")
+    if not exact:
+        problems.append("Levi identity fails")
     if boundary.violations:
         problems.append(
             f"pseudoconvexity violated on {len(boundary.violations)} boundary samples"
@@ -476,7 +471,7 @@ def cmd_verify(spec: DomainSpec, args) -> tuple[int, Artifact]:
         print(f"undecided: {line}", file=sys.stderr)
     code = EXIT_OK if not problems else EXIT_UNDECIDED
     return code, {
-        "finite_diff_error": spell_inf(worst),
+        "levi_identity": exact,
         "boundary": boundary.as_dict(),
         "summary": "checks passed" if not problems else "; ".join(problems),
     }
@@ -611,7 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk = add("check-hypo", "sample the comparison hypothesis", cmd_check_hypo)
     _add_sampling_flags(p_chk)
 
-    p_ver = add("verify", "numerical cross checks of the symbolic data", cmd_verify)
+    p_ver = add(
+        "verify", "exact Levi identity and boundary samples of lambda", cmd_verify
+    )
     _add_sampling_flags(p_ver)
 
     p_cmp = add(

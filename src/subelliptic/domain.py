@@ -8,9 +8,11 @@ function
 
 The module computes r and its first Wirtinger derivatives, the tangential
 vector field L applied to test functions, the determinant of the Levi form
-along L, a boundary direction at the origin along which that determinant is
-negative when one of a few exact tries finds it, and a lower bound for the
-D'Angelo type at 0: the contact order of the curve (0, t), TYPE_WITNESS.
+along L (and the same determinant by a second exact route,
+`levi_by_hessian`, for `subelliptic verify`), a boundary direction at the
+origin along which that determinant is negative when one of a few exact
+tries finds it, and a lower bound for the D'Angelo type at 0: the contact
+order of the curve (0, t), TYPE_WITNESS.
 It also holds the one spelling of an infinite value, `spell_inf`, which
 every subcommand's report and artifact goes through.
 """
@@ -158,6 +160,25 @@ def expand_r(spec: DomainSpec) -> LeviData:
 
     lam = norm_sq(spec.f) - norm_sq(spec.g)
     return LeviData(r=r, lam=lam, r_z=r_z, r_w=r_w)
+
+
+def levi_by_hessian(data: LeviData) -> Poly:
+    """lam by the Levi form's definition: the complex Hessian of r paired
+    with L = r_z d/dw - r_w d/dz and its conjugate,
+
+        r_zzb*r_w*r_wb - r_zwb*r_w*r_zb - r_wzb*r_z*r_wb + r_wwb*r_z*r_zb,
+
+    built from r alone, with no use of the sum of squares that `expand_r`
+    takes; with r_wb and r_zb factored out it takes six products, not eight.
+    `subelliptic verify` checks that the two routes agree exactly.  Both
+    multiply with `Poly.__mul__`, which `tests/test_polyring.py` checks
+    against a reference product on pairs of Fractions.
+    """
+    r, r_z, r_w = data.r, data.r_z, data.r_w
+    r_zb, r_wb = r.wirtinger("zb"), r.wirtinger("wb")
+    r_zzb, r_zwb = r_z.wirtinger("zb"), r_z.wirtinger("wb")
+    r_wzb, r_wwb = r_w.wirtinger("zb"), r_w.wirtinger("wb")
+    return (r_zzb * r_w - r_wzb * r_z) * r_wb + (r_wwb * r_z - r_zwb * r_w) * r_zb
 
 
 def descent_direction(lam: Poly) -> Optional[tuple[Poly, tuple]]:

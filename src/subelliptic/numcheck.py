@@ -3,8 +3,11 @@
 The symbolic chain certifies orders exactly; what it cannot certify is the
 pointwise inequalities its hypotheses assert near the origin (domination of
 the g-derivatives by the f-derivatives, pseudoconvexity of the boundary).
-This module samples those inequalities on seeded polydiscs and
-cross-validates the symbolic Levi determinant against finite differences.
+This module samples those inequalities on seeded polydiscs.  It also keeps
+a float oracle for the symbolic Levi determinant, `finite_diff_levi` on
+`polydisc_points`, exposed on purpose: acceptance criterion 7 uses it as an
+independent check, while `subelliptic verify` checks lambda by an exact
+identity (`domain.levi_by_hessian`) and runs only the boundary sampler.
 Every float these checks read comes from one evaluator, `_evaluate_columns`,
 which takes a polynomial at up to _BLOCK points a call, row by row and cell
 by cell, each cell in one pass over whole columns.  Between cells it shares

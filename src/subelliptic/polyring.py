@@ -192,10 +192,6 @@ def mono_div(n: Mono, m: Mono) -> Mono:
     return (n[0] - m[0], n[1] - m[1], n[2] - m[2], n[3] - m[3])
 
 
-def mono_lcm(m: Mono, n: Mono) -> Mono:
-    return (max(m[0], n[0]), max(m[1], n[1]), max(m[2], n[2]), max(m[3], n[3]))
-
-
 def mono_gcd(m: Mono, n: Mono) -> Mono:
     return (min(m[0], n[0]), min(m[1], n[1]), min(m[2], n[2]), min(m[3], n[3]))
 

@@ -26,11 +26,11 @@ from subelliptic.cli import (
     spec_from_dict,
     trace_schema,
 )
-from subelliptic.domain import DomainError, DomainSpec, UndecidedError
+from subelliptic.domain import DomainError, DomainSpec, UndecidedError, expand_r
 from subelliptic.effective import EffectiveError, InfiniteTypeError
 from subelliptic.kohn import KohnError, run_kohn
 from subelliptic.numcheck import BoundarySolveError
-from subelliptic.polyring import canonical_str, parse_poly
+from subelliptic.polyring import Poly, canonical_str, parse_poly
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -423,12 +423,13 @@ class TestExitCodes:
         assert "effective order  -" in captured.out
         assert "effective run refused (hypothesis failed)" in captured.err
 
-    def test_verify_when_the_differences_overflow_exits_one(self, tmp_path):
-        """w^3 at 1e110 overflows the stencil; the boundary solve then refuses."""
+    def test_verify_when_the_boundary_solve_overflows_exits_one(self, tmp_path):
+        """w^3 at 1e110: the exact Levi identity holds, then the boundary
+        solve overflows and refuses."""
         spec = write_spec(tmp_path, {"f": ["w^3"], "sample_radius": 1e110})
         proc = run_module("verify", spec)
         assert proc.returncode == EXIT_INPUT
-        assert "max relative deviation inf" in proc.stdout
+        assert proc.stdout == "Levi identity: exact\n"
         assert "retry with a smaller radius" in proc.stderr
         assert "Traceback" not in proc.stderr
 
@@ -464,8 +465,33 @@ class TestExitCodes:
         code = main(["verify", write_spec(tmp_path, FLAT), "--samples", "100"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        assert "finite difference check" in out
+        assert "Levi identity: exact" in out
         assert "boundary Levi minimum" in out
+
+    def test_verify_fails_on_a_lambda_with_one_flipped_coefficient(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The exact identity catches a single wrong sign in expand_r's lambda."""
+
+        def flipped(spec):
+            data = expand_r(spec)
+            terms = dict(data.lam.terms)
+            mono = next(iter(terms))
+            terms[mono] = -terms[mono]
+            return data._replace(lam=Poly(terms))
+
+        monkeypatch.setattr(cli, "expand_r", flipped)
+        out_path = tmp_path / "verify.json"
+        code = main(
+            ["verify", write_spec(tmp_path, CP325), "--samples", "50", "--json", str(out_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_UNDECIDED
+        assert captured.out.splitlines()[0] == "Levi identity: fails"
+        assert captured.err == "undecided: Levi identity fails\n"
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        assert payload["levi_identity"] is False
+        assert payload["summary"] == "Levi identity fails"
 
     def test_compare_prints_exact_fractions(self, tmp_path, capsys):
         code = main(["compare", write_spec(tmp_path, CP325), "--samples", "50"])
@@ -671,18 +697,16 @@ class TestJsonArtifacts:
         }
 
     @pytest.mark.parametrize(
-        "spec,extra,finite_diff_error,min_lambda",
+        "spec,extra,min_lambda",
         [
-            (FLAT, [], "0x1.3522c40000000p-30", "0x1.0000000000000p+0"),
-            (BORDERLINE, [], "0x1.6a43549e614b0p-27", "0x1.1f4db7fa0a1d3p-20"),
-            (TWO, [], "0x1.459bab9acc3a0p-26", "0x1.c0f0544fe6f62p-14"),
-            (CP325, [], "0x1.e519a3d49955dp-28", "0x1.bacc040927056p-28"),
-            # Several blocks of the finite-difference kernel, the last one
-            # partial; the maximum deviation lies beyond the first 1,000 points.
+            (FLAT, [], "0x1.0000000000000p+0"),
+            (BORDERLINE, [], "0x1.1f4db7fa0a1d3p-20"),
+            (TWO, [], "0x1.c0f0544fe6f62p-14"),
+            (CP325, [], "0x1.bacc040927056p-28"),
+            # Several blocks of the boundary sampler, the last one partial.
             (
                 {"name": "cross-power(6,1,10)", "params": {"tau": 6, "l": 1, "k": 10}},
                 ["--samples", "2500"],
-                "0x1.27d2b858bb454p-29",
                 "0x1.a47e0cb2a049dp-83",
             ),
         ],
@@ -694,17 +718,16 @@ class TestJsonArtifacts:
             "cross-power(6,1,10)",
         ],
     )
-    def test_verify_artifact_is_pinned(
-        self, tmp_path, capsys, spec, extra, finite_diff_error, min_lambda
-    ):
-        """The verify run reproduces its floats bit for bit."""
+    def test_verify_artifact_is_pinned(self, tmp_path, capsys, spec, extra, min_lambda):
+        """The verify run holds the exact Levi identity and reproduces its
+        boundary floats bit for bit."""
         out_path = tmp_path / "verify.json"
         code = main(
             ["verify", write_spec(tmp_path, spec), *extra, "--json", str(out_path)]
         )
         assert code == EXIT_OK
         payload = json.loads(out_path.read_text(encoding="utf-8"))
-        assert payload["finite_diff_error"].hex() == finite_diff_error
+        assert payload["levi_identity"] is True
         assert float(payload["boundary"]["min_lambda_on_boundary"]).hex() == min_lambda
 
     def test_degenerate_check_hypo_artifact_is_strict_json(self, tmp_path):
@@ -970,22 +993,24 @@ class TestJsonArtifacts:
                     owners.append(name)
         assert owners == ["domain.py"]
 
-    def test_an_infinite_verify_deviation_is_written_as_a_string(self, tmp_path, capsys):
-        """An overflowing finite-difference check still writes strict JSON."""
+    def test_verify_passes_where_r_overflows_the_float_range(self, tmp_path, capsys):
+        """w^2 at 1e77: r overflows floats, but the Levi identity is exact and
+        lambda = 4*w*wb >= 0 on the sampled boundary, so verify passes and
+        writes strict JSON."""
         out_path = tmp_path / "verify.json"
         spec = write_spec(tmp_path, {"f": ["w^2"], "sample_radius": 1e77})
         code = main(["verify", spec, "--json", str(out_path)])
-        assert code == EXIT_UNDECIDED
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == (
-            "finite difference check: max relative deviation infinity over 1000 points"
-        )
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert captured.out.splitlines()[0] == "Levi identity: exact"
+        assert captured.err == ""
 
         def reject(constant):
             raise ValueError(f"non-finite JSON constant {constant}")
 
         payload = json.loads(out_path.read_text(encoding="utf-8"), parse_constant=reject)
-        assert payload["finite_diff_error"] == "infinity"
+        assert payload["levi_identity"] is True
+        assert payload["summary"] == "checks passed"
 
     @pytest.mark.parametrize(
         "spec",
@@ -1080,6 +1105,7 @@ class TestJsonArtifacts:
                         "seed": 7,
                         "violations": [],
                     },
+                    "levi_identity": True,
                     "summary": "checks passed",
                 },
             ),
@@ -1098,9 +1124,6 @@ class TestJsonArtifacts:
             "params": None,
             "sample_radius": 0.1,
         }
-        if command == "verify":
-            # A floating-point residue; only its size is part of the contract.
-            assert 0 <= payload.pop("finite_diff_error") < 1e-5
         assert payload == fields
 
 

@@ -19,7 +19,6 @@ from subelliptic.polyring import (
     mono_degree,
     mono_div,
     mono_divides,
-    mono_lcm,
     mono_mul,
     parse_poly,
 )
@@ -49,6 +48,12 @@ def certs_view(certs):
 
 def leading_monomial(p):
     return _lead_ecart(p.terms)[0]
+
+
+def mono_lcm(m, n):
+    """The least common multiple of two monomials (the references below
+    form it; the engine computes it inline)."""
+    return (max(m[0], n[0]), max(m[1], n[1]), max(m[2], n[2]), max(m[3], n[3]))
 
 
 def element(reducer):

@@ -314,6 +314,22 @@ class TestPolyArithmetic:
         assert p.scale(GR(0)).is_zero()
         assert p.scale(GR(-2)) == -(p + p)
 
+    def test_product_matches_a_reference_on_fraction_pairs(self):
+        """Poly.__mul__ against a term-by-term product whose coefficients are
+        (re, im) pairs of Fractions, so neither the triple arithmetic nor the
+        product loop of `Poly` is used."""
+        rng = random.Random(110)
+        for _ in range(60):
+            p, q = random_poly(rng), random_poly(rng)
+            want = {}
+            for m1, c1 in p.terms.items():
+                for m2, c2 in q.terms.items():
+                    m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                    term = ref_mul((c1.re, c1.im), (c2.re, c2.im))
+                    want[m] = ref_add(want.get(m, (Fraction(0), Fraction(0))), term)
+            want = {m: c for m, c in want.items() if c != (0, 0)}
+            assert {m: (c.re, c.im) for m, c in (p * q).terms.items()} == want
+
     def test_pow_matches_repeated_mul(self):
         p = Z + WB
         q = Poly.one()
