@@ -8,11 +8,10 @@ a float oracle for the symbolic Levi determinant, `finite_diff_levi` on
 `polydisc_points`, exposed on purpose: acceptance criterion 7 uses it as an
 independent check, while `subelliptic verify` checks lambda by an exact
 identity (`domain.levi_by_hessian`) and runs only the boundary sampler.
-Every float these checks read comes from one evaluator, `_evaluate_columns`,
-which takes a polynomial at up to _BLOCK points a call, row by row and cell
-by cell, each cell in one pass over whole columns.  Between cells it shares
-only exact values (a zeroth power is 1+0j; a row's leading w-free sum is
-the same in every column), so a check reads the same floats, bit for bit,
+Every float these checks read comes from one evaluator, `_column`, which
+takes a polynomial at a column of up to _BLOCK points a call, in one pass
+over the whole column.  Between points it shares only an exact value (a
+zeroth power is 1+0j), so a check reads the same floats, bit for bit,
 whatever the block size.  Nothing here raises on an overflow: the only
 operations that can (complex **, abs() of a complex, float **) go through
 `_nan_on_overflow`, so a value that overflows reads NaN at its own point,
@@ -45,9 +44,9 @@ FIXED_POINT_TOL = 1e-12
 FINITE_DIFF_STEP = 1e-4
 FIXED_POINT_CAP = 100
 HYPO_GATE = 0.99
-# Points per `_evaluate_columns` call: long enough that a cell's work on a
-# column outweighs the loops around it, short enough that the finite
-# differences' 25 columns of r stay small at any sample count.
+# Points per `_column` call: long enough that a term's work on a column
+# outweighs the loops around it, short enough that the finite differences'
+# 25 columns of r stay small at any sample count.
 _BLOCK = 256
 
 
@@ -294,8 +293,8 @@ def finite_diff_levi(spec: DomainSpec, points: Sequence[tuple[complex, complex]]
     finite; a value that overflows the float range reads NaN at its point,
     so it fails the check.
 
-    The points go through `_evaluate_columns` _BLOCK at a time: r at the 5x5
-    stencil of every point of a block, lambda at the points themselves.
+    The points go through `_column` _BLOCK at a time: r at each of the 25
+    columns of a block's 5x5 stencil, lambda at the points themselves.
     Each value is the one a block of that point alone would give, and so
     is the result; the block size bounds memory, not the answer.
     """
@@ -303,7 +302,8 @@ def finite_diff_levi(spec: DomainSpec, points: Sequence[tuple[complex, complex]]
     r, lam = _float_terms(data.r), _float_terms(data.lam)
     h, worst = FINITE_DIFF_STEP, 0.0
     for zs, ws in _blocks(points):
-        cells = _evaluate_columns(r, _stencil_columns(zs, h), _stencil_columns(ws, h))
+        z_steps, w_steps = _stencil_columns(zs, h), _stencil_columns(ws, h)
+        cells = [[_column(r, z_step, w_step) for w_step in w_steps] for z_step in z_steps]
         reference = [value.real for value in _column(lam, zs, ws)]
         for num, ref in zip(_levi_by_differences(cells, h), reference):
             deviation = abs(num - ref) / (1.0 + abs(ref))
@@ -318,68 +318,35 @@ def _float_terms(p: Poly) -> list[tuple[complex, Mono]]:
 
 
 def _column(terms: Sequence[tuple[complex, Mono]], zs: list, ws: list) -> list[complex]:
-    """The polynomial at each point (zs[n], ws[n])."""
-    return _evaluate_columns(terms, [zs], [ws])[0][0]
+    """The polynomial at each point (zs[n], ws[n]).
 
-
-def _evaluate_columns(
-    terms: Sequence[tuple[complex, Mono]],
-    zs: Sequence[Sequence[complex]],
-    ws: Sequence[Sequence[complex]],
-) -> list[list[list[complex]]]:
-    """The polynomial at (zs[i][n], ws[j][n]), as cells[i][j][n].
-
-    Every cell is its point's value by one fixed sequence of float
-    operations: the terms summed from 0j in term order, each as
-    ((((coeff*z^a)*zb^b)*w^c)*wb^d) with Python's complex ** and *.  Only the
-    loop order depends on the columns: row by row, each cell is its terms
-    chained as lazy maps over whole columns, materialised once.  Formed once
-    and shared: a term's head (per row), a z-free term's product (per
-    column), a w-free one's (per row), and a row's sum of its leading w-free
-    terms (r starts with z + zb).  These are each cell's own values, since
-    x**0 is exactly 1+0j for every complex x, NaN and inf included (CPython's
-    integer power never reads x for the exponent 0).  So a cell does not
-    depend on the other points.  Nothing raises: a power that overflows reads
-    NaN (`_nan_on_overflow`), * and + carry it, and so the cell of each point
+    Every value is its point's by one fixed sequence of float operations: the
+    terms summed from 0j in term order, each as ((((coeff*z^a)*zb^b)*w^c)*wb^d)
+    with Python's complex ** and *, chained as lazy maps over the whole
+    column and materialised once.  The only value shared between points is
+    a zeroth power, 1+0j, which is each point's own, since x**0 is exactly
+    1+0j for every complex x, NaN and inf included (CPython's integer power
+    never reads x for the exponent 0).  So a value does not depend on the
+    other points.  Nothing raises: a power that overflows reads NaN
+    (`_nan_on_overflow`), * and + carry it, and so the value at each point
     where a power overflows is NaN in both parts.
     """
-    n, columns = len(zs[0]), range(len(ws))
     z_pow, zb_pow = _powers(zs, terms, 0), _powers(zs, terms, 1)
     w_pow, wb_pow = _powers(ws, terms, 2), _powers(ws, terms, 3)
-    z_free, cells = {}, []
-    for i in range(len(zs)):
-        total, rest = [0j] * n, []
-        for t, (coeff, (a, b, c, d)) in enumerate(terms):
-            if t in z_free:
-                rest.append(z_free[t])
-                continue
-            head = list(map(mul, map(mul, repeat(coeff, n), z_pow[i][a]), zb_pow[i][b]))
-            products = [map(mul, map(mul, head, w_pow[j][c]), wb_pow[j][d]) for j in columns]
-            if not (c or d or rest):
-                total = map(add, total, products[0])
-                continue
-            if not (c or d):
-                products = [list(products[0])] * len(ws)
-            elif not (a or b):
-                z_free[t] = products = list(map(list, products))
-            rest.append(products)
-        prefix, row = list(total), []
-        for j in columns:
-            total = prefix
-            for products in rest:
-                total = map(add, total, products[j])
-            row.append(list(total))
-        cells.append(row)
-    return cells
+    total = repeat(0j, len(zs))
+    for coeff, (a, b, c, d) in terms:
+        head = map(mul, map(mul, repeat(coeff), z_pow[a]), zb_pow[b])
+        total = map(add, total, map(mul, map(mul, head, w_pow[c]), wb_pow[d]))
+    return list(total)
 
 
-def _powers(columns, terms, at: int) -> list[dict[int, list[complex]]]:
-    """Each column's powers that the terms read at position at (zb, wb: of its conjugate)."""
+def _powers(column: list, terms, at: int) -> dict[int, list[complex]]:
+    """The column's powers that the terms read at position at (zb, wb: of its conjugate)."""
     exponents = {m[at] for _, m in terms}
     if at % 2 and any(exponents):
-        columns = [list(map(complex.conjugate, column)) for column in columns]
-    return [{e: _nan_on_overflow(pow, column, repeat(e)) if e else [1 + 0j] * len(column)
-             for e in exponents} for column in columns]
+        column = list(map(complex.conjugate, column))
+    return {e: _nan_on_overflow(pow, column, repeat(e)) if e else [1 + 0j] * len(column)
+            for e in exponents}
 
 
 def _stencil_columns(points: Sequence[complex], h: float) -> list[list[complex]]:

@@ -730,6 +730,23 @@ class TestJsonArtifacts:
         assert payload["levi_identity"] is True
         assert float(payload["boundary"]["min_lambda_on_boundary"]).hex() == min_lambda
 
+    @pytest.mark.parametrize(
+        "spec,code,delta_hat",
+        [
+            (BORDERLINE, EXIT_REFUSED, "0x1.fffffa8d33b3dp-1"),
+            (TWO, EXIT_OK, "0x1.8b7cced441effp-7"),
+        ],
+        ids=["borderline", "two-component"],
+    )
+    def test_check_hypo_artifact_is_pinned(self, tmp_path, spec, code, delta_hat):
+        """The sampled comparison ratio reproduces bit for bit through the
+        CLI, on a spec that fails the gate and on one that passes it."""
+        out_path = tmp_path / "hypo.json"
+        assert main(["check-hypo", write_spec(tmp_path, spec), "--json", str(out_path)]) == code
+        report = json.loads(out_path.read_text(encoding="utf-8"))["report"]
+        assert float(report["delta_hat"]).hex() == delta_hat
+        assert report["degenerate"] == 0
+
     def test_degenerate_check_hypo_artifact_is_strict_json(self, tmp_path):
         """Infinite ratios are written as strings, never as bare Infinity."""
         out_path = tmp_path / "hypo.json"
