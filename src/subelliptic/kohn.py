@@ -234,7 +234,7 @@ def run_kohn(
             }
         )
         current = certificates.ideal
-        if current.basis is None:
+        if certificates.undecided:
             saw_undecided = True
 
         witness = check_unit(step, "after-radical", current)

@@ -5,7 +5,8 @@ term order (anti-graded lex, so the constant monomial is the largest) and
 Mora's normal form with the ecart rule.  Every computation carries a
 reduction-step budget, one module constant per kind of question, read when
 the query runs; running out yields an honest "undecided", never a wrong
-answer:
+answer.  Each question passes its work, nf_mora or _buchberger, through one
+gate, _bounded, which makes the budget and reads its exhaustion as None:
 
     DEFAULT_STEP_BUDGET  standard bases, ordinary memberships, reduce_modulo
     PROBE_BUDGET         a power sweep's questions b^m in I
@@ -83,6 +84,19 @@ class _Budget:
         self.remaining -= 1
         if self.remaining < 0:
             raise BudgetExhausted
+
+
+def _bounded(steps: int, work, *args):
+    """work(*args, budget) under a fresh budget of steps, or None past it.
+
+    The one place that makes a _Budget and catches BudgetExhausted.  Callers
+    pass the module's nf_mora or _buchberger as they find it when they ask,
+    so a wrapper set on the module sees every bounded call.
+    """
+    try:
+        return work(*args, _Budget(steps))
+    except BudgetExhausted:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +387,7 @@ class LocalIdeal:
     reads, so a membership query pays no setup.  The first read of basis
     completes, minimalizes and tail-strips it and keeps the result; once
     computed the object is immutable.  A basis of None means its budget ran
-    out, and membership queries then answer UNDECIDED.  The tangent cone
-    that outside_cone asks about, and its dimension, are derived from the
-    basis on first use and kept the same way.
+    out, and membership queries then answer UNDECIDED.
     """
 
     def __init__(
@@ -400,21 +412,15 @@ class LocalIdeal:
     def _complete(self, steps: int) -> Optional[list[tuple]]:
         """The completed, minimal, tail-stripped basis, or None past steps."""
         start = _prepare(self.generators) if self._seed is None else self._seed
-        try:
-            return _tail_strip(_minimalize(_buchberger(start, _Budget(steps))))
-        except BudgetExhausted:
-            return None
+        completed = _bounded(steps, _buchberger, start)
+        return None if completed is None else _tail_strip(_minimalize(completed))
 
     def membership(self, p: Poly, step_budget: Optional[int] = None) -> Membership:
         if p.is_zero():
             return Membership.YES
-        if self.basis is None:
-            return Membership.UNDECIDED
-        if step_budget is None:
-            step_budget = DEFAULT_STEP_BUDGET
-        try:
-            nf = nf_mora(p.terms, self.basis, _Budget(step_budget))
-        except BudgetExhausted:
+        steps = DEFAULT_STEP_BUDGET if step_budget is None else step_budget
+        nf = None if self.basis is None else _bounded(steps, nf_mora, p.terms, self.basis)
+        if nf is None:
             return Membership.UNDECIDED
         return Membership.NO if nf else Membership.YES
 
@@ -442,29 +448,21 @@ class LocalIdeal:
         dimension is that of the leading monomials (Cox-Little-O'Shea,
         Ideals, Varieties, and Algorithms, ch. 9 sec. 3), which _dimension
         reads.  Equal dimensions prove nothing and answer False, as does a
-        completion past PRUNE_BUDGET steps.  The cone and its dimension are
-        built on first use and kept, like the basis.
+        completion past PRUNE_BUDGET steps.
         """
         basis = self.basis
         if basis is None or len(p.terms) != 1:
             return False
         (m,) = p.terms
         divisors = [(lm, tail) for lm, _, tail in basis if mono_divides(lm, m)]
-        if not divisors or any(
-            all(t[4] > mono_degree(lm) for t in tail) for lm, tail in divisors
-        ):
+        if not divisors or any(all(t[4] > mono_degree(lm) for t in tail) for lm, tail in divisors):
             return False
-        if "_cone" not in vars(self):
-            self._cone = [
-                (lm, 0, [t for t in tail if t[4] == mono_degree(lm)]) for lm, _, tail in basis
-            ]
-            self._cone_dimension = _dimension(lm for lm, _, _ in basis)
+        cone = [(lm, 0, [t for t in tail if t[4] == mono_degree(lm)]) for lm, _, tail in basis]
         f = tuple(min(e, 1) for e in m)
-        try:
-            completed = _buchberger(self._cone + [(f, 0, [])], _Budget(PRUNE_BUDGET))
-        except BudgetExhausted:
-            return False
-        return _dimension(lm for lm, _, _ in completed) < self._cone_dimension
+        completed = _bounded(PRUNE_BUDGET, _buchberger, cone + [(f, 0, [])])
+        return completed is not None and (
+            _dimension(lm for lm, _, _ in completed) < _dimension(lm for lm, _, _ in basis)
+        )
 
     def reduce_modulo(self, p: Poly) -> Poly:
         """Best-effort reduction: returns p minus ideal elements, never None.
@@ -479,11 +477,9 @@ class LocalIdeal:
         """
         if p.is_zero() or self.basis is None:
             return p
-        h = p.terms
-        try:
-            h = nf_mora(h, self.basis, _Budget(DEFAULT_STEP_BUDGET))
-        except BudgetExhausted:
-            pass
+        h = _bounded(DEFAULT_STEP_BUDGET, nf_mora, p.terms, self.basis)
+        if h is None:
+            h = p.terms
         monos = [lm for lm, _, tail in self.basis if not tail]
         return _as_poly({
             m: c for m, c in h.items() if not any(mono_divides(mm, m) for mm in monos)
@@ -554,11 +550,10 @@ def _power_sweep(
     b^m in an ideal implies b^cap in it, the NO is exact for every lower
     power too and drops the base, whose log ends with (cap, "no").  Before
     J is asked, the sweep asks the cheaper cone question
-    J.outside_cone(conj(b)^cap) of the tangent cone that J caches beside
-    its basis; for a variable base conj(b)^cap is one term, and a dimension
-    count on the cone answers it.  True proves conj(b)^cap outside J,
-    the same exact NO, and J is not asked at all.  False proves nothing,
-    and J is asked as before.
+    J.outside_cone(conj(b)^cap) of J's tangent cone; for a variable base
+    conj(b)^cap is one term, and a dimension count on the cone answers it.
+    True proves conj(b)^cap outside J, the same exact NO, and J is not
+    asked at all.  False proves nothing, and J is asked as before.
     A YES or an undecided answer from J leaves the base alive, and the
     sweep goes on as it was.  The conjugate side is cheap where the local
     order's tie-break picks z over zb as a lead: conj(b)^cap is
@@ -643,9 +638,7 @@ def hermitian_square_rows(p: Poly) -> Optional[list[tuple[Fraction, Poly]]]:
     rows: list[tuple[Fraction, Poly]] = []
     for j in range(n):
         d = a[j][j]
-        if d.im:
-            return None
-        if d.re < 0:
+        if d.im or d.re < 0:
             return None
         if not d.re:
             if any(not a[i][j].is_zero() for i in range(j + 1, n)):
@@ -715,12 +708,15 @@ class Closure(list):
     ideal is the ideal the closure ended on: the input generators followed
     by every certificate element, with the standard basis the closure built
     for it (see radical_extend).  Without certificates it is the input
-    ideal.
+    ideal.  undecided is True when a sweep answered a probe undecided, or
+    when the ideal's basis ran out: the closure may then miss certificates
+    that larger budgets would find.
     """
 
     def __init__(self, ideal: LocalIdeal):
         super().__init__()
         self.ideal = ideal
+        self.undecided = False
 
 
 def radical_extend(
@@ -738,7 +734,8 @@ def radical_extend(
     v^e).  An element is new when its monic form is not yet known.
     Monomial-root probes sweep through _power_sweep, under the budgets of
     the module docstring's table, so a hopeless high-power sweep degrades
-    to an honest "undecided" quickly.  The sweep tries the two lowest powers
+    to an honest "undecided" quickly; such an answer, like a basis that ran
+    out, marks the closure undecided.  The sweep tries the two lowest powers
     before a probe at order_cap may drop a base, so a root that lies in the
     ideal at one of those powers never pays for the probe at order_cap.
 
@@ -810,6 +807,7 @@ def radical_extend(
         }
         m, cohort, logs, dropped = _power_sweep(pending, current, order_cap)
         ruled_out.update(dropped)
+        certificates.undecided |= "undecided" in {a for log in logs.values() for _, a in log}
         if m is not None:
             snapshot = current.generator_strings()
             for v in cohort:
@@ -869,4 +867,5 @@ def radical_extend(
     if certificates:
         certificates.ideal = LocalIdeal(work)  # the generators, then the elements
         certificates.ideal._basis = current.basis
+    certificates.undecided |= certificates.ideal.basis is None
     return certificates

@@ -445,6 +445,18 @@ class TestStalling:
         assert _row_statuses(result) == {"zero", "kept-unverified"}
         assert audit_trace(result) == []
 
+    def test_an_undecided_sweep_probe_says_so(self, monkeypatch):
+        """With no probe step, a sweep question that needs a reduction is
+        undecided and retires its base, so the fixpoint at step 2 is one the
+        engine cannot know, and the reason says so."""
+        monkeypatch.setattr(localideal, "PROBE_BUDGET", 0)
+        result = run_kohn(DomainSpec(name="zw", f=(parse_poly("z*w"),)))
+        assert result.outcome is Outcome.STALLED
+        assert result.summary() == (
+            "stalled after 2 steps (ideal chain reached a fixpoint without a unit; "
+            "some memberships were undecided under the budget)"
+        )
+
     def test_starved_budget_keeps_unverified_children_on_success(self, monkeypatch):
         """An unverified child is L of a multiplier, a multiplier at half
         its parent's order whether or not it lies in the ideal."""

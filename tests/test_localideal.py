@@ -265,6 +265,33 @@ class TestBudgets:
         assert ideal.membership(parse_poly("w^3")) is Membership.YES
         assert ideal.membership(parse_poly("w^3"), step_budget=0) is Membership.UNDECIDED
 
+    def test_every_bounded_question_reaches_the_module_work(self, monkeypatch):
+        """Each question runs nf_mora or _buchberger as the module holds it
+        when asked, with a _Budget as the last argument (the third of
+        nf_mora's, which the benchmark's span recorder reads)."""
+        seen = []
+
+        def recorded(name, work, arity):
+            def call(*args):
+                assert len(args) == arity and isinstance(args[-1], _Budget)
+                seen.append(name)
+                return work(*args)
+            return call
+
+        monkeypatch.setattr(localideal, "nf_mora", recorded("nf_mora", nf_mora, 3))
+        monkeypatch.setattr(localideal, "_buchberger", recorded("_buchberger", _buchberger, 2))
+        ideal = LocalIdeal([parse_poly("z + w")])
+        questions = [
+            ("_buchberger", lambda: ideal.basis is not None),
+            ("nf_mora", lambda: ideal.membership(parse_poly("z^2")) is Membership.NO),
+            ("nf_mora", lambda: ideal.reduce_modulo(parse_poly("z")) == parse_poly("-w")),
+            ("_buchberger", lambda: ideal.outside_cone(parse_poly("z^2"))),
+        ]
+        for work, ask in questions:
+            seen.clear()
+            assert ask() is True
+            assert seen[:1] == [work]
+
     def test_with_extra_reuses_the_computed_basis(self):
         base = LocalIdeal([parse_poly("w^2"), parse_poly("z^3")])
         bigger = base.with_extra([parse_poly("z*w")])
@@ -413,6 +440,19 @@ class TestRadicalExtend:
             )
 
         assert len({certificate(), certificate()}) == 1
+
+    def test_a_closure_says_when_it_ran_out(self, monkeypatch):
+        """An undecided sweep answer marks the closure, and so does a basis
+        past its budget where no sweep asks anything.  Asking z in (z - w^2)
+        takes a step, so it is decided at the default budgets and undecided
+        with no probe step; (z, w, z^2 - w^2) leaves no variable to sweep."""
+        assert radical_extend(LocalIdeal([parse_poly("z - w^2")])).undecided is False
+        monkeypatch.setattr(localideal, "PROBE_BUDGET", 0)
+        assert radical_extend(LocalIdeal([parse_poly("z - w^2")])).undecided is True
+        monkeypatch.undo()
+        monkeypatch.setattr(localideal, "DEFAULT_STEP_BUDGET", 0)
+        starved = radical_extend(LocalIdeal([parse_poly(t) for t in ("z", "w", "z^2 - w^2")]))
+        assert starved.ideal.basis is None and starved.undecided is True
 
     def test_import_leaves_dataclasses_out(self):
         """The certificates are named tuples, so the ideal layer needs no
@@ -793,7 +833,16 @@ class TestTangentCone:
             p = parse_poly(text)
             assert ideal.outside_cone(p) is False
             assert ideal.membership(p) is member
-        assert ideal._cone_dimension == 2
+        assert localideal._dimension(lm for lm, _, _ in ideal.basis) == 2
+
+    def test_a_cone_completion_past_its_budget_answers_false(self, monkeypatch):
+        """A completion past PRUNE_BUDGET proves nothing.  With no step left,
+        2 of the 12 draws that the count puts outside answer False."""
+        outside = [(ideal, power) for ideal, power in _cone_draws() if ideal.outside_cone(power)]
+        monkeypatch.setattr(localideal, "PRUNE_BUDGET", 0)
+        starved = [ideal.outside_cone(power) for ideal, power in outside]
+        assert len(outside) == 12
+        assert starved.count(False) == 2
 
     def test_only_a_single_term_is_asked(self, monkeypatch):
         """p = z + zb + w^2 is not one term, so the answer is False at no cost."""
